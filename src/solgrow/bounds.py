@@ -173,24 +173,30 @@ def _projective_lines(n: int, p: int):
             yield tuple(v)
 
 
+def is_transitive_on(gens: Sequence[Perm], degree: int) -> bool:
+    """Whether <gens> moves point 0 to every one of `degree` points."""
+    steps = [h for g in gens for h in (g, g.inverse())]
+    orbit = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in steps:
+                y = g(x)
+                if y not in orbit:
+                    orbit.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(orbit) == degree
+
+
 def permutation_structure(T: FiniteGroupTable) -> dict:
     """Transitivity, minimal block systems, and primitivity of a perm table."""
     if T.elements is None or not isinstance(T.elements[0], Perm):
         raise ValueError("table is not permutation-backed")
     degree = T.elements[0].degree
     gens = [T.elements[g] for g in T.generators]
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (g(x), g.inverse()(x)):
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    transitive = len(orbit) == degree
+    transitive = is_transitive_on(gens, degree)
     blocks: list[list[list[int]]] = []
     if transitive and degree > 1:
         seen_partitions = set()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .bounds import is_transitive_on
 from .elements import GenSet, MatFp, Perm
 from .errors import NotTransitive, ParseError
 from .table import FiniteGroupTable
@@ -37,24 +38,7 @@ def is_transitive(T: FiniteGroupTable) -> bool:
     """Transitivity of a permutation-element table on its full point set."""
     if T.elements is None or not isinstance(T.elements[0], Perm):
         raise ParseError("table is not permutation-backed")
-    degree = T.elements[0].degree
-    seen = {0}
-    frontier = [0]
-    gens = [T.elements[g] for g in T.generators]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                z = g.inverse()(x)
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return len(seen) == degree
+    return is_transitive_on([T.elements[g] for g in T.generators], T.elements[0].degree)
 
 
 def wreath_product(A: FiniteGroupTable, B: FiniteGroupTable) -> GenSet:

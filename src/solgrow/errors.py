@@ -67,7 +67,3 @@ class RankDeficient(SolgrowError):
 
 class NotSelfCentralizing(SolgrowError):
     """No self-centralizing minimal normal subgroup available."""
-
-
-class UnknownSubcommand(SolgrowError):
-    """CLI subcommand not recognized."""

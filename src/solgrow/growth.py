@@ -17,7 +17,7 @@ import numpy as np
 from .elements import GenSet, GroupElement, TreeAuto
 from .errors import DegenerateWindow
 from .specio import spec_digest
-from .table import FiniteGroupTable, commutator_subgroup, enumerate_group, reduce_generators, whole_group
+from .table import commutator_subgroup, enumerate_group, reduce_generators, whole_group
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 DEFAULT_MAX_BYTES = 8 << 30
@@ -40,11 +40,17 @@ class GrowthTable:
         return len(self.counts) - 1
 
     def gamma(self, r: int) -> int:
+        """Ball size at radius r.
+
+        Beyond the last computed radius the value is known only when the BFS
+        stopped early without a cap: the ball then is the whole finite group.
+        """
         if r < 0:
             raise ValueError("radius must be >= 0")
-        return self.counts[min(r, self.radius)] if r <= self.radius else self._oob(r)
-
-    def _oob(self, r: int):
+        if r <= self.radius:
+            return self.counts[r]
+        if not self.truncated and self.radius < self.requested_radius:
+            return self.counts[-1]
         raise ValueError(f"radius {r} beyond computed table (R = {self.radius})")
 
     def to_csv(self) -> str:
@@ -118,11 +124,6 @@ def growth_table(
         truncated=truncated,
         truncation_reason=reason,
     )
-
-
-def growth_from_table(T: FiniteGroupTable) -> list[int]:
-    """gamma(0..diameter) from an enumerated table's word lengths."""
-    return T.growth_counts()
 
 
 def gap_hypothesis_check(tbl: GrowthTable, theta: float, C: float) -> bool:

@@ -263,12 +263,23 @@ def derived_generators(T: FiniteGroupTable, k_max: int) -> dict:
                 "ratio": chain.closure_length / 4**k,
             }
         )
+    rec_const = _recurrence_constant(lengths, [4] * len(lengths))
+    return {"steps": records, "recurrence_constant": rec_const}
+
+
+def _recurrence_constant(lengths: list[int], factors: list[int]) -> float:
+    """Smallest C >= 0 with L_i <= a_i L_{i-1} + C sqrt(L_{i-1}) at every step.
+
+    L_i are `lengths` and a_i = factors[i - 1]; steps from L_{i-1} = 0 are
+    skipped.
+    """
     rec_const = 0.0
     for i in range(1, len(lengths)):
-        if lengths[i - 1] > 0:
-            excess = lengths[i] - 4 * lengths[i - 1]
-            rec_const = max(rec_const, excess / math.sqrt(lengths[i - 1]))
-    return {"steps": records, "recurrence_constant": rec_const}
+        prev = lengths[i - 1]
+        if prev > 0:
+            excess = lengths[i] - factors[i - 1] * prev
+            rec_const = max(rec_const, excess / math.sqrt(prev))
+    return rec_const
 
 
 # -- certificate pipeline -----------------------------------------------------
@@ -459,9 +470,7 @@ def certify_growth_lower_bound(
     if G.gen_set is not None:
         from .growth import growth_table
 
-        diam = G.diameter()
-        gt = growth_table(G.gen_set, min(radius, diam))
-        gamma_val = gt.counts[-1] if radius >= len(gt.counts) else gt.counts[radius]
+        gamma_val = growth_table(G.gen_set, radius).gamma(radius)
         gamma_source = "independent_bfs"
     else:
         gamma_val = G.gamma(radius)
@@ -480,13 +489,8 @@ def certify_growth_lower_bound(
     # Measured constants: smallest values making the step recurrence
     # L_i <= a_i L_{i-1} + C sqrt(L_{i-1}) and the chain bound
     # L_i <= C' a_1 .. a_{i+1} hold on this run.
-    rec_const = 0.0
+    rec_const = _recurrence_constant(step_lengths, cost_word)
     chain_const = 0.0
-    for i in range(1, len(step_lengths)):
-        prev = step_lengths[i - 1]
-        if prev > 0:
-            excess = step_lengths[i] - cost_word[i - 1] * prev
-            rec_const = max(rec_const, excess / math.sqrt(prev))
     for i in range(len(step_lengths)):
         denom = math.prod(cost_word[: min(i + 1, len(cost_word))])
         chain_const = max(chain_const, step_lengths[i] / denom)

@@ -55,20 +55,7 @@ class MuValue:
 
     def cmp(self, other: "MuValue") -> int:
         """Exact three-way comparison: sign of 4^da * 10^db - 1."""
-        da, db = self.a - other.a, self.b - other.b
-        if da == 0 and db == 0:
-            return 0
-        e2, e5 = 2 * da + db, db
-        num, den = 1, 1
-        if e2 >= 0:
-            num <<= e2
-        else:
-            den <<= -e2
-        if e5 >= 0:
-            num *= 5**e5
-        else:
-            den *= 5**-e5
-        return (num > den) - (num < den)
+        return self.cmp_bound(other.a, 1, other.b, 0, 1)
 
     def cmp_bound(self, c_num: int, c_den: int, r: int, s: int, n: int) -> int:
         """Compare with c_num/c_den + r*log4(10) + s*log4(n), exactly.

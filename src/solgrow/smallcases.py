@@ -23,6 +23,7 @@ from .bounds import (
     MU_IRREDUCIBLE_BOUND,
     MU_TRANSITIVE_BOUND,
     is_irreducible,
+    is_transitive_on,
     permutation_structure,
 )
 from .catalog import catalog
@@ -66,26 +67,10 @@ def _conjugacy_reps(T: FiniteGroupTable, subs: list[Subgroup]) -> list[Subgroup]
     return reps
 
 
-def _subgroup_matrices(T: FiniteGroupTable, S: Subgroup) -> list[MatFp]:
+def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
+    """Generator elements of S (T must be element-backed)."""
     assert T.elements is not None
-    return [T.elements[g] for g in S.generators]  # type: ignore[list-item]
-
-
-def _subgroup_is_transitive(T: FiniteGroupTable, S: Subgroup, degree: int) -> bool:
-    assert T.elements is not None
-    gens = [T.elements[g] for g in S.generators]
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (g(x), g.inverse()(x)):
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return len(orbit) == degree
+    return [T.elements[g] for g in S.generators]
 
 
 def irreducible_soluble_reps(ambient_name: str) -> tuple[FiniteGroupTable, list[Subgroup]]:
@@ -96,7 +81,7 @@ def irreducible_soluble_reps(ambient_name: str) -> tuple[FiniteGroupTable, list[
     for S in subs:
         if not S.generators:
             continue
-        if is_irreducible(_subgroup_matrices(T, S)):
+        if is_irreducible(_subgroup_gens(T, S)):
             irr.append(S)
     return T, _conjugacy_reps(T, irr)
 
@@ -105,7 +90,9 @@ def transitive_soluble_reps(degree: int) -> tuple[FiniteGroupTable, list[Subgrou
     """Conjugacy representatives of soluble transitive subgroups of Sym(n)."""
     T = enumerate_group(sym_gens(degree))
     subs = soluble_subgroups(T)
-    tra = [S for S in subs if S.generators and _subgroup_is_transitive(T, S, degree)]
+    tra = [
+        S for S in subs if S.generators and is_transitive_on(_subgroup_gens(T, S), degree)
+    ]
     return T, _conjugacy_reps(T, tra)
 
 
@@ -353,7 +340,7 @@ def verify_mu_theorem(
     """
     if kind == "transitive":
         if subgroup is not None:
-            if not _subgroup_is_transitive(T, subgroup, n):
+            if not is_transitive_on(_subgroup_gens(T, subgroup), n):
                 raise ContextViolated("subgroup is not transitive")
         else:
             struct = permutation_structure(T)

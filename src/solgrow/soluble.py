@@ -22,14 +22,15 @@ from .errors import CapExceeded, NotSoluble, TrivialGroup
 from .table import (
     FiniteGroupTable,
     Subgroup,
-    conjugacy_classes,
+    _normal_closure_under,
     derived_series,
     is_soluble,
     lower_central_series,
-    normal_closure,
+    nilpotency_class,
     reduce_generators,
     subgroup_generated,
     trivial_subgroup,
+    whole_group,
 )
 
 LATTICE_CAP = 20_000
@@ -97,31 +98,7 @@ def normal_subgroups(T: FiniteGroupTable, cap: int = LATTICE_CAP) -> NormalLatti
     """Complete normal lattice via joins of conjugacy-class closures."""
     if T.n > cap:
         raise CapExceeded(f"group order {T.n} exceeds lattice cap {cap}")
-    T.ensure_dense()
-    atoms = []
-    seen: dict[frozenset[int], Subgroup] = {}
-    triv = trivial_subgroup(T)
-    seen[triv.member_set] = triv
-    for cls in conjugacy_classes(T):
-        N = reduce_generators(T, normal_closure(T, [cls[0]]))
-        if N.member_set not in seen:
-            seen[N.member_set] = N
-            atoms.append(N)
-    queue = list(atoms)
-    known = list(seen.values())
-    while queue:
-        A = queue.pop(0)
-        for B in list(known):
-            if A.contains_set(B) or B.contains_set(A):
-                continue
-            join = subgroup_generated(T, list(A.generators) + list(B.generators))
-            if join.member_set not in seen:
-                join = reduce_generators(T, join)
-                seen[join.member_set] = join
-                known.append(join)
-                queue.append(join)
-    subs = sorted(seen.values(), key=lambda S: (S.order, S.members))
-    return NormalLattice(T, subs)
+    return NormalLattice(T, normal_subgroups_within(T, whole_group(T)))
 
 
 def minimal_normal_subgroups(
@@ -135,11 +112,10 @@ def minimal_normal_subgroups(
 def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
     """All subgroups of H normal in H, in parent-table indices.
 
-    Same class-closure join method as normal_subgroups, run relative to H.
-    Returned sorted by (order, members).
+    Atoms are the normal closures in H of H's conjugacy classes, taken at
+    each class's least member; closing them under pairwise joins gives the
+    complete lattice. Returned sorted by (order, members).
     """
-    from .table import _normal_closure_under
-
     hgens = H.generators
     seen_cls = bytearray(T.n)
     atoms: list[Subgroup] = []
@@ -149,7 +125,6 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
     for x in H.members:
         if seen_cls[x]:
             continue
-        orbit = [x]
         seen_cls[x] = 1
         frontier = [x]
         while frontier:
@@ -159,7 +134,6 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
                     z = T.conj(y, g)
                     if not seen_cls[z]:
                         seen_cls[z] = 1
-                        orbit.append(z)
                         nxt.append(z)
             frontier = nxt
         N = reduce_generators(T, _normal_closure_under(T, [x], hgens))
@@ -343,7 +317,6 @@ def soluble_subgroups(
     """
     if T.n > cap:
         raise CapExceeded(f"group order {T.n} exceeds subgroup enumeration cap {cap}")
-    T.ensure_dense()
     triv = trivial_subgroup(T)
     found: dict[frozenset[int], Subgroup] = {triv.member_set: triv}
     frontier = [triv]
@@ -416,7 +389,7 @@ def analyze_record(T: FiniteGroupTable) -> dict:
     rec: dict = {"order": T.n, "soluble": soluble}
     ds = derived_series(T)
     rec["derived_length"] = len(ds) - 1 if ds[-1].is_trivial() else None
-    ncl = nilpotency_class_of(T)
+    ncl = nilpotency_class(T)
     rec["nilpotent"] = ncl is not None
     rec["nilpotency_class"] = ncl
     if soluble and T.n > 1:
@@ -437,8 +410,3 @@ def analyze_record(T: FiniteGroupTable) -> dict:
         rec["sc_chief_rank"] = None
         rec["supersoluble"] = None
     return rec
-
-
-def nilpotency_class_of(T: FiniteGroupTable) -> int | None:
-    series = lower_central_series(T)
-    return len(series) - 1 if series[-1].is_trivial() else None

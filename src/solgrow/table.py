@@ -2,10 +2,13 @@
 
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
-over the generating set (inverses adjoined). Tables are either
-element-backed (built by enumerate_group from concrete GroupElements) or
-abstract (quotients, direct products, subgroup restrictions), in which
-case products are index arithmetic delegated to the parent structure.
+over the table's BFS steps (the generators, then their inverses). Every
+table, whether enumerated from concrete GroupElements or derived as a
+quotient, subgroup or direct product, multiplies the same way: it stores
+the right action of each BFS step on indices, R[s][i] = index of i * s.
+One BFS over these arrays gives word lengths and BFS parents. Up to
+DENSE_LIMIT elements the full product table is built from them on first
+use; above it, i * j walks j's geodesic through R.
 
 Tables are immutable after construction; all queries are pure reads.
 """
@@ -18,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .elements import GenSet, GroupElement, MatFp, Perm
+from .elements import GenSet, GroupElement
 from .errors import CapExceeded, NotNormal
 
 DEFAULT_CAP = 2_000_000
@@ -26,44 +29,54 @@ DENSE_LIMIT = 4096
 
 
 class FiniteGroupTable:
-    """Indexed finite group. Do not mutate after construction."""
+    """Indexed finite group. Do not mutate after construction.
+
+    `steps` lists the BFS steps in order as (signed generator reference,
+    right action): +k is generator k-1, -k its inverse, and the action is
+    an int32 array mapping index i to the index of i * step.
+    """
 
     def __init__(
         self,
         encodings: list[bytes],
-        mulfunc: Callable[[int, int], int],
         inv_idx: list[int],
         generators: list[int],
+        steps: Sequence[tuple[int, np.ndarray]],
         elements: list[GroupElement] | None = None,
         gen_set: GenSet | None = None,
-        word_length: list[int] | None = None,
-        bfs_parent: list[tuple[int, int] | None] | None = None,
-        step_refs: list[int] | None = None,
-        dense_builder: Callable[[], list[array] | None] | None = None,
     ):
         self.n = len(encodings)
         self.encodings = encodings
         self.index = {enc: i for i, enc in enumerate(encodings)}
         assert len(self.index) == self.n, "encodings are not injective"
-        self._mulfunc = mulfunc
         self.inv_idx = inv_idx
         self.generators = list(generators)
         self.elements = elements
         self.gen_set = gen_set
-        self._rows: list[array] | None = None
-        self._dense_builder = dense_builder
-        if word_length is None:
-            word_length, bfs_parent, step_refs = self._index_bfs()
-        self.word_length = word_length
-        self.bfs_parent = bfs_parent
-        self.step_refs = step_refs
+        self.step_refs = [ref for ref, _action in steps]
+        self._actions = [np.asarray(action, dtype=np.int32) for _ref, action in steps]
+        wl, parent, parent_step = _cayley_bfs(self._actions, self.n)
+        self.word_length: list[int] = wl.tolist()
+        # int32 buffers are read through memoryviews, whose items are ints.
+        self._parent = memoryview(parent).toreadonly()
+        self._parent_step = memoryview(parent_step).toreadonly()
+        self._action_views = [memoryview(a).toreadonly() for a in self._actions]
+        # Dense table, None until built: _rows[j][i] = index of i * j.
+        self._rows: list[memoryview] | None = None
 
     # -- products ---------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._rows is not None:
-            return self._rows[i][j]
-        return self._mulfunc(i, j)
+        rows = self._rows
+        if rows is None:
+            if self.n > DENSE_LIMIT:
+                actions = self._action_views
+                for s in self._geodesic(j):
+                    i = actions[s][i]
+                return i
+            self.ensure_dense()
+            rows = self._rows
+        return rows[j][i]  # type: ignore[index]
 
     def inv(self, i: int) -> int:
         return self.inv_idx[i]
@@ -83,74 +96,44 @@ class FiniteGroupTable:
             k += 1
         return k
 
-    def ensure_dense(self, limit: int = DENSE_LIMIT) -> bool:
-        """Build the dense product table if the group is small enough."""
+    def ensure_dense(self) -> bool:
+        """Build the dense product table if the group has <= DENSE_LIMIT elements.
+
+        The right action of j is that of its BFS parent p followed by the
+        step s from p to j, so row j is R[s] applied to row p.
+        """
         if self._rows is not None:
             return True
-        if self.n > limit:
+        if self.n > DENSE_LIMIT:
             return False
-        rows = None
-        if self._dense_builder is not None:
-            rows = self._dense_builder()
-        if rows is None:
-            rows = self._build_dense_generic()
-        if rows is None:
-            return False
-        self._rows = rows
+        rows = np.empty((self.n, self.n), dtype=np.int32)
+        rows[0] = np.arange(self.n, dtype=np.int32)
+        parent, step = self._parent, self._parent_step
+        for j in np.argsort(self.word_length, kind="stable")[1:]:
+            np.take(self._actions[step[j]], rows[parent[j]], out=rows[j])
+        self._rows = [memoryview(row).toreadonly() for row in rows]
         return True
 
-    def _build_dense_generic(self) -> list[array] | None:
-        n = self.n
-        if self.elements is not None and isinstance(self.elements[0], Perm):
-            imgs = np.array([g.images for g in self.elements], dtype=np.int32)
-            lookup = {imgs[j].tobytes(): j for j in range(n)}
-            rows = []
-            for i in range(n):
-                composed = imgs[i][imgs]
-                rows.append(array("i", [lookup[r.tobytes()] for r in composed]))
-            return rows
-        if self.elements is not None and isinstance(self.elements[0], MatFp):
-            first = self.elements[0]
-            d, p = first.n, first.p
-            stack = np.array(
-                [g.entries for g in self.elements], dtype=np.int64
-            ).reshape(n, d, d)
-            lookup = {stack[j].tobytes(): j for j in range(n)}
-            rows = []
-            for i in range(n):
-                prods = np.matmul(stack[i], stack) % p
-                rows.append(array("i", [lookup[r.tobytes()] for r in prods]))
-            return rows
-        if self.n <= 1500 or self.elements is None:
-            mul = self._mulfunc
-            return [array("i", [mul(i, j) for j in range(n)]) for i in range(n)]
-        return None
+    def right_action(self, x: int) -> np.ndarray:
+        """int32 array mapping index i to the index of i * x."""
+        if self._rows is not None:
+            return np.asarray(self._rows[x])
+        out = np.arange(self.n, dtype=np.int32)
+        for s in self._geodesic(x):
+            out = self._actions[s][out]
+        return out
 
     # -- BFS and words ------------------------------------------------------
 
-    def _index_bfs(self):
-        """Word lengths w.r.t. self.generators, over gens then inverses."""
-        steps: list[tuple[int, int]] = []
-        for i, g in enumerate(self.generators):
-            steps.append((g, i + 1))
-        for i, g in enumerate(self.generators):
-            steps.append((self.inv_idx[g], -(i + 1)))
-        wl = [-1] * self.n
-        parent: list[tuple[int, int] | None] = [None] * self.n
-        wl[0] = 0
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for ordinal, (g, _ref) in enumerate(steps):
-                    y = self.mul(x, g)
-                    if wl[y] < 0:
-                        wl[y] = wl[x] + 1
-                        parent[y] = (x, ordinal)
-                        nxt.append(y)
-            frontier = nxt
-        assert all(d >= 0 for d in wl), "generators do not generate the table"
-        return wl, parent, [ref for (_g, ref) in steps]
+    def _geodesic(self, i: int) -> list[int]:
+        """Step ordinals of the BFS geodesic from the identity to i."""
+        parent, step = self._parent, self._parent_step
+        path: list[int] = []
+        while i != 0:
+            path.append(step[i])
+            i = parent[i]
+        path.reverse()
+        return path
 
     def word(self, i: int) -> list[int]:
         """Geodesic word for element i as signed generator references.
@@ -158,13 +141,7 @@ class FiniteGroupTable:
         +k means generator k-1, -k its inverse; the product read left to
         right equals the element.
         """
-        out: list[int] = []
-        while i != 0:
-            prev, ordinal = self.bfs_parent[i]  # type: ignore[index]
-            out.append(self.step_refs[ordinal])
-            i = prev
-        out.reverse()
-        return out
+        return [self.step_refs[s] for s in self._geodesic(i)]
 
     def evaluate_word(self, word: Sequence[int]) -> int:
         x = 0
@@ -202,6 +179,35 @@ class FiniteGroupTable:
         for i, d in enumerate(self.word_length):
             out[d].append(i)
         return out
+
+
+def _cayley_bfs(actions: list[np.ndarray], n: int):
+    """Word lengths, BFS parents and parent steps over the step actions.
+
+    Level by level from the identity; a new index takes the first
+    (frontier position, step ordinal) that reaches it, as an element BFS
+    expanding each level by the steps in order would.
+    """
+    wl = np.full(n, -1, dtype=np.int32)
+    parent = np.zeros(n, dtype=np.int32)
+    step = np.zeros(n, dtype=np.int32)
+    wl[0] = 0
+    frontier = np.zeros(1, dtype=np.int32)
+    k = len(actions)
+    depth = 0
+    while k and frontier.size:
+        reached = np.stack([a[frontier] for a in actions], axis=1).ravel()
+        fresh = np.flatnonzero(wl[reached] < 0)
+        _, first = np.unique(reached[fresh], return_index=True)
+        fresh = fresh[np.sort(first)]
+        found = reached[fresh]
+        depth += 1
+        wl[found] = depth
+        parent[found] = frontier[fresh // k]
+        step[found] = fresh % k
+        frontier = found
+    assert (wl >= 0).all(), "generators do not generate the table"
+    return wl, parent, step
 
 
 @dataclass(frozen=True)
@@ -479,17 +485,19 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
         raise CapExceeded("cap must be >= 1", 0)
     e = X.identity()
     steps = X.bfs_steps()
+    step_elements = [s for s, _ref in steps]
+    # Indices are expanded in increasing order, so appending the index of
+    # i * s to actions[s] fills the right action of s position by position.
+    actions = [array("i") for _ in steps]
     elements: list[GroupElement] = [e]
     encodings = [e.encode()]
     index = {encodings[0]: 0}
-    wl = [0]
-    parent: list[tuple[int, int] | None] = [None]
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
             base = elements[i]
-            for ordinal, (s, _ref) in enumerate(steps):
+            for s, action in zip(step_elements, actions):
                 prod = base * s
                 enc = prod.encode()
                 j = index.get(enc)
@@ -502,46 +510,51 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
                     index[enc] = j
                     elements.append(prod)
                     encodings.append(enc)
-                    wl.append(wl[i] + 1)
-                    parent.append((i, ordinal))
                     nxt.append(j)
+                action.append(j)
         frontier = nxt
 
     gen_indices = [index[g.encode()] for g in X.elements]
     inv_idx = [index[g.inverse().encode()] for g in elements]
-
-    def mulfunc(i: int, j: int, _els=elements, _idx=index) -> int:
-        return _idx[(_els[i] * _els[j]).encode()]
-
     return FiniteGroupTable(
         encodings,
-        mulfunc,
         inv_idx,
         gen_indices,
+        [(ref, np.frombuffer(a, dtype=np.int32)) for (_s, ref), a in zip(steps, actions)],
         elements=elements,
         gen_set=X,
-        word_length=wl,
-        bfs_parent=parent,
-        step_refs=[ref for (_s, ref) in steps],
     )
 
 
 # -- derived tables ----------------------------------------------------------
 
 
+def _derived_steps(
+    generators: list[int], inv_idx: list[int], action: Callable[[int], np.ndarray]
+) -> list[tuple[int, np.ndarray]]:
+    """BFS steps of a derived table: its generators, then their inverses.
+
+    `action(x)` gives the right action of the table's element x on indices.
+    """
+    steps = [(k + 1, action(g)) for k, g in enumerate(generators)]
+    steps += [(-(k + 1), action(inv_idx[g])) for k, g in enumerate(generators)]
+    return steps
+
+
 def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
     """H as a standalone table; word lengths are w.r.t. H's generators."""
-    glob = list(H.members)
-    local = {g: i for i, g in enumerate(glob)}
-    encodings = [T.encodings[g] for g in glob]
-    inv_idx = [local[T.inv_idx[g]] for g in glob]
-    gens = [local[g] for g in H.generators]
-    elements = [T.elements[g] for g in glob] if T.elements is not None else None
-
-    def mulfunc(i: int, j: int, _g=glob, _l=local, _T=T) -> int:
-        return _l[_T.mul(_g[i], _g[j])]
-
-    return FiniteGroupTable(encodings, mulfunc, inv_idx, gens, elements=elements)
+    members = list(H.members)
+    glob = np.array(members, dtype=np.int32)
+    local = np.full(T.n, -1, dtype=np.int32)
+    local[glob] = np.arange(len(members), dtype=np.int32)
+    encodings = [T.encodings[g] for g in members]
+    inv_idx = local[np.array(T.inv_idx, dtype=np.int32)[glob]].tolist()
+    gens = local[np.array(H.generators, dtype=np.int32)].tolist()
+    elements = [T.elements[g] for g in members] if T.elements is not None else None
+    steps = _derived_steps(
+        gens, inv_idx, lambda x: local[T.right_action(members[x])[glob]]
+    )
+    return FiniteGroupTable(encodings, inv_idx, gens, steps, elements=elements)
 
 
 class QuotientGroup:
@@ -576,11 +589,12 @@ class QuotientGroup:
         # Images of the parent generators, order and multiplicity preserved,
         # so that word references in the quotient lift to the parent.
         gens = [coset_of[g] for g in parent.generators]
-
-        def mulfunc(i: int, j: int, _r=reps, _c=coset_of, _p=parent) -> int:
-            return _c[_p.mul(_r[i], _r[j])]
-
-        self.table = FiniteGroupTable(encodings, mulfunc, inv_idx, gens)
+        coset = np.array(coset_of, dtype=np.int32)
+        rep_index = np.array(reps, dtype=np.int32)
+        steps = _derived_steps(
+            gens, inv_idx, lambda c: coset[parent.right_action(reps[c])[rep_index]]
+        )
+        self.table = FiniteGroupTable(encodings, inv_idx, gens, steps)
 
     def image(self, H: Subgroup) -> Subgroup:
         """Image of a parent subgroup in the quotient."""
@@ -617,24 +631,11 @@ def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable
     inv_idx = [A.inv_idx[i] * nB + B.inv_idx[j] for i in range(nA) for j in range(nB)]
     gens = [g * nB for g in A.generators] + [g for g in B.generators]
 
-    def mulfunc(x: int, y: int, _nB=nB, _A=A, _B=B) -> int:
-        i, j = divmod(x, _nB)
-        k, l = divmod(y, _nB)
-        return _A.mul(i, k) * _nB + _B.mul(j, l)
+    def action(x: int) -> np.ndarray:
+        i, j = divmod(x, nB)
+        return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
 
-    def dense_builder() -> list[array] | None:
-        if not (A.ensure_dense() and B.ensure_dense()):
-            return None
-        Ad = np.array([list(r) for r in A._rows], dtype=np.int64)
-        Bd = np.array([list(r) for r in B._rows], dtype=np.int64)
-        full = (
-            Ad[:, None, :, None] * nB + Bd[None, :, None, :]
-        ).reshape(nA * nB, nA * nB)
-        return [array("i", row.tolist()) for row in full]
-
-    return FiniteGroupTable(
-        encodings, mulfunc, inv_idx, gens, dense_builder=dense_builder
-    )
+    return FiniteGroupTable(encodings, inv_idx, gens, _derived_steps(gens, inv_idx, action))
 
 
 def direct_power(A: FiniteGroupTable, k: int) -> FiniteGroupTable:

@@ -103,6 +103,20 @@ def test_truncation_flags():
         assert tbl.counts[n] == 2 * 3**n - 1
     small_mem = growth_table(catalog("sanov"), 12, max_bytes=4000)
     assert small_mem.truncated and small_mem.truncation_reason == "max_bytes"
+    # a truncated table knows nothing past its last radius
+    with pytest.raises(ValueError):
+        tbl.gamma(tbl.radius + 1)
+
+
+def test_exhausted_ball_saturates():
+    # S3 is exhausted at radius 2; the table is exact, so the ball stays |S3|
+    tbl = growth_table(catalog("s3"), 10)
+    assert not tbl.truncated and tbl.radius == 2 and tbl.requested_radius == 10
+    assert [tbl.gamma(r) for r in range(12)] == [1, 4, 6] + [6] * 9
+    # computed exactly to the requested radius: nothing known beyond it
+    exact = growth_table(catalog("s3"), 2)
+    with pytest.raises(ValueError):
+        exact.gamma(3)
 
 
 def test_fit_z2():

@@ -12,7 +12,16 @@ from conftest import table_of
 from solgrow.catalog import catalog
 from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.errors import CapExceeded
-from solgrow.table import enumerate_group, subgroup_table
+from solgrow.table import (
+    DENSE_LIMIT,
+    center,
+    commutator_subgroup,
+    direct_product,
+    enumerate_group,
+    quotient,
+    subgroup_table,
+    whole_group,
+)
 
 
 def test_sym3_hand_enumeration():
@@ -93,15 +102,100 @@ def test_word_reconstruction():
         assert T.evaluate_word(w) == x
 
 
-@pytest.mark.parametrize("name", ["sl2(3)", "s4"])  # matrix and perm dense paths
+def _element_product(T):
+    return lambda i, j: T.index[(T.elements[i] * T.elements[j]).encode()]
+
+
+def _quotient_case():
+    # sl2(3) by its centre {+-I}: products of coset representatives in the
+    # parent's element product, mapped back to cosets.
+    G = table_of("sl2(3)")
+    Q = quotient(G, center(G))
+    parent = _element_product(G)
+    return Q.table, lambda a, b: Q.coset_of[parent(Q.reps[a], Q.reps[b])]
+
+
+def _subgroup_case():
+    T = table_of("s4")
+    sub = subgroup_table(T, commutator_subgroup(T, whole_group(T), whole_group(T)))
+    assert sub.n == 12
+    return sub, _element_product(sub)
+
+
+def _direct_product_case():
+    A, B = table_of("s3"), table_of("q8")
+    pa, pb = _element_product(A), _element_product(B)
+
+    def product(x, y):
+        (i, j), (k, l) = divmod(x, B.n), divmod(y, B.n)
+        return pa(i, k) * B.n + pb(j, l)
+
+    return direct_product(A, B), product
+
+
+DENSE_CASES = {
+    "s4": lambda: (table_of("s4"), _element_product(table_of("s4"))),
+    "sl2(3)": lambda: (table_of("sl2(3)"), _element_product(table_of("sl2(3)"))),
+    "sl2(3)/centre": _quotient_case,
+    "s4-subgroup": _subgroup_case,
+    "s3xq8": _direct_product_case,
+}
+
+
+@pytest.mark.parametrize("name", list(DENSE_CASES))
 def test_dense_table_agrees_with_elementwise(name):
-    T = table_of(name)
-    pairs = [(i, j) for i in range(T.n) for j in range(T.n)]
-    direct = {
-        (i, j): T.index[(T.elements[i] * T.elements[j]).encode()] for i, j in pairs
-    }
-    assert T.ensure_dense()
-    assert all(T.mul(i, j) == direct[i, j] for i, j in pairs)
+    # perm, matrix, quotient, subgroup and direct-product tables all build
+    # their dense table from step actions; every product is checked.
+    T, product = DENSE_CASES[name]()
+    assert T.ensure_dense() and T._rows is not None
+    for i in range(T.n):
+        for j in range(T.n):
+            got = T.mul(i, j)
+            assert type(got) is int and got == product(i, j)
+
+
+def test_geodesic_walk_above_dense_limit():
+    T = enumerate_group(catalog("s7"))
+    assert T.n == 5040 > DENSE_LIMIT
+    assert not T.ensure_dense() and T._rows is None
+    product = _element_product(T)
+    rng = random.Random(11)
+    for _ in range(2000):
+        i, j = rng.randrange(T.n), rng.randrange(T.n)
+        got = T.mul(i, j)
+        assert type(got) is int and got == product(i, j)
+    assert T._rows is None
+
+
+def _first_discovery_words(T):
+    """Words of a BFS over T.mul, each element reached first by (position, step)."""
+    steps = [
+        (ref, T.generators[ref - 1] if ref > 0 else T.inv_idx[T.generators[-ref - 1]])
+        for ref in T.step_refs
+    ]
+    words = {0: []}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for ref, g in steps:
+                y = T.mul(x, g)
+                if y not in words:
+                    words[y] = words[x] + [ref]
+                    nxt.append(y)
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize("name", ["sl2(3)/centre", "s4-subgroup", "s3xq8"])
+def test_derived_table_words(name):
+    T = DENSE_CASES[name]()[0]
+    words = _first_discovery_words(T)
+    for x in range(T.n):
+        w = T.word(x)
+        assert w == words[x] and len(w) == T.word_length[x]
+        assert all(type(r) is int for r in w)
+        assert T.evaluate_word(w) == x
 
 
 def test_lagrange_for_subgroup_tables():
