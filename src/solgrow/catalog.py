@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .elements import GenSet, Lamplighter, MatFp, MatZ
 from .errors import UnknownName
-from .fields import small_field
+from .fields import _prime_power, small_field
 from .table import enumerate_group
 
 
@@ -70,20 +70,10 @@ def _gammal1(q_spec: str) -> GenSet:
 
 
 def _prime_power_of(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise UnknownName(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise UnknownName("not a prime power")
-            return p, k
-        p += 1
-    return q, 1
+    pr = _prime_power(q)
+    if pr is None:
+        raise UnknownName(f"{q} is not a prime power" if q < 2 else "not a prime power")
+    return pr
 
 
 _FIXED = {

@@ -99,40 +99,42 @@ def matrix_wreath(L: Sequence[MatFp], k: int) -> GenSet:
     return GenSet(gens)
 
 
+def _vec_of(idx: int, n: int, p: int) -> tuple[int, ...]:
+    """Vector of F_p^n with index idx = sum v_i p^i."""
+    v = []
+    for _ in range(n):
+        v.append(idx % p)
+        idx //= p
+    return tuple(v)
+
+
+def _idx_of(v: Sequence[int], p: int) -> int:
+    """Index sum v_i p^i of a vector of F_p^n."""
+    val = 0
+    for c in reversed(list(v)):
+        val = val * p + c
+    return val
+
+
 def affine_semidirect(n: int, p: int, H: Sequence[MatFp]) -> GenSet:
     """Permutation generators of F_p^n x| <H> acting on p^n vectors.
 
     Generators are the translations by the standard basis vectors followed
     by the linear parts. H may be empty (elementary abelian group).
     """
-    npoints = p**n
-
-    def vec_of(idx: int) -> tuple[int, ...]:
-        v = []
-        for _ in range(n):
-            v.append(idx % p)
-            idx //= p
-        return tuple(v)
-
-    def idx_of(v: Sequence[int]) -> int:
-        val = 0
-        for c in reversed(list(v)):
-            val = val * p + c
-        return val
-
-    vectors = [vec_of(i) for i in range(npoints)]
+    vectors = [_vec_of(i, n, p) for i in range(p**n)]
     gens: list[Perm] = []
     for axis in range(n):
         images = []
         for v in vectors:
             w = list(v)
             w[axis] = (w[axis] + 1) % p
-            images.append(idx_of(w))
+            images.append(_idx_of(w, p))
         gens.append(Perm(images))
     for M in H:
         if M.n != n or M.p != p:
             raise ParseError("matrix degree/field mismatch in affine construction")
-        gens.append(Perm([idx_of(M.apply(v)) for v in vectors]))
+        gens.append(Perm([_idx_of(M.apply(v), p) for v in vectors]))
     return GenSet(gens)
 
 
@@ -146,22 +148,8 @@ def matrix_to_perm_gens(gens: Sequence[MatFp]) -> GenSet:
     if not gens:
         raise ParseError("empty generator list")
     n, p = gens[0].n, gens[0].p
-
-    def vec_of(idx: int) -> tuple[int, ...]:
-        v = []
-        for _ in range(n):
-            v.append(idx % p)
-            idx //= p
-        return tuple(v)
-
-    def idx_of(v: Sequence[int]) -> int:
-        val = 0
-        for c in reversed(list(v)):
-            val = val * p + c
-        return val
-
-    nonzero = [vec_of(i) for i in range(1, p**n)]
+    nonzero = [_vec_of(i, n, p) for i in range(1, p**n)]
     out = []
     for M in gens:
-        out.append(Perm([idx_of(M.apply(v)) - 1 for v in nonzero]))
+        out.append(Perm([_idx_of(M.apply(v), p) - 1 for v in nonzero]))
     return GenSet(out)

@@ -82,6 +82,22 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _prime_power(m: int) -> tuple[int, int] | None:
+    """(p, r) with m = p^r for a prime p, or None if m is not a prime power."""
+    if m < 2:
+        return None
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            r = 0
+            while m % p == 0:
+                m //= p
+                r += 1
+            return (p, r) if m == 1 else None
+        p += 1
+    return (m, 1)
+
+
 class SmallField:
     """F_{p^k} with a primitive modulus; elements are coefficient tuples."""
 

@@ -1,10 +1,13 @@
-"""Cayley-ball growth tables by BFS over canonical encodings.
+"""Cayley-ball growth tables from the element BFS of `solgrow.table`.
 
-Works for finite and infinite groups alike: elements are deduplicated by
-their canonical encodings, levels are expanded generator-by-generator in
-a fixed order, and caps (element count, estimated bytes) turn a run into
-a partial table that is exact up to its last completed radius. Partial
-tables are first-class results, flagged `truncated`.
+Works for finite and infinite groups alike: `table.element_bfs`, the same
+BFS that enumerates finite groups, deduplicates elements by their
+canonical encodings and expands each level generator-by-generator in a
+fixed order; a growth table sums its level sizes. Caps turn a run into a
+partial table that is exact up to its last completed radius: the BFS
+raises CapExceeded when a level would pass the element cap, and a
+per-level estimate of the bytes held is checked here. Partial tables are
+first-class results, flagged `truncated`.
 """
 
 from __future__ import annotations
@@ -14,10 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import GenSet, GroupElement, TreeAuto
-from .errors import DegenerateWindow
+from .elements import GenSet, TreeAuto
+from .errors import CapExceeded, DegenerateWindow
 from .specio import spec_digest
-from .table import commutator_subgroup, enumerate_group, reduce_generators, whole_group
+from .table import (
+    commutator_subgroup,
+    element_bfs,
+    enumerate_group,
+    reduce_generators,
+    whole_group,
+)
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 DEFAULT_MAX_BYTES = 8 << 30
@@ -83,39 +92,25 @@ def growth_table(
     """
     if R < 0:
         raise ValueError("radius must be >= 0")
-    e = X.identity()
-    steps = [s for s, _ref in X.bfs_steps()]
-    seen = {e.encode()}
+    levels = element_bfs(X, {}, max_elements)
+    (e,), _ = next(levels)
     bytes_used = len(e.encode()) + _PER_ELEMENT_OVERHEAD
-    frontier = [e]
     counts = [1]
     truncated = False
     reason = None
-    for _r in range(1, R + 1):
-        staged: list[GroupElement] = []
-        staged_keys: set[bytes] = set()
-        level_bytes = 0
-        for x in frontier:
-            for s in steps:
-                y = x * s
-                k = y.encode()
-                if k in seen or k in staged_keys:
-                    continue
-                staged_keys.add(k)
-                staged.append(y)
-                level_bytes += len(k) + _PER_ELEMENT_OVERHEAD
-        if not staged:
-            break  # group exhausted; ball is the whole group from here on
-        if len(seen) + len(staged) > max_elements:
-            truncated, reason = True, "max_elements"
-            break
-        if bytes_used + level_bytes > max_bytes:
-            truncated, reason = True, "max_bytes"
-            break
-        seen |= staged_keys
-        bytes_used += level_bytes
-        counts.append(counts[-1] + len(staged))
-        frontier = staged
+    try:
+        while len(counts) <= R:
+            new, _products = next(levels)
+            if not new:
+                break  # group exhausted; ball is the whole group from here on
+            level_bytes = sum(len(y.encode()) + _PER_ELEMENT_OVERHEAD for y in new)
+            if bytes_used + level_bytes > max_bytes:
+                truncated, reason = True, "max_bytes"
+                break
+            bytes_used += level_bytes
+            counts.append(counts[-1] + len(new))
+    except CapExceeded:
+        truncated, reason = True, "max_elements"
     return GrowthTable(
         counts=counts,
         digest=spec_digest(X),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .bounds import _echelon_insert
 from .errors import (
     HypothesisViolated,
     NotSelfCentralizing,
@@ -27,6 +28,7 @@ from .errors import (
     SeriesMismatch,
     WitnessDegenerate,
 )
+from .fields import _prime_power
 from .mu import ABELIAN, ModifiedSeries, MuValue, mu_fast
 from .table import (
     FiniteGroupTable,
@@ -414,8 +416,6 @@ def certify_growth_lower_bound(
     if not candidates:
         raise NotSelfCentralizing("no self-centralizing minimal normal subgroup")
     V = candidates[0]
-    from .soluble import _prime_power
-
     pr = _prime_power(V.order)
     assert pr is not None, "socle is not a p-group"
     p, rank = pr
@@ -439,20 +439,10 @@ def certify_growth_lower_bound(
         step_lengths.append(chain.closure_length)
 
     basis, coords = _elementary_abelian_coords(Gbar, V, p)
-    ranked = sorted(X, key=lambda x: (Gbar.word_length[x], x))
     rows: list[list[int]] = []
     chosen: list[int] = []
-    for cand in ranked:
-        vec = list(coords[cand])
-        red = list(vec)
-        for row in rows:
-            piv = next(i for i, x in enumerate(row) if x)
-            if red[piv]:
-                f = red[piv] * pow(row[piv], p - 2, p) % p
-                red = [(x - f * y) % p for x, y in zip(red, row)]
-        if any(red):
-            rows.append(red)
-            rows.sort(key=lambda r: next(i for i, x in enumerate(r) if x))
+    for cand in sorted(X, key=lambda x: (Gbar.word_length[x], x)):
+        if _echelon_insert(rows, coords[cand], p):
             chosen.append(cand)
         if len(chosen) == rank:
             break
@@ -470,7 +460,8 @@ def certify_growth_lower_bound(
     if G.gen_set is not None:
         from .growth import growth_table
 
-        gamma_val = growth_table(G.gen_set, radius).gamma(radius)
+        # A ball in G never exceeds |G|, so this cap cannot truncate it.
+        gamma_val = growth_table(G.gen_set, radius, max_elements=G.n).gamma(radius)
         gamma_source = "independent_bfs"
     else:
         gamma_val = G.gamma(radius)

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 from .bounds import rho_int_bound
 from .errors import CapExceeded, NotSoluble, TrivialGroup
+from .fields import _prime_power
 from .table import (
     FiniteGroupTable,
     Subgroup,
     _normal_closure_under,
+    conjugacy_classes,
     derived_series,
     is_soluble,
     lower_central_series,
@@ -79,21 +81,6 @@ class NormalLattice:
         return len(self.subgroups)
 
 
-def _prime_power(m: int) -> tuple[int, int] | None:
-    if m < 2:
-        return None
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            r = 0
-            while m % p == 0:
-                m //= p
-                r += 1
-            return (p, r) if m == 1 else None
-        p += 1
-    return (m, 1)
-
-
 def normal_subgroups(T: FiniteGroupTable, cap: int = LATTICE_CAP) -> NormalLattice:
     """Complete normal lattice via joins of conjugacy-class closures."""
     if T.n > cap:
@@ -116,27 +103,12 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
     each class's least member; closing them under pairwise joins gives the
     complete lattice. Returned sorted by (order, members).
     """
-    hgens = H.generators
-    seen_cls = bytearray(T.n)
     atoms: list[Subgroup] = []
     seen: dict[frozenset[int], Subgroup] = {}
     triv = trivial_subgroup(T)
     seen[triv.member_set] = triv
-    for x in H.members:
-        if seen_cls[x]:
-            continue
-        seen_cls[x] = 1
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in hgens:
-                    z = T.conj(y, g)
-                    if not seen_cls[z]:
-                        seen_cls[z] = 1
-                        nxt.append(z)
-            frontier = nxt
-        N = reduce_generators(T, _normal_closure_under(T, [x], hgens))
+    for cls in conjugacy_classes(T, H):
+        N = reduce_generators(T, _normal_closure_under(T, [cls[0]], H.generators))
         if N.member_set not in seen:
             seen[N.member_set] = N
             atoms.append(N)
@@ -236,6 +208,17 @@ def chief_series(
     return records
 
 
+def _selfc_factors(T: FiniteGroupTable, lattice: NormalLattice | None):
+    """Self-centralizing chief factors (N, M) of every proper quotient G/N."""
+    lat = lattice if lattice is not None else normal_subgroups(T)
+    for N in lat.subgroups:
+        if N.order == T.n:
+            continue
+        for M in lat.minimal_over(N):
+            if _is_self_centralizing(T, N, M):
+                yield N, M
+
+
 def sc_chief_rank(
     T: FiniteGroupTable, lattice: NormalLattice | None = None
 ) -> int:
@@ -244,15 +227,9 @@ def sc_chief_rank(
         raise TrivialGroup("self-centralizing chief rank needs a nontrivial group")
     if not is_soluble(T):
         raise NotSoluble("self-centralizing chief rank requires a soluble group")
-    lat = lattice if lattice is not None else normal_subgroups(T)
-    best = 0
-    for N in lat.subgroups:
-        if N.order == T.n:
-            continue
-        for M in lat.minimal_over(N):
-            if _is_self_centralizing(T, N, M):
-                _, r = _factor_rank(T, N, M)
-                best = max(best, r)
+    best = max(
+        (_factor_rank(T, N, M)[1] for N, M in _selfc_factors(T, lattice)), default=0
+    )
     assert best >= 1, "every nontrivial soluble group has a self-centralizing factor"
     return best
 
@@ -261,15 +238,7 @@ def chief_factor_orders_selfc(
     T: FiniteGroupTable, lattice: NormalLattice | None = None
 ) -> set[int]:
     """Orders p^r of self-centralizing chief factors over all quotients."""
-    lat = lattice if lattice is not None else normal_subgroups(T)
-    out = set()
-    for N in lat.subgroups:
-        if N.order == T.n:
-            continue
-        for M in lat.minimal_over(N):
-            if _is_self_centralizing(T, N, M):
-                out.add(M.order // N.order)
-    return out
+    return {M.order // N.order for N, M in _selfc_factors(T, lattice)}
 
 
 def is_supersoluble(T: FiniteGroupTable, lattice: NormalLattice | None = None) -> bool:

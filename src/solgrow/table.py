@@ -1,5 +1,10 @@
 """Fully enumerated finite groups with exact Cayley word lengths.
 
+One level-synchronous element BFS, `element_bfs`, serves both enumeration
+here and growth tables in `solgrow.growth`. It applies the element cap in
+one place: a new element that would take the count past the cap raises
+CapExceeded, carrying the size of the last complete ball.
+
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
 over the table's BFS steps (the generators, then their inverses). Every
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -425,14 +430,17 @@ def gamma3(T: FiniteGroupTable, H: Subgroup) -> Subgroup:
     return commutator_subgroup(T, h2, H)
 
 
-def conjugacy_classes(T: FiniteGroupTable) -> list[tuple[int, ...]]:
-    """Partition of the element set into conjugacy classes.
+def conjugacy_classes(
+    T: FiniteGroupTable, H: Subgroup | None = None
+) -> list[tuple[int, ...]]:
+    """Partition of H (default: the whole group) into H-conjugacy classes.
 
     Classes are sorted by their least member; each class is sorted.
     """
+    H = H if H is not None else whole_group(T)
     seen = bytearray(T.n)
     classes = []
-    for x in range(T.n):
+    for x in H.members:
         if seen[x]:
             continue
         orbit = [x]
@@ -441,7 +449,7 @@ def conjugacy_classes(T: FiniteGroupTable) -> list[tuple[int, ...]]:
         while frontier:
             nxt = []
             for y in frontier:
-                for g in T.generators:
+                for g in H.generators:
                     z = T.conj(y, g)
                     if not seen[z]:
                         seen[z] = 1
@@ -475,6 +483,48 @@ def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
 # -- enumeration ------------------------------------------------------------
 
 
+def element_bfs(
+    X: GenSet, index: dict[bytes, int], cap: int
+) -> Iterator[tuple[list[GroupElement], list[int]]]:
+    """Level-synchronous BFS over the elements of <X>, one level per yield.
+
+    `index` is the caller's (empty) encoding -> index map; elements are
+    indexed in discovery order, expanding each level by the steps of
+    `X.bfs_steps()` in order. Radius r yields (new, products): the elements
+    first reached at r, in discovery order, and the index of x * s for each
+    element x of radius r-1 and each step s, x-major. Radius 0 yields
+    ([identity], []); the level that finds nothing new is yielded too, so
+    the products of the last level are complete.
+
+    Raises CapExceeded as soon as a new element would take the count past
+    `cap`; its `last_completed` is the size of the last complete ball. The
+    identity is never counted against the cap.
+    """
+    e = X.identity()
+    steps = [s for s, _ref in X.bfs_steps()]
+    index[e.encode()] = 0
+    frontier = [e]
+    yield frontier, []
+    while frontier:
+        complete = len(index)
+        new: list[GroupElement] = []
+        products: list[int] = []
+        for x in frontier:
+            for s in steps:
+                y = x * s
+                enc = y.encode()
+                j = index.get(enc)
+                if j is None:
+                    j = len(index)
+                    if j >= cap:
+                        raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
+                    index[enc] = j
+                    new.append(y)
+                products.append(j)
+        yield new, products
+        frontier = new
+
+
 def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     """BFS-enumerate <X> with exact word lengths over X u X^-1.
 
@@ -483,44 +533,25 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     """
     if cap < 1:
         raise CapExceeded("cap must be >= 1", 0)
-    e = X.identity()
-    steps = X.bfs_steps()
-    step_elements = [s for s, _ref in steps]
-    # Indices are expanded in increasing order, so appending the index of
-    # i * s to actions[s] fills the right action of s position by position.
-    actions = [array("i") for _ in steps]
-    elements: list[GroupElement] = [e]
-    encodings = [e.encode()]
-    index = {encodings[0]: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            base = elements[i]
-            for s, action in zip(step_elements, actions):
-                prod = base * s
-                enc = prod.encode()
-                j = index.get(enc)
-                if j is None:
-                    if len(elements) >= cap:
-                        raise CapExceeded(
-                            f"group exceeds cap of {cap} elements", len(elements)
-                        )
-                    j = len(elements)
-                    index[enc] = j
-                    elements.append(prod)
-                    encodings.append(enc)
-                    nxt.append(j)
-                action.append(j)
-        frontier = nxt
+    refs = [ref for _s, ref in X.bfs_steps()]
+    k = len(refs)
+    # Levels are expanded in increasing index order, so every k-th product
+    # from position s on extends the right action of step s.
+    actions = [array("i") for _ in refs]
+    elements: list[GroupElement] = []
+    index: dict[bytes, int] = {}
+    for new, products in element_bfs(X, index, cap):
+        elements += new
+        for s, action in enumerate(actions):
+            action.extend(products[s::k])
 
     gen_indices = [index[g.encode()] for g in X.elements]
     inv_idx = [index[g.inverse().encode()] for g in elements]
     return FiniteGroupTable(
-        encodings,
+        list(index),
         inv_idx,
         gen_indices,
-        [(ref, np.frombuffer(a, dtype=np.int32)) for (_s, ref), a in zip(steps, actions)],
+        [(ref, np.frombuffer(a, dtype=np.int32)) for ref, a in zip(refs, actions)],
         elements=elements,
         gen_set=X,
     )

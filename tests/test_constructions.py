@@ -106,6 +106,10 @@ def test_catalog_unknown():
         catalog("mystery")
     with pytest.raises(UnknownName):
         catalog("gammal1(12)")  # not a prime power
+    with pytest.raises(UnknownName, match="^not a prime power$"):
+        catalog("agl1(6)")
+    with pytest.raises(UnknownName, match="^1 is not a prime power$"):
+        catalog("agl1(1)")
 
 
 def test_catalog_wreath_grammar():

@@ -101,6 +101,14 @@ def test_truncation_flags():
     # every reported count is still exact
     for n in range(tbl.radius + 1):
         assert tbl.counts[n] == 2 * 3**n - 1
+    # a cap equal to the radius-2 ball keeps it; radius 3 (53) is dropped whole
+    at_cap = growth_table(catalog("sanov"), 12, max_elements=17)
+    assert at_cap.counts == [1, 5, 17] and at_cap.truncation_reason == "max_elements"
+    # the identity is never counted against the cap
+    zero = growth_table(catalog("sanov"), 0, max_elements=0)
+    assert zero.counts == [1] and not zero.truncated
+    one = growth_table(catalog("sanov"), 1, max_elements=0)
+    assert one.counts == [1] and one.truncation_reason == "max_elements"
     small_mem = growth_table(catalog("sanov"), 12, max_bytes=4000)
     assert small_mem.truncated and small_mem.truncation_reason == "max_bytes"
     # a truncated table knows nothing past its last radius

@@ -293,6 +293,23 @@ def test_certificate_nontrivial_normal():
     assert cert.checks["datapoint"]
 
 
+def test_certificate_bfs_capped_at_group_order(monkeypatch):
+    # the independent BFS may need all of G, never more
+    import solgrow.growth
+
+    caps = []
+
+    def recording_growth_table(X, R, **kwargs):
+        caps.append(kwargs.get("max_elements"))
+        return growth_table(X, R, **kwargs)
+
+    monkeypatch.setattr(solgrow.growth, "growth_table", recording_growth_table)
+    T = table_of("s4")
+    cert = certify_growth_lower_bound(T)
+    assert caps == [T.n]
+    assert cert.checks["gamma_source"] == "independent_bfs"
+
+
 def test_certificate_vacuous_flag():
     cert = certify_growth_lower_bound(table_of("s4"))
     assert cert.vacuous == (cert.radius >= table_of("s4").diameter())

@@ -174,6 +174,16 @@ def test_conjugacy_classes():
     c6 = table_of("c6")
     assert all(len(c) == 1 for c in conjugacy_classes(c6))
     assert sum(len(c) for c in conjugacy_classes(table_of("s4"))) == 24
+    # classes of a subgroup under its own conjugation: Alt(4) in S4 has the
+    # identity, the double transpositions and two classes of 3-cycles
+    T = table_of("s4")
+    G = whole_group(T)
+    A4 = commutator_subgroup(T, G, G)
+    classes = conjugacy_classes(T, A4)
+    assert sorted(len(c) for c in classes) == [1, 3, 4, 4]
+    assert sorted(x for c in classes for x in c) == list(A4.members)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    assert conjugacy_classes(T, G) == conjugacy_classes(T)
 
 
 def test_centralizer_examples():

@@ -17,6 +17,7 @@ from solgrow.table import (
     center,
     commutator_subgroup,
     direct_product,
+    element_bfs,
     enumerate_group,
     quotient,
     subgroup_table,
@@ -50,8 +51,25 @@ def test_q8_matrix_generators():
 
 
 def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
+    # S4's balls are 1, 4, 9, 15, 20, 23, 24; a cap reports the last whole one
+    with pytest.raises(CapExceeded) as exc:
         enumerate_group(catalog("s4"), cap=10)
+    assert exc.value.last_completed == 9
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_group(catalog("s4"), cap=23)
+    assert exc.value.last_completed == 23
+    assert enumerate_group(catalog("s4"), cap=24).n == 24
+
+
+def test_element_bfs_levels():
+    X = catalog("s3")
+    k = len(X.bfs_steps())
+    index: dict[bytes, int] = {}
+    levels = list(element_bfs(X, index, 6))
+    assert [len(new) for new, _ in levels] == [1, 3, 2, 0]
+    # each level carries the products of the level before, one per step
+    assert [len(products) for _, products in levels] == [0, k * 1, k * 3, k * 2]
+    assert list(index) == table_of("s3").encodings
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2"])
