@@ -130,8 +130,10 @@ def _echelon_insert(basis: list[list[int]], vec: Sequence[int], p: int) -> bool:
 def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
     """No proper nonzero invariant subspace of F_p^n under the generators.
 
-    Spins every 1-dimensional subspace to closure; a proper closure
-    witnesses reducibility. Gated to p^n <= 10^4 ambient vectors.
+    Spins every 1-dimensional subspace to closure under the generators; a
+    proper closure witnesses reducibility. Inverses are not needed: an
+    invertible M with M(W) <= W has M(W) = W, so W is M^-1-invariant too.
+    Gated to p^n <= 10^4 ambient vectors.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -142,7 +144,6 @@ def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
         raise CapExceeded(f"p^n = {p**n} exceeds spin cap {SPIN_CAP}")
     if n == 1:
         return True
-    mats = list(gens) + [g.inverse() for g in gens]
     for line in _projective_lines(n, p):
         basis: list[list[int]] = []
         _echelon_insert(basis, line, p)
@@ -150,7 +151,7 @@ def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
         while frontier and len(basis) < n:
             nxt = []
             for v in frontier:
-                for M in mats:
+                for M in gens:
                     w = M.apply(v)
                     if _echelon_insert(basis, w, p):
                         nxt.append(w)

@@ -235,7 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
+        reached = ""
+        if exc.last_completed is not None:
+            reached = f" (last complete ball: {exc.last_completed} elements)"
+        print(f"cap exceeded: {exc}{reached}", file=sys.stderr)
         return 2
     except (ParseError, UnknownName) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,15 +6,25 @@ head position), and finite-depth rooted-tree automorphisms given by
 portraits. Canonical encodings are injective per variant, so encodings
 double as hash keys for BFS deduplication.
 
+Permutations and F_p matrices also have a row codec (PermRows, MatFpRows,
+next to their classes): the element's data as a fixed-width numpy row, a
+batched product over many rows at once, and row -> element. A row's
+encoding is the codec's prefix plus the row's bytes, the same bytes the
+element's own `encode` gives.
+
 Composition convention: permutations and tree automorphisms act on the
 left, (g*h)(x) = g(h(x)), matching matrix action on column vectors.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
+from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import MixedVariants, ParseError
 
@@ -50,6 +60,10 @@ class GroupElement:
         """Identity element of the same variant and degree."""
         raise NotImplementedError
 
+    def row_codec(self) -> "RowCodec | None":
+        """Fixed-width row form of this variant and degree, if it has one."""
+        return None
+
     def is_identity(self) -> bool:
         return self == self.identity()
 
@@ -72,6 +86,62 @@ class GroupElement:
             if k > cap:
                 raise ValueError("element order exceeds cap")
         return k
+
+
+class RowCodec:
+    """Elements of one variant and degree as fixed-width rows.
+
+    A row is an element's data as a 1-D array of `width` entries of
+    `dtype`; the element's encoding is `prefix` followed by the row's
+    bytes. `products` forms x * s for every frontier row x and every step
+    row s at once, x-major.
+    """
+
+    prefix: bytes
+    dtype: np.dtype
+    width: int
+
+    def rows(self, elements: Sequence["GroupElement"]) -> np.ndarray:
+        raise NotImplementedError
+
+    def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def element(self, row: np.ndarray) -> "GroupElement":
+        raise NotImplementedError
+
+    def encodings(self, rows: np.ndarray) -> list[bytes]:
+        """Encoding of each row, cut from one prefixed byte matrix."""
+        head = len(self.prefix)
+        out = np.empty((len(rows), head + self.width * self.dtype.itemsize), np.uint8)
+        out[:, :head] = np.frombuffer(self.prefix, np.uint8)
+        out[:, head:] = np.ascontiguousarray(rows, self.dtype).view(np.uint8)
+        return out.view(f"V{out.shape[1]}").ravel().tolist()
+
+    def decode(self, encodings: Sequence[bytes]) -> np.ndarray:
+        """Rows of the given encodings, in order."""
+        head = len(self.prefix)
+        buf = np.frombuffer(b"".join(encodings), np.uint8)
+        buf = buf.reshape(len(encodings), head + self.width * self.dtype.itemsize)
+        return np.ascontiguousarray(buf[:, head:]).view(self.dtype)
+
+
+class RowElements(SequenceABC):
+    """Read-only sequence of elements kept as codec rows, built on access."""
+
+    def __init__(self, codec: RowCodec, rows: np.ndarray):
+        self.codec = codec
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> "GroupElement":
+        return self.codec.element(self.rows[operator.index(i)])
+
+
+def _perm_prefix(degree: int) -> bytes:
+    return b"P" + struct.pack("<H", degree)
 
 
 class Perm(GroupElement):
@@ -120,10 +190,13 @@ class Perm(GroupElement):
 
     def encode(self) -> bytes:
         if self._enc is None:
-            self._enc = b"P" + struct.pack("<H", len(self.images)) + struct.pack(
+            self._enc = _perm_prefix(len(self.images)) + struct.pack(
                 f"<{len(self.images)}H", *self.images
             )
         return self._enc
+
+    def row_codec(self) -> "PermRows":
+        return PermRows(len(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * len(self.images)
@@ -155,6 +228,33 @@ class Perm(GroupElement):
             for i, x in enumerate(cyc):
                 images[cyc[i]] = cyc[(i + 1) % len(cyc)]
         return Perm(images)
+
+
+class PermRows(RowCodec):
+    """Permutations of one degree as rows of images."""
+
+    dtype = np.dtype("<u2")
+
+    def __init__(self, degree: int):
+        self.prefix = _perm_prefix(degree)
+        self.width = degree
+
+    def rows(self, perms: Sequence[Perm]) -> np.ndarray:
+        return np.array([g.images for g in perms], dtype=self.dtype)
+
+    def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        # (x * s).images = x.images[s.images], gathered for all x and s at once
+        return frontier[:, steps].reshape(-1, frontier.shape[1])
+
+    def element(self, row: np.ndarray) -> Perm:
+        p = Perm.__new__(Perm)
+        p.images = tuple(row.tolist())
+        p._enc = None
+        return p
+
+
+def _matfp_prefix(n: int, p: int) -> bytes:
+    return b"F" + struct.pack("<BI", n, p)
 
 
 class MatFp(GroupElement):
@@ -259,15 +359,48 @@ class MatFp(GroupElement):
 
     def encode(self) -> bytes:
         if self._enc is None:
-            self._enc = (
-                b"F"
-                + struct.pack("<BI", self.n, self.p)
-                + struct.pack(f"<{self.n * self.n}I", *self.entries)
+            self._enc = _matfp_prefix(self.n, self.p) + struct.pack(
+                f"<{self.n * self.n}I", *self.entries
             )
         return self._enc
 
+    def row_codec(self) -> "MatFpRows | None":
+        # A product entry sums n terms below p^2 before reduction.
+        if self.n * (self.p - 1) ** 2 > np.iinfo(MatFpRows.work).max:
+            return None
+        return MatFpRows(self.n, self.p)
+
     def __repr__(self) -> str:
         return f"MatFp({self.n}, {self.p}, {self.rows()})"
+
+
+class MatFpRows(RowCodec):
+    """n x n matrices over F_p as rows of entries, row-major."""
+
+    dtype = np.dtype("<u4")
+    work = np.int64  # products are formed in this type, then reduced mod p
+
+    def __init__(self, n: int, p: int):
+        self.prefix = _matfp_prefix(n, p)
+        self.width = n * n
+        self.n = n
+        self.p = p
+
+    def rows(self, mats: Sequence[MatFp]) -> np.ndarray:
+        return np.array([g.entries for g in mats], dtype=self.dtype)
+
+    def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        n = self.n
+        x = frontier.astype(self.work).reshape(-1, 1, n, n)
+        s = steps.astype(self.work).reshape(1, -1, n, n)
+        return ((x @ s) % self.p).astype(self.dtype).reshape(-1, n * n)
+
+    def element(self, row: np.ndarray) -> MatFp:
+        m = MatFp.__new__(MatFp)
+        m.n, m.p = self.n, self.p
+        m.entries = tuple(row.tolist())
+        m._enc = None
+        return m
 
 
 def _int_det(rows: list[list[int]]) -> int:
@@ -602,6 +735,9 @@ class GenSet:
 
     def identity(self) -> GroupElement:
         return self.elements[0].identity()
+
+    def row_codec(self) -> RowCodec | None:
+        return self.elements[0].row_codec()
 
     def bfs_steps(self) -> list[tuple[GroupElement, int]]:
         """Multiplication steps in deterministic order: X, then X^-1.

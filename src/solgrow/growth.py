@@ -3,17 +3,19 @@
 Works for finite and infinite groups alike: `table.element_bfs`, the same
 BFS that enumerates finite groups, deduplicates elements by their
 canonical encodings and expands each level generator-by-generator in a
-fixed order; a growth table sums its level sizes. Caps turn a run into a
-partial table that is exact up to its last completed radius: the BFS
-raises CapExceeded when a level would pass the element cap, and a
-per-level estimate of the bytes held is checked here. Partial tables are
-first-class results, flagged `truncated`.
+fixed order; a growth table sums its level sizes and asks the BFS for no
+product indices. Caps turn a run into a partial table that is exact up to
+its last completed radius: the BFS raises CapExceeded when a level would
+pass the element cap, and a per-level estimate of the bytes held (the new
+encodings plus a fixed per-element overhead) is checked here. Partial
+tables are first-class results, flagged `truncated`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -92,18 +94,21 @@ def growth_table(
     """
     if R < 0:
         raise ValueError("radius must be >= 0")
-    levels = element_bfs(X, {}, max_elements)
-    (e,), _ = next(levels)
-    bytes_used = len(e.encode()) + _PER_ELEMENT_OVERHEAD
+    index: dict[bytes, int] = {}
+    levels = element_bfs(X, index, max_elements, products=False)
+    next(levels)
+    bytes_used = len(X.identity().encode()) + _PER_ELEMENT_OVERHEAD
     counts = [1]
     truncated = False
     reason = None
     try:
         while len(counts) <= R:
-            new, _products = next(levels)
-            if not new:
+            new, _ = next(levels)
+            if not len(new):
                 break  # group exhausted; ball is the whole group from here on
-            level_bytes = sum(len(y.encode()) + _PER_ELEMENT_OVERHEAD for y in new)
+            # The level's encodings are the newest keys of the BFS's map.
+            encodings = islice(reversed(index), len(new))
+            level_bytes = sum(map(len, encodings)) + len(new) * _PER_ELEMENT_OVERHEAD
             if bytes_used + level_bytes > max_bytes:
                 truncated, reason = True, "max_bytes"
                 break

@@ -1,9 +1,12 @@
 """Fully enumerated finite groups with exact Cayley word lengths.
 
 One level-synchronous element BFS, `element_bfs`, serves both enumeration
-here and growth tables in `solgrow.growth`. It applies the element cap in
-one place: a new element that would take the count past the cap raises
-CapExceeded, carrying the size of the last complete ball.
+here and growth tables in `solgrow.growth`. It deduplicates by encoding in
+one caller-owned dict and applies the element cap in one place: a new
+element that would take the count past the cap raises CapExceeded,
+carrying the size of the last complete ball. Permutation and F_p-matrix
+levels are expanded as numpy row arrays through the variant's row codec
+(`solgrow.elements`); other variants stream element objects.
 
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
@@ -11,9 +14,12 @@ over the table's BFS steps (the generators, then their inverses). Every
 table, whether enumerated from concrete GroupElements or derived as a
 quotient, subgroup or direct product, multiplies the same way: it stores
 the right action of each BFS step on indices, R[s][i] = index of i * s.
-One BFS over these arrays gives word lengths and BFS parents. Up to
+One BFS over these arrays gives word lengths and BFS parents, and walking
+the parents with the inverse actions gives inverse indices. Up to
 DENSE_LIMIT elements the full product table is built from them on first
-use; above it, i * j walks j's geodesic through R.
+use; above it, i * j walks j's geodesic through R. An enumerated table
+takes over the BFS's encoding -> index dict; perm and matfp tables keep
+their elements as rows and build each element object on access.
 
 Tables are immutable after construction; all queries are pure reads.
 """
@@ -26,42 +32,44 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .elements import GenSet, GroupElement
+from .elements import GenSet, GroupElement, RowElements
 from .errors import CapExceeded, NotNormal
 
 DEFAULT_CAP = 2_000_000
 DENSE_LIMIT = 4096
+_ROW_BLOCK = 1024  # frontier rows expanded at once by a row codec
 
 
 class FiniteGroupTable:
     """Indexed finite group. Do not mutate after construction.
 
-    `steps` lists the BFS steps in order as (signed generator reference,
-    right action): +k is generator k-1, -k its inverse, and the action is
-    an int32 array mapping index i to the index of i * step.
+    `index` maps each encoding to its index, in index order; the table
+    keeps it. `steps` lists the BFS steps in order as (signed generator
+    reference, right action): +k is generator k-1, -k its inverse, and the
+    action is an int32 array mapping index i to the index of i * step.
     """
 
     def __init__(
         self,
-        encodings: list[bytes],
-        inv_idx: list[int],
+        index: dict[bytes, int],
         generators: list[int],
         steps: Sequence[tuple[int, np.ndarray]],
-        elements: list[GroupElement] | None = None,
+        elements: Sequence[GroupElement] | None = None,
         gen_set: GenSet | None = None,
     ):
-        self.n = len(encodings)
-        self.encodings = encodings
-        self.index = {enc: i for i, enc in enumerate(encodings)}
-        assert len(self.index) == self.n, "encodings are not injective"
-        self.inv_idx = inv_idx
+        self.index = index
+        self.encodings = list(index)
+        self.n = len(self.encodings)
         self.generators = list(generators)
         self.elements = elements
         self.gen_set = gen_set
         self.step_refs = [ref for ref, _action in steps]
         self._actions = [np.asarray(action, dtype=np.int32) for _ref, action in steps]
+        # Colliding encodings leave fewer keys than the actions have indices.
+        assert all(len(a) == self.n for a in self._actions), "encodings are not injective"
         wl, parent, parent_step = _cayley_bfs(self._actions, self.n)
         self.word_length: list[int] = wl.tolist()
+        self.inv_idx: list[int] = _inverse_indices(self._actions, parent, parent_step).tolist()
         # int32 buffers are read through memoryviews, whose items are ints.
         self._parent = memoryview(parent).toreadonly()
         self._parent_step = memoryview(parent_step).toreadonly()
@@ -213,6 +221,37 @@ def _cayley_bfs(actions: list[np.ndarray], n: int):
         frontier = found
     assert (wl >= 0).all(), "generators do not generate the table"
     return wl, parent, step
+
+
+def _inverted(action: np.ndarray) -> np.ndarray:
+    """The inverse permutation: the right action of the inverse step."""
+    out = np.empty_like(action)
+    out[action] = np.arange(len(action), dtype=action.dtype)
+    return out
+
+
+def _inverse_indices(
+    actions: list[np.ndarray], parent: np.ndarray, step: np.ndarray
+) -> np.ndarray:
+    """Index of each element's inverse, from the step actions and BFS parents.
+
+    If i is the product s_1 ... s_k along its BFS geodesic, then
+    i^-1 = 0 * s_k^-1 * ... * s_1^-1: walking up i's parent chain applies
+    the inverse step actions in that order.
+    """
+    n = len(parent)
+    undo = np.empty((len(actions), n), dtype=np.int32)
+    for s, action in enumerate(actions):
+        undo[s] = _inverted(action)
+    inv = np.zeros(n, dtype=np.int32)
+    node = np.arange(n, dtype=np.int32)
+    live = np.flatnonzero(node)
+    while live.size:
+        at = node[live]
+        inv[live] = undo[step[at], inv[live]]
+        node[live] = parent[at]
+        live = live[node[live] != 0]
+    return inv
 
 
 @dataclass(frozen=True)
@@ -484,17 +523,23 @@ def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
 
 
 def element_bfs(
-    X: GenSet, index: dict[bytes, int], cap: int
-) -> Iterator[tuple[list[GroupElement], list[int]]]:
+    X: GenSet, index: dict[bytes, int], cap: int, products: bool = True
+) -> Iterator[tuple[Sequence, list[int] | None]]:
     """Level-synchronous BFS over the elements of <X>, one level per yield.
 
     `index` is the caller's (empty) encoding -> index map; elements are
     indexed in discovery order, expanding each level by the steps of
     `X.bfs_steps()` in order. Radius r yields (new, products): the elements
     first reached at r, in discovery order, and the index of x * s for each
-    element x of radius r-1 and each step s, x-major. Radius 0 yields
-    ([identity], []); the level that finds nothing new is yielded too, so
-    the products of the last level are complete.
+    element x of radius r-1 and each step s, x-major (None when `products`
+    is false). Radius 0 yields the identity level and []; the level that
+    finds nothing new is yielded too, so the products of the last level
+    are complete.
+
+    Variants with a row codec (perm, matfp) carry each level as one row
+    array, `new` included, and form its products a block of rows at a time
+    in numpy; the others stream one element object at a time. Both are
+    deduplicated by encoding in the same loop.
 
     Raises CapExceeded as soon as a new element would take the count past
     `cap`; its `last_completed` is the size of the last complete ball. The
@@ -502,34 +547,56 @@ def element_bfs(
     """
     e = X.identity()
     steps = [s for s, _ref in X.bfs_steps()]
+    codec = X.row_codec()
     index[e.encode()] = 0
-    frontier = [e]
+    if codec is None:
+        frontier: Sequence = [e]
+
+        def expand(frontier):
+            # Candidates stream, so a level never holds more than its new elements.
+            for x in frontier:
+                for s in steps:
+                    y = x * s
+                    yield y, y.encode()
+
+    else:
+        step_rows = codec.rows(steps)
+        frontier = codec.rows([e])
+
+        def expand(frontier):
+            # Blocks of frontier rows bound the candidates held at once; a
+            # new element is kept as its encoding, which holds its row.
+            for lo in range(0, len(frontier), _ROW_BLOCK):
+                rows = codec.products(frontier[lo : lo + _ROW_BLOCK], step_rows)
+                encodings = codec.encodings(rows)
+                yield from zip(encodings, encodings)
+
     yield frontier, []
-    while frontier:
+    while len(frontier):
         complete = len(index)
-        new: list[GroupElement] = []
-        products: list[int] = []
-        for x in frontier:
-            for s in steps:
-                y = x * s
-                enc = y.encode()
-                j = index.get(enc)
-                if j is None:
-                    j = len(index)
-                    if j >= cap:
-                        raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
-                    index[enc] = j
-                    new.append(y)
-                products.append(j)
-        yield new, products
-        frontier = new
+        new: list = []
+        found: list[int] = []
+        for item, enc in expand(frontier):
+            j = index.get(enc)
+            if j is None:
+                j = len(index)
+                if j >= cap:
+                    raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
+                index[enc] = j
+                new.append(item)
+            if products:
+                found.append(j)
+        frontier = new if codec is None else codec.decode(new)
+        yield frontier, found if products else None
 
 
 def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     """BFS-enumerate <X> with exact word lengths over X u X^-1.
 
     Deterministic: elements are indexed in discovery order, expanding each
-    level by the generators in list order and then their inverses.
+    level by the generators in list order and then their inverses. Perm and
+    matfp tables keep their elements as rows and build each element object
+    on access.
     """
     if cap < 1:
         raise CapExceeded("cap must be >= 1", 0)
@@ -538,19 +605,21 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     # Levels are expanded in increasing index order, so every k-th product
     # from position s on extends the right action of step s.
     actions = [array("i") for _ in refs]
-    elements: list[GroupElement] = []
+    levels: list[Sequence] = []
     index: dict[bytes, int] = {}
     for new, products in element_bfs(X, index, cap):
-        elements += new
+        levels.append(new)
         for s, action in enumerate(actions):
             action.extend(products[s::k])
 
-    gen_indices = [index[g.encode()] for g in X.elements]
-    inv_idx = [index[g.inverse().encode()] for g in elements]
+    codec = X.row_codec()
+    if codec is None:
+        elements: Sequence[GroupElement] = [g for level in levels for g in level]
+    else:
+        elements = RowElements(codec, np.concatenate(levels))
     return FiniteGroupTable(
-        list(index),
-        inv_idx,
-        gen_indices,
+        index,
+        [index[g.encode()] for g in X.elements],
         [(ref, np.frombuffer(a, dtype=np.int32)) for ref, a in zip(refs, actions)],
         elements=elements,
         gen_set=X,
@@ -561,14 +630,15 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
 
 
 def _derived_steps(
-    generators: list[int], inv_idx: list[int], action: Callable[[int], np.ndarray]
+    generators: list[int], action: Callable[[int], np.ndarray]
 ) -> list[tuple[int, np.ndarray]]:
     """BFS steps of a derived table: its generators, then their inverses.
 
     `action(x)` gives the right action of the table's element x on indices.
     """
-    steps = [(k + 1, action(g)) for k, g in enumerate(generators)]
-    steps += [(-(k + 1), action(inv_idx[g])) for k, g in enumerate(generators)]
+    forward = [action(g) for g in generators]
+    steps = [(k + 1, a) for k, a in enumerate(forward)]
+    steps += [(-(k + 1), _inverted(a)) for k, a in enumerate(forward)]
     return steps
 
 
@@ -578,14 +648,11 @@ def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
     glob = np.array(members, dtype=np.int32)
     local = np.full(T.n, -1, dtype=np.int32)
     local[glob] = np.arange(len(members), dtype=np.int32)
-    encodings = [T.encodings[g] for g in members]
-    inv_idx = local[np.array(T.inv_idx, dtype=np.int32)[glob]].tolist()
+    index = {T.encodings[g]: i for i, g in enumerate(members)}
     gens = local[np.array(H.generators, dtype=np.int32)].tolist()
     elements = [T.elements[g] for g in members] if T.elements is not None else None
-    steps = _derived_steps(
-        gens, inv_idx, lambda x: local[T.right_action(members[x])[glob]]
-    )
-    return FiniteGroupTable(encodings, inv_idx, gens, steps, elements=elements)
+    steps = _derived_steps(gens, lambda x: local[T.right_action(members[x])[glob]])
+    return FiniteGroupTable(index, gens, steps, elements=elements)
 
 
 class QuotientGroup:
@@ -615,17 +682,16 @@ class QuotientGroup:
         self.reps = reps
         assert len(reps) * N.order == parent.n
 
-        encodings = [parent.encodings[r] for r in reps]
-        inv_idx = [coset_of[parent.inv_idx[r]] for r in reps]
+        index = {parent.encodings[r]: c for c, r in enumerate(reps)}
         # Images of the parent generators, order and multiplicity preserved,
         # so that word references in the quotient lift to the parent.
         gens = [coset_of[g] for g in parent.generators]
         coset = np.array(coset_of, dtype=np.int32)
         rep_index = np.array(reps, dtype=np.int32)
         steps = _derived_steps(
-            gens, inv_idx, lambda c: coset[parent.right_action(reps[c])[rep_index]]
+            gens, lambda c: coset[parent.right_action(reps[c])[rep_index]]
         )
-        self.table = FiniteGroupTable(encodings, inv_idx, gens, steps)
+        self.table = FiniteGroupTable(index, gens, steps)
 
     def image(self, H: Subgroup) -> Subgroup:
         """Image of a parent subgroup in the quotient."""
@@ -653,20 +719,18 @@ def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:
 def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable:
     """Direct product at the table level; element (i, j) has index i*|B|+j."""
     nA, nB = A.n, B.n
-    encodings = []
-    for i in range(nA):
-        ea = A.encodings[i]
+    index: dict[bytes, int] = {}
+    for ea in A.encodings:
         head = b"D" + len(ea).to_bytes(4, "little") + ea
-        for j in range(nB):
-            encodings.append(head + B.encodings[j])
-    inv_idx = [A.inv_idx[i] * nB + B.inv_idx[j] for i in range(nA) for j in range(nB)]
+        for eb in B.encodings:
+            index[head + eb] = len(index)
     gens = [g * nB for g in A.generators] + [g for g in B.generators]
 
     def action(x: int) -> np.ndarray:
         i, j = divmod(x, nB)
         return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
 
-    return FiniteGroupTable(encodings, inv_idx, gens, _derived_steps(gens, inv_idx, action))
+    return FiniteGroupTable(index, gens, _derived_steps(gens, action))
 
 
 def direct_power(A: FiniteGroupTable, k: int) -> FiniteGroupTable:

@@ -5,7 +5,11 @@ algorithms they check beyond the element arithmetic itself.
 
 from __future__ import annotations
 
-from solgrow.elements import GenSet
+from functools import lru_cache
+from itertools import product as cartesian
+from typing import Sequence
+
+from solgrow.elements import GenSet, MatFp
 from solgrow.table import FiniteGroupTable, Subgroup
 
 
@@ -26,6 +30,65 @@ def word_ball_lengths(gens: GenSet, radius: int) -> dict[bytes, int]:
                     nxt.append(y)
         layer = nxt
     return dist
+
+
+def object_enumeration(gens: GenSet) -> dict:
+    """First-discovery BFS over element objects, one product at a time.
+
+    Returns the encodings in index order, the element objects, the word
+    lengths, each step's right action on indices and each element's inverse
+    index (by the element's own `inverse`).
+    """
+    steps = [g for g, _ in gens.bfs_steps()]
+    e = gens.identity()
+    index = {e.encode(): 0}
+    elements = [e]
+    lengths = [0]
+    actions: list[list[int]] = [[] for _ in steps]
+    frontier = [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for action, s in zip(actions, steps):
+                y = x * s
+                k = y.encode()
+                if k not in index:
+                    index[k] = len(elements)
+                    elements.append(y)
+                    lengths.append(lengths[index[x.encode()]] + 1)
+                    nxt.append(y)
+                action.append(index[k])
+        frontier = nxt
+    return {
+        "encodings": list(index),
+        "elements": elements,
+        "word_length": lengths,
+        "actions": actions,
+        "generators": [index[g.encode()] for g in gens.elements],
+        "inv_idx": [index[g.inverse().encode()] for g in elements],
+    }
+
+
+@lru_cache(maxsize=None)
+def _proper_subspaces(n: int, p: int) -> list[frozenset[tuple[int, ...]]]:
+    """Every proper nonzero subspace of F_p^n, found among all vector subsets."""
+    vectors = list(cartesian(range(p), repeat=n))
+    zero, nonzero = vectors[0], vectors[1:]
+    out = []
+    for mask in range(1, 2 ** len(nonzero) - 1):
+        W = frozenset([zero] + [v for i, v in enumerate(nonzero) if mask >> i & 1])
+        # over a prime field, closure under addition gives closure under scalars
+        if all(tuple((a + b) % p for a, b in zip(u, v)) in W for u in W for v in W):
+            out.append(W)
+    return out
+
+
+def naive_is_irreducible(gens: Sequence[MatFp]) -> bool:
+    """No proper nonzero subspace of F_p^n is invariant, checking each one."""
+    n, p = gens[0].n, gens[0].p
+    return not any(
+        all(M.apply(v) in W for M in gens for v in W) for W in _proper_subspaces(n, p)
+    )
 
 
 def word_ball_sizes(gens: GenSet, radius: int) -> list[int]:

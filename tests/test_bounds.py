@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpf, log as mplog
 
 from conftest import table_of
+from oracles import naive_is_irreducible
 
 from solgrow.bounds import (
     bound_decimal,
@@ -83,6 +84,22 @@ def test_is_irreducible_examples():
     # permutation matrices fix the all-ones vector
     perm_mats = [MatFp(3, 2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])]
     assert not is_irreducible(perm_mats)
+
+
+@pytest.mark.parametrize("ambient", ["gl2(3)", "gl3(2)"])
+def test_is_irreducible_matches_subspace_oracle(ambient):
+    from solgrow.soluble import soluble_subgroups
+
+    T = table_of(ambient)
+    subs = [S for S in soluble_subgroups(T) if S.generators]
+    assert len(subs) > 10
+    verdicts = set()
+    for S in subs:
+        gens = [T.elements[g] for g in S.generators]
+        verdict = is_irreducible(gens)
+        assert verdict == naive_is_irreducible(gens)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_is_irreducible_cap():

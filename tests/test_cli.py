@@ -123,6 +123,14 @@ def test_analyze_cap_exit_code(spec_dir, capsys):
     assert rc == 2
 
 
+def test_cap_message_names_last_complete_ball(spec_dir, capsys):
+    rc = _run(["analyze", str(spec_dir / "s4.json"), "--max-elements", "10"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "cap exceeded: group exceeds cap of 10 elements (last complete ball: 9 elements)\n"
+    )
+
+
 def test_certify_subcommand(spec_dir, capsys):
     rc = _run(["certify", str(spec_dir / "f8c7.json"), "--emit-transcript"])
     assert rc == 0

@@ -111,6 +111,10 @@ def test_truncation_flags():
     assert one.counts == [1] and one.truncation_reason == "max_elements"
     small_mem = growth_table(catalog("sanov"), 12, max_bytes=4000)
     assert small_mem.truncated and small_mem.truncation_reason == "max_bytes"
+    # S4 runs on perm rows: 11-byte encodings plus the per-element overhead,
+    # so the 9-element ball needs exactly 9 * 75 bytes
+    assert growth_table(catalog("s4"), 6, max_bytes=9 * 75).counts == [1, 4, 9]
+    assert growth_table(catalog("s4"), 6, max_bytes=9 * 75 - 1).counts == [1, 4]
     # a truncated table knows nothing past its last radius
     with pytest.raises(ValueError):
         tbl.gamma(tbl.radius + 1)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from oracles import word_ball_lengths, word_ball_sizes
+from oracles import object_enumeration, word_ball_lengths, word_ball_sizes
 from conftest import table_of
 
 from solgrow.catalog import catalog
@@ -14,6 +15,7 @@ from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.errors import CapExceeded
 from solgrow.table import (
     DENSE_LIMIT,
+    FiniteGroupTable,
     center,
     commutator_subgroup,
     direct_product,
@@ -59,6 +61,55 @@ def test_cap_exceeded():
         enumerate_group(catalog("s4"), cap=23)
     assert exc.value.last_completed == 23
     assert enumerate_group(catalog("s4"), cap=24).n == 24
+
+
+def test_cap_mid_level_on_row_path():
+    # gl2(3) runs on the matrix rows; a cap inside a level reports the ball before it
+    X = catalog("gl2(3)")
+    assert X.row_codec() is not None
+    counts = table_of("gl2(3)").growth_counts()
+    for cap in (counts[2], counts[2] + 1, counts[3] - 1):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_group(X, cap=cap)
+        assert exc.value.last_completed == counts[2]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2", "gl3(2)", "gammal1(16)", "s4wrs2"],
+)
+def test_row_table_matches_object_loop(name):
+    X = catalog(name)
+    assert X.row_codec() is not None
+    T = enumerate_group(X)
+    ref = object_enumeration(X)
+    assert T.encodings == ref["encodings"]
+    assert T.inv_idx == ref["inv_idx"]
+    assert T.generators == ref["generators"]
+    assert [a.tolist() for a in T._actions] == ref["actions"]
+    assert T.word_length == ref["word_length"]
+    assert [T.elements[i].encode() for i in range(T.n)] == ref["encodings"]
+    assert all(T.elements[i] == ref["elements"][i] for i in (0, T.n // 2, -1))
+
+
+def test_matfp_overflow_takes_object_path():
+    # 2 * (p - 1)^2 passes every numpy integer type, so products stay objects
+    p = 4294967291
+    X = GenSet([MatFp(2, p, [[0, 1], [p - 1, 0]]), MatFp(2, p, [[p - 1, 0], [0, 1]])])
+    assert X.row_codec() is None
+    T = enumerate_group(X)
+    assert T.n == 8 and isinstance(T.elements, list)
+    ref = object_enumeration(X)
+    assert T.encodings == ref["encodings"] and T.inv_idx == ref["inv_idx"]
+    product = _element_product(T)
+    assert all(T.mul(i, j) == product(i, j) for i in range(T.n) for j in range(T.n))
+
+
+def test_colliding_encodings_rejected():
+    # two indices under one encoding leave the dict short of the actions
+    swap = np.array([1, 0], dtype=np.int32)
+    with pytest.raises(AssertionError, match="not injective"):
+        FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
 
 
 def test_element_bfs_levels():
@@ -167,6 +218,7 @@ def test_dense_table_agrees_with_elementwise(name):
     T, product = DENSE_CASES[name]()
     assert T.ensure_dense() and T._rows is not None
     for i in range(T.n):
+        assert product(i, T.inv_idx[i]) == 0
         for j in range(T.n):
             got = T.mul(i, j)
             assert type(got) is int and got == product(i, j)
