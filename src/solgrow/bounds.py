@@ -17,7 +17,8 @@ from typing import Sequence
 
 from .elements import MatFp, Perm
 from .errors import CapExceeded
-from .table import FiniteGroupTable
+from .fields import _vec_of, vector_actions
+from .table import FiniteGroupTable, _orbit
 
 SIGMA_TABLE = {1: 1, 2: 4, 3: 5, 4: 5, 5: 5, 6: 6, 7: 6}
 SPIN_CAP = 10_000
@@ -130,10 +131,12 @@ def _echelon_insert(basis: list[list[int]], vec: Sequence[int], p: int) -> bool:
 def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
     """No proper nonzero invariant subspace of F_p^n under the generators.
 
-    Spins every 1-dimensional subspace to closure under the generators; a
-    proper closure witnesses reducibility. Inverses are not needed: an
-    invertible M with M(W) <= W has M(W) = W, so W is M^-1-invariant too.
-    Gated to p^n <= 10^4 ambient vectors.
+    Splits the nonzero vectors into orbits of <gens> and takes the rank of
+    each: the span of an orbit is the submodule generated by any of its
+    vectors, so the group is irreducible iff every orbit spans F_p^n.
+    Inverses are not needed: in a finite group the orbit under the
+    generators is the orbit under the group. Gated to p^n <= 10^4 ambient
+    vectors.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -144,51 +147,28 @@ def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
         raise CapExceeded(f"p^n = {p**n} exceeds spin cap {SPIN_CAP}")
     if n == 1:
         return True
-    for line in _projective_lines(n, p):
+    maps = vector_actions(gens, n, p)
+    seen = bytearray(p**n)
+    seen[0] = 1
+    for v in range(1, p**n):
+        orbit = _orbit(maps, (v,), seen)
         basis: list[list[int]] = []
-        _echelon_insert(basis, line, p)
-        frontier = [tuple(line)]
-        while frontier and len(basis) < n:
-            nxt = []
-            for v in frontier:
-                for M in gens:
-                    w = M.apply(v)
-                    if _echelon_insert(basis, w, p):
-                        nxt.append(w)
-            frontier = nxt
-        if len(basis) < n:
+        for w in orbit:
+            if len(basis) == n:
+                break
+            _echelon_insert(basis, _vec_of(w, n, p), p)
+        if orbit and len(basis) < n:
             return False
     return True
 
 
-def _projective_lines(n: int, p: int):
-    """One representative per 1-dimensional subspace (first nonzero = 1)."""
-    for lead in range(n):
-        tail = n - lead - 1
-        for idx in range(p**tail):
-            v = [0] * lead + [1]
-            x = idx
-            for _ in range(tail):
-                v.append(x % p)
-                x //= p
-            yield tuple(v)
-
-
 def is_transitive_on(gens: Sequence[Perm], degree: int) -> bool:
-    """Whether <gens> moves point 0 to every one of `degree` points."""
-    steps = [h for g in gens for h in (g, g.inverse())]
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in steps:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(orbit) == degree
+    """Whether <gens> moves point 0 to every one of `degree` points.
+
+    Inverses are not needed: in a finite group the orbit under the
+    generators is the orbit under the group.
+    """
+    return len(_orbit([g.images for g in gens], (0,), bytearray(degree))) == degree
 
 
 def permutation_structure(T: FiniteGroupTable) -> dict:

@@ -39,12 +39,7 @@ def _default_cap() -> int:
 
 
 def _emit(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _emit_text(text: str, path: str | None) -> None:

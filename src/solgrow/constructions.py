@@ -13,6 +13,7 @@ from typing import Sequence
 from .bounds import is_transitive_on
 from .elements import GenSet, MatFp, Perm
 from .errors import NotTransitive, ParseError
+from .fields import _idx_of, _vec_of, vector_actions
 from .table import FiniteGroupTable
 
 DEFAULT_WREATH_NOTE = "base copies of A's generators in block 0, then top generators of B"
@@ -99,29 +100,14 @@ def matrix_wreath(L: Sequence[MatFp], k: int) -> GenSet:
     return GenSet(gens)
 
 
-def _vec_of(idx: int, n: int, p: int) -> tuple[int, ...]:
-    """Vector of F_p^n with index idx = sum v_i p^i."""
-    v = []
-    for _ in range(n):
-        v.append(idx % p)
-        idx //= p
-    return tuple(v)
-
-
-def _idx_of(v: Sequence[int], p: int) -> int:
-    """Index sum v_i p^i of a vector of F_p^n."""
-    val = 0
-    for c in reversed(list(v)):
-        val = val * p + c
-    return val
-
-
 def affine_semidirect(n: int, p: int, H: Sequence[MatFp]) -> GenSet:
     """Permutation generators of F_p^n x| <H> acting on p^n vectors.
 
     Generators are the translations by the standard basis vectors followed
     by the linear parts. H may be empty (elementary abelian group).
     """
+    if any(M.n != n or M.p != p for M in H):
+        raise ParseError("matrix degree/field mismatch in affine construction")
     vectors = [_vec_of(i, n, p) for i in range(p**n)]
     gens: list[Perm] = []
     for axis in range(n):
@@ -131,10 +117,7 @@ def affine_semidirect(n: int, p: int, H: Sequence[MatFp]) -> GenSet:
             w[axis] = (w[axis] + 1) % p
             images.append(_idx_of(w, p))
         gens.append(Perm(images))
-    for M in H:
-        if M.n != n or M.p != p:
-            raise ParseError("matrix degree/field mismatch in affine construction")
-        gens.append(Perm([_idx_of(M.apply(v), p) for v in vectors]))
+    gens.extend(Perm(images) for images in vector_actions(H, n, p))
     return GenSet(gens)
 
 
@@ -148,8 +131,4 @@ def matrix_to_perm_gens(gens: Sequence[MatFp]) -> GenSet:
     if not gens:
         raise ParseError("empty generator list")
     n, p = gens[0].n, gens[0].p
-    nonzero = [_vec_of(i, n, p) for i in range(1, p**n)]
-    out = []
-    for M in gens:
-        out.append(Perm([_idx_of(M.apply(v), p) - 1 for v in nonzero]))
-    return GenSet(out)
+    return GenSet([Perm([x - 1 for x in images[1:]]) for images in vector_actions(gens, n, p)])

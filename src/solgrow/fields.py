@@ -9,9 +9,42 @@ Desk scale only: p^k up to a few thousand.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .elements import MatFp
 from .errors import ParseError
+
+
+def _vec_of(idx: int, n: int, p: int) -> tuple[int, ...]:
+    """Vector of F_p^n with index idx = sum v_i p^i."""
+    v = []
+    for _ in range(n):
+        v.append(idx % p)
+        idx //= p
+    return tuple(v)
+
+
+def _idx_of(v: Sequence[int], p: int) -> int:
+    """Index sum v_i p^i of a vector of F_p^n."""
+    val = 0
+    for c in reversed(list(v)):
+        val = val * p + c
+    return val
+
+
+def vector_actions(mats: Sequence[MatFp], n: int, p: int) -> list[list[int]]:
+    """Each matrix as a map on vector indices: entry i is the index of M v_i.
+
+    v_i is the vector of F_p^n with index i (the layout of `_vec_of`).
+    """
+    weights = p ** np.arange(n, dtype=np.int64)
+    vectors = np.arange(p**n, dtype=np.int64)[:, None] // weights % p
+    return [
+        (vectors @ np.array(M.rows(), dtype=np.int64).T % p @ weights).tolist()
+        for M in mats
+    ]
 
 
 def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int):
@@ -162,21 +195,10 @@ class SmallField:
 
     def elements(self) -> list[tuple[int, ...]]:
         """All field elements; index of c is sum c_i p^i."""
-        out = []
-        for idx in range(self.q):
-            c = []
-            x = idx
-            for _ in range(self.k):
-                c.append(x % self.p)
-                x //= self.p
-            out.append(tuple(c))
-        return out
+        return [_vec_of(i, self.k, self.p) for i in range(self.q)]
 
     def index(self, a: tuple[int, ...]) -> int:
-        val = 0
-        for c in reversed(a):
-            val = val * self.p + c
-        return val
+        return _idx_of(a, self.p)
 
     def mult_matrix(self, a: tuple[int, ...]) -> MatFp:
         """Multiplication-by-a as a k x k matrix over F_p (column action)."""

@@ -66,12 +66,7 @@ class MilnorChain:
 
 def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
     """Build the full conjugate chain for seeds Y, with verified stabilization."""
-    seeds = []
-    seen = set()
-    for y in Y:
-        if y not in seen:
-            seen.add(y)
-            seeds.append(y)
+    seeds = list(dict.fromkeys(Y))
     wl = T.word_length
     by_len = T.elements_by_length()
     level = sorted(seeds)
@@ -229,11 +224,7 @@ def derived_generators(T: FiniteGroupTable, k_max: int) -> dict:
     plus the smallest constants making the step recurrences hold.
     """
     records = []
-    gens0 = []
-    for g in T.generators:
-        if g != 0 and g not in gens0:
-            gens0.append(g)
-    X = tuple(gens0)
+    X = tuple(dict.fromkeys(g for g in T.generators if g != 0))
     current = subgroup_generated(T, list(X))
     lengths = [max((T.word_length[x] for x in X), default=0)]
     records.append(

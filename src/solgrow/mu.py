@@ -21,6 +21,7 @@ from .table import (
     commutator_subgroup,
     direct_product,
     enumerate_group,
+    is_soluble,
     quotient,
     whole_group,
 )
@@ -153,13 +154,6 @@ class ModifiedSeries:
                 assert class2, "class-2 step factor is not class exactly 2"
 
 
-def _check_soluble(T: FiniteGroupTable, start: Subgroup) -> None:
-    from .table import derived_series
-
-    if not derived_series(T, start)[-1].is_trivial():
-        raise NotSoluble("modified derived length requires a soluble group")
-
-
 def mu_bruteforce(
     T: FiniteGroupTable,
     start: Subgroup | None = None,
@@ -178,7 +172,8 @@ def mu_bruteforce(
     H0 = start if start is not None else whole_group(T)
     if H0.order > cap:
         raise CapExceeded(f"order {H0.order} exceeds brute-force cap {cap}")
-    _check_soluble(T, H0)
+    if not is_soluble(T, H0):
+        raise NotSoluble("modified derived length requires a soluble group")
     memo: dict[frozenset[int], tuple[MuValue, list[Subgroup], list[str]]] = {}
 
     def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:
@@ -220,7 +215,8 @@ def mu_fast(
     Equality with mu_bruteforce is property-tested over the corpus.
     """
     H0 = start if start is not None else whole_group(T)
-    _check_soluble(T, H0)
+    if not is_soluble(T, H0):
+        raise NotSoluble("modified derived length requires a soluble group")
     memo: dict[frozenset[int], tuple[MuValue, list[Subgroup], list[str]]] = {}
 
     def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:

@@ -8,11 +8,13 @@ Two modes, reported per case:
       reach, the claim is checked on named catalog witnesses only. The
       report never claims more than was checked.
 
-Every group entering a check is first asserted to satisfy its structural
+Every group entering a check is first checked to satisfy its structural
 precondition (irreducible as a matrix group / transitive as a permutation
-group). Derived lengths of large block-monomial witnesses are computed on
-the isomorphic permutation wreath model; irreducibility is checked on the
-matrix model by spinning.
+group); a failure raises ContextViolated, and an insoluble group raises
+NotSoluble. Derived lengths of large block-monomial witnesses are computed
+on the isomorphic permutation wreath model; irreducibility is checked on the
+matrix model, by the rank of each orbit of the generators on the nonzero
+vectors.
 """
 
 from __future__ import annotations
@@ -29,42 +31,28 @@ from .bounds import (
 from .catalog import catalog
 from .constructions import matrix_to_perm_gens, sym_gens, wreath_product
 from .elements import GenSet, MatFp, Perm
-from .errors import ContextViolated
+from .errors import ContextViolated, NotSoluble
 from .mu import mu_fast
 from .soluble import soluble_subgroups
-from .table import FiniteGroupTable, Subgroup, derived_series, enumerate_group
+from .table import FiniteGroupTable, Subgroup, _orbit, derived_length, enumerate_group
 
 DEFAULT_EXHAUSTIVE_LINEAR = ("gl2(2)", "gl2(3)", "gl3(2)")
 DEFAULT_EXHAUSTIVE_SYM = (2, 3, 4, 5, 6)
 
 
-def _delta(T: FiniteGroupTable, start: Subgroup | None = None) -> int:
-    series = derived_series(T, start)
-    assert series[-1].is_trivial(), "group is not soluble"
-    return len(series) - 1
-
-
 def _conjugacy_reps(T: FiniteGroupTable, subs: list[Subgroup]) -> list[Subgroup]:
-    """One representative per conjugacy class of subgroups."""
-    seen: set[frozenset[int]] = set()
-    reps = []
-    for S in subs:
-        if S.member_set in seen:
-            continue
-        reps.append(S)
-        orbit = {S.member_set}
-        frontier = [S.member_set]
-        while frontier:
-            nxt = []
-            for ms in frontier:
-                for g in T.generators:
-                    img = frozenset(T.conj(x, g) for x in ms)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        seen |= orbit
-    return reps
+    """One representative per conjugacy class of subgroups, in list order.
+
+    `subs` must be closed under conjugation in T: each generator of T
+    conjugates the list onto itself, a map on list positions.
+    """
+    position = {S.member_set: i for i, S in enumerate(subs)}
+    maps = []
+    for g in T.generators:
+        conj = T.conjugation_action(g).tolist()
+        maps.append([position[frozenset([conj[x] for x in S.members])] for S in subs])
+    seen = bytearray(len(subs))
+    return [S for i, S in enumerate(subs) if _orbit(maps, (i,), seen)]
 
 
 def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
@@ -134,7 +122,9 @@ def check_irreducible_witness(
         raise ContextViolated(f"witness {name} is reducible")
     entry: dict = {"name": name, "order": model.n, "mode": "witness"}
     ok = True
-    delta = _delta(model)
+    delta = derived_length(model)
+    if delta is None:
+        raise NotSoluble(f"witness {name} is not soluble")
     entry["delta"] = delta
     if delta_claim is not None:
         entry["delta_bound"] = delta_claim
@@ -263,7 +253,10 @@ def _check_exhaustive_linear(ambient: str, mu_claim, delta_claim) -> dict:
     ok = True
     for S in reps:
         if delta_claim is not None:
-            ok = ok and _delta(T, S) <= delta_claim
+            delta = derived_length(T, S)
+            if delta is None:
+                raise NotSoluble(f"subgroup of order {S.order} of {ambient} is not soluble")
+            ok = ok and delta <= delta_claim
         if mu_claim is not None:
             mu, _ = mu_fast(T, start=S)
             c_num, c_den, r = mu_claim

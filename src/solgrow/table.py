@@ -21,6 +21,10 @@ use; above it, i * j walks j's geodesic through R. An enumerated table
 takes over the BFS's encoding -> index dict; perm and matfp tables keep
 their elements as rows and build each element object on access.
 
+Orbits under index maps (subgroup closure, conjugacy classes, and the
+orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
+breadth-first walk, `_orbit`.
+
 Tables are immutable after construction; all queries are pure reads.
 """
 
@@ -69,7 +73,8 @@ class FiniteGroupTable:
         assert all(len(a) == self.n for a in self._actions), "encodings are not injective"
         wl, parent, parent_step = _cayley_bfs(self._actions, self.n)
         self.word_length: list[int] = wl.tolist()
-        self.inv_idx: list[int] = _inverse_indices(self._actions, parent, parent_step).tolist()
+        self._inverse = _inverse_indices(self._actions, parent, parent_step)
+        self.inv_idx: list[int] = self._inverse.tolist()
         # int32 buffers are read through memoryviews, whose items are ints.
         self._parent = memoryview(parent).toreadonly()
         self._parent_step = memoryview(parent_step).toreadonly()
@@ -135,6 +140,11 @@ class FiniteGroupTable:
         for s in self._geodesic(x):
             out = self._actions[s][out]
         return out
+
+    def conjugation_action(self, g: int) -> np.ndarray:
+        """int32 array mapping index x to the index of g^-1 * x * g."""
+        right, inv = self.right_action(g), self._inverse
+        return right[inv[right[inv]]]
 
     # -- BFS and words ------------------------------------------------------
 
@@ -302,38 +312,44 @@ def trivial_subgroup(T: FiniteGroupTable) -> Subgroup:
     return Subgroup(T, (0,), ())
 
 
+def _orbit(maps: Sequence[Sequence[int]], seeds: Iterable[int], seen: bytearray) -> list[int]:
+    """Points reached from the seeds under the index maps, in discovery order.
+
+    Breadth-first, expanding each point by the maps in order. Every point
+    reached is marked in `seen`, which the caller owns; points already
+    marked are neither returned nor expanded, so successive calls on one
+    `seen` split a set into orbits.
+    """
+    out = []
+    for x in seeds:
+        if not seen[x]:
+            seen[x] = 1
+            out.append(x)
+    for x in out:  # out grows while it is walked: a FIFO queue
+        for m in maps:
+            y = m[x]
+            if not seen[y]:
+                seen[y] = 1
+                out.append(y)
+    return out
+
+
 def _close_indices(T: FiniteGroupTable, gens: Sequence[int]) -> list[int]:
-    """Members of <gens>: right-multiplication closure from the identity.
+    """Members of <gens>: the orbit of the identity under right multiplication.
 
     In a finite group the subsemigroup containing the identity and closed
     under right multiplication by the seeds is already a subgroup.
     """
-    member = bytearray(T.n)
-    member[0] = 1
-    out = [0]
-    frontier = [0]
-    gl = [g for g in gens if g != 0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gl:
-                y = T.mul(x, g)
-                if not member[y]:
-                    member[y] = 1
-                    out.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
+    if T._rows is None and T.n <= DENSE_LIMIT:
+        T.ensure_dense()
+    rows = T._rows
+    maps = [rows[g] if rows is not None else memoryview(T.right_action(g)) for g in gens if g]
+    return _orbit(maps, (0,), bytearray(T.n))
 
 
 def subgroup_generated(T: FiniteGroupTable, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed indices."""
-    gens: list[int] = []
-    seen = set()
-    for s in seeds:
-        if s != 0 and s not in seen:
-            seen.add(s)
-            gens.append(s)
+    gens = list(dict.fromkeys(s for s in seeds if s != 0))
     members = _close_indices(T, gens)
     return Subgroup(T, tuple(sorted(members)), tuple(gens))
 
@@ -346,12 +362,8 @@ def _normal_closure_under(
     Closure under conjugation by the conjugator generators suffices: the
     resulting finite subgroup maps into itself under each, hence onto.
     """
-    gens: list[int] = []
-    seen = set()
-    for s in seeds:
-        if s != 0 and s not in seen:
-            seen.add(s)
-            gens.append(s)
+    gens = list(dict.fromkeys(s for s in seeds if s != 0))
+    seen = set(gens)
     H = subgroup_generated(T, gens)
     while True:
         new = []
@@ -388,20 +400,8 @@ def reduce_generators(T: FiniteGroupTable, H: Subgroup) -> Subgroup:
 
 def commutator_subgroup(T: FiniteGroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B]: normal closure in <A, B> of generator commutators."""
-    joint: list[int] = []
-    seen = set()
-    for g in list(A.generators) + list(B.generators):
-        if g not in seen and g != 0:
-            seen.add(g)
-            joint.append(g)
-    seeds = []
-    seedset = set()
-    for a in A.generators:
-        for b in B.generators:
-            c = T.comm(a, b)
-            if c != 0 and c not in seedset:
-                seedset.add(c)
-                seeds.append(c)
+    joint = list(dict.fromkeys(g for g in A.generators + B.generators if g != 0))
+    seeds = [T.comm(a, b) for a in A.generators for b in B.generators]
     H = _normal_closure_under(T, seeds, joint)
     return reduce_generators(T, H)
 
@@ -477,26 +477,9 @@ def conjugacy_classes(
     Classes are sorted by their least member; each class is sorted.
     """
     H = H if H is not None else whole_group(T)
+    maps = [memoryview(T.conjugation_action(g)) for g in H.generators]
     seen = bytearray(T.n)
-    classes = []
-    for x in H.members:
-        if seen[x]:
-            continue
-        orbit = [x]
-        seen[x] = 1
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in H.generators:
-                    z = T.conj(y, g)
-                    if not seen[z]:
-                        seen[z] = 1
-                        orbit.append(z)
-                        nxt.append(z)
-            frontier = nxt
-        classes.append(tuple(sorted(orbit)))
-    return classes
+    return [tuple(sorted(c)) for x in H.members if (c := _orbit(maps, (x,), seen))]
 
 
 def centralizer(T: FiniteGroupTable, S: Subgroup) -> Subgroup:

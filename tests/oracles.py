@@ -71,16 +71,28 @@ def object_enumeration(gens: GenSet) -> dict:
 
 @lru_cache(maxsize=None)
 def _proper_subspaces(n: int, p: int) -> list[frozenset[tuple[int, ...]]]:
-    """Every proper nonzero subspace of F_p^n, found among all vector subsets."""
+    """Every proper nonzero subspace of F_p^n, grown from {0} one vector at a time.
+
+    The span of a subspace W and a vector v is {w + c*v : w in W, c in F_p};
+    every subspace is reached by adjoining its basis vectors in turn.
+    """
     vectors = list(cartesian(range(p), repeat=n))
-    zero, nonzero = vectors[0], vectors[1:]
-    out = []
-    for mask in range(1, 2 ** len(nonzero) - 1):
-        W = frozenset([zero] + [v for i, v in enumerate(nonzero) if mask >> i & 1])
-        # over a prime field, closure under addition gives closure under scalars
-        if all(tuple((a + b) % p for a, b in zip(u, v)) in W for u in W for v in W):
-            out.append(W)
-    return out
+    found: set[frozenset[tuple[int, ...]]] = set()
+    frontier = [frozenset(vectors[:1])]
+    while frontier:
+        nxt = []
+        for W in frontier:
+            for v in vectors:
+                if v in W:
+                    continue
+                U = frozenset(
+                    tuple((a + c * b) % p for a, b in zip(w, v)) for w in W for c in range(p)
+                )
+                if len(U) < p**n and U not in found:
+                    found.add(U)
+                    nxt.append(U)
+        frontier = nxt
+    return list(found)
 
 
 def naive_is_irreducible(gens: Sequence[MatFp]) -> bool:

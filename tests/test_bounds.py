@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 from mpmath import mp, mpf, log as mplog
@@ -23,9 +24,14 @@ from solgrow.bounds import (
 )
 from solgrow.catalog import catalog
 from solgrow.elements import GenSet, MatFp, Perm
-from solgrow.errors import CapExceeded, ContextViolated
+from solgrow.errors import CapExceeded, ContextViolated, NotSoluble
 from solgrow.mu import MuValue
-from solgrow.smallcases import verify_mu_theorem
+from solgrow.smallcases import (
+    check_irreducible_witness,
+    verify_mu_theorem,
+    verify_small_cases,
+    verify_transitive_exhaustive,
+)
 from solgrow.table import enumerate_group
 
 
@@ -86,16 +92,26 @@ def test_is_irreducible_examples():
     assert not is_irreducible(perm_mats)
 
 
-@pytest.mark.parametrize("ambient", ["gl2(3)", "gl3(2)"])
-def test_is_irreducible_matches_subspace_oracle(ambient):
+# Ambients: every nontrivial soluble subgroup, with their number. Witnesses:
+# every nonempty subset of the catalog generators.
+ORACLE_AMBIENTS = {"gl2(2)": 5, "gl2(3)": 54, "gl3(2)": 177}
+ORACLE_WITNESSES = ["gammal1(16)", "gl2(2)wrs2", "gl1(3)wrs4"]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_AMBIENTS) + ORACLE_WITNESSES)
+def test_is_irreducible_matches_subspace_oracle(name):
     from solgrow.soluble import soluble_subgroups
 
-    T = table_of(ambient)
-    subs = [S for S in soluble_subgroups(T) if S.generators]
-    assert len(subs) > 10
+    if name in ORACLE_AMBIENTS:
+        T = table_of(name)
+        subs = [S for S in soluble_subgroups(T) if S.generators]
+        assert len(subs) == ORACLE_AMBIENTS[name]
+        gen_lists = [[T.elements[g] for g in S.generators] for S in subs]
+    else:
+        gens = list(catalog(name).elements)
+        gen_lists = [list(c) for k in range(1, len(gens) + 1) for c in combinations(gens, k)]
     verdicts = set()
-    for S in subs:
-        gens = [T.elements[g] for g in S.generators]
+    for gens in gen_lists:
         verdict = is_irreducible(gens)
         assert verdict == naive_is_irreducible(gens)
         verdicts.add(verdict)
@@ -160,3 +176,31 @@ def test_sharpness_witness():
     from solgrow.table import derived_length
 
     assert derived_length(table_of("gl2(3)")) == 4 == sigma_value(2)["exact"]
+
+
+def test_exhaustive_groups_checked():
+    # conjugacy classes of soluble irreducible (transitive) subgroups per ambient
+    rep = verify_small_cases(quick=True)
+    linear = [
+        (e["ambient"], e["groups_checked"])
+        for c in rep["cases"]
+        for e in c["entries"]
+        if e["mode"] == "exhaustive"
+    ]
+    assert linear == [
+        ("gl1(3)", 1), ("gl1(5)", 2), ("gl1(7)", 3),
+        ("gl2(2)", 2), ("gl2(3)", 7),
+        ("gl3(2)", 2),
+        ("gl2(2)", 2), ("gl3(2)", 2),
+    ]
+    transitive = verify_transitive_exhaustive()["entries"]
+    assert [(e["degree"], e["groups_checked"]) for e in transitive] == [
+        (2, 1), (3, 2), (4, 5), (5, 3), (6, 12)
+    ]
+
+
+def test_insoluble_witness_raises_not_soluble():
+    # GL_3(2) is irreducible but simple: the derived length check must raise
+    # a SolgrowError, not an assert that `python -O` strips.
+    with pytest.raises(NotSoluble):
+        check_irreducible_witness("gl3(2)", 3, 2, None, 2)

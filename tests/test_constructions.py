@@ -15,6 +15,7 @@ from solgrow.constructions import (
 )
 from solgrow.elements import MatFp
 from solgrow.errors import NotTransitive, UnknownName
+from solgrow.fields import _idx_of, _vec_of, small_field, vector_actions
 from solgrow.table import direct_product, enumerate_group, nilpotency_class
 
 
@@ -99,6 +100,20 @@ def test_matrix_to_perm_faithful():
     gens = catalog("sl2(3)")
     perm = enumerate_group(matrix_to_perm_gens(list(gens.elements)))
     assert perm.n == 24
+
+
+@pytest.mark.parametrize("name", ["gl2(3)", "gammal1(16)", "gl1(3)wrs4", "gammal1(27)"])
+def test_vector_actions_match_matrix_apply(name):
+    mats = list(catalog(name).elements)
+    n, p = mats[0].n, mats[0].p
+    for M, images in zip(mats, vector_actions(mats, n, p)):
+        assert images == [_idx_of(M.apply(_vec_of(i, n, p)), p) for i in range(p**n)]
+
+
+def test_small_field_indexing_round_trips():
+    F = small_field(3, 2)
+    assert [F.index(a) for a in F.elements()] == list(range(F.q))
+    assert F.elements()[5] == (2, 1)
 
 
 def test_catalog_unknown():

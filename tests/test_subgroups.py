@@ -20,6 +20,7 @@ from solgrow.elements import Perm
 from solgrow.errors import NotNormal
 from solgrow.soluble import soluble_subgroups
 from solgrow.table import (
+    DENSE_LIMIT,
     centralizer,
     commutator_subgroup,
     conjugacy_classes,
@@ -184,6 +185,16 @@ def test_conjugacy_classes():
     assert sorted(x for c in classes for x in c) == list(A4.members)
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
     assert conjugacy_classes(T, G) == conjugacy_classes(T)
+
+
+def test_conjugacy_classes_above_dense_limit():
+    # S7 has one class per partition of 7; 5,040 elements, so no dense table
+    T = table_of("s7")
+    assert T.n > DENSE_LIMIT
+    classes = conjugacy_classes(T)
+    assert len(classes) == 15
+    assert sorted(x for c in classes for x in c) == list(range(T.n))
+    assert T._rows is None
 
 
 def test_centralizer_examples():

@@ -237,6 +237,21 @@ def test_geodesic_walk_above_dense_limit():
     assert T._rows is None
 
 
+@pytest.mark.parametrize("name", ["s4", "sl2(3)/centre", "s3xq8", "s7"])
+def test_conjugation_action_matches_element_products(name):
+    if name == "s7":
+        T = table_of("s7")
+        product = _element_product(T)
+        conjugators = random.Random(5).sample(range(T.n), 12)
+    else:
+        T, product = DENSE_CASES[name]()
+        conjugators = range(T.n)
+    for g in conjugators:
+        action = T.conjugation_action(g)
+        for x in range(0, T.n, 1 + T.n // 200):
+            assert action[x] == product(product(T.inv_idx[g], x), g)
+
+
 def _first_discovery_words(T):
     """Words of a BFS over T.mul, each element reached first by (position, step)."""
     steps = [
