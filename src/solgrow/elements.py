@@ -742,8 +742,8 @@ class GenSet:
     def bfs_steps(self) -> list[tuple[GroupElement, int]]:
         """Multiplication steps in deterministic order: X, then X^-1.
 
-        Each step is (element, signed generator reference): +i for
-        generator i, -(i+1) for its inverse.
+        Each step is (element, signed generator reference): +k is
+        generator k-1, -k its inverse.
         """
         steps = [(g, i + 1) for i, g in enumerate(self.elements)]
         if self.symmetric:

@@ -69,6 +69,7 @@ def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
     seeds = list(dict.fromkeys(Y))
     wl = T.word_length
     by_len = T.elements_by_length()
+    conj = T.conjugates(seeds)
     level = sorted(seeds)
     levels = [tuple(level)]
     subgroups = [subgroup_generated(T, level)]
@@ -76,11 +77,9 @@ def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
     i = 0
     while k is None:
         i += 1
-        conjugators = by_len[i] if i < len(by_len) else []
         new = set(levels[-1])
-        for g in conjugators:
-            for y in seeds:
-                new.add(T.conj(y, g))
+        if i < len(by_len):
+            new.update(conj[:, by_len[i]].ravel().tolist())
         levels.append(tuple(sorted(new)))
         subgroups.append(subgroup_generated(T, list(levels[-1])))
         if subgroups[-1].order == subgroups[-2].order:
@@ -188,31 +187,14 @@ def quantitative_bound_check(chain: MilnorChain, theta: float, C: float) -> dict
 
 
 def _pair_commutators(T: FiniteGroupTable, xs: tuple[int, ...]) -> list[int]:
-    out, seen = [], set()
-    for a in xs:
-        for b in xs:
-            c = T.comm(a, b)
-            if c != 0 and c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+    pairs = dict.fromkeys(T.comm(a, b) for a in xs for b in xs)
+    return [c for c in pairs if c != 0]
 
 
 def _triple_commutators(T: FiniteGroupTable, xs: tuple[int, ...]) -> list[int]:
-    out, seen = [], set()
-    pairs = []
-    for a in xs:
-        for b in xs:
-            c = T.comm(a, b)
-            if c != 0:
-                pairs.append(c)
-    for c in pairs:
-        for z in xs:
-            t = T.comm(c, z)
-            if t != 0 and t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+    pairs = _pair_commutators(T, xs)
+    triples = dict.fromkeys(T.comm(c, z) for c in pairs for z in xs)
+    return [t for t in triples if t != 0]
 
 
 def derived_generators(T: FiniteGroupTable, k_max: int) -> dict:

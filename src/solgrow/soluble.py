@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import rho_int_bound
 from .errors import CapExceeded, NotSoluble, TrivialGroup
 from .fields import _prime_power
@@ -153,6 +155,13 @@ def pow_in(T: FiniteGroupTable, g: int, e: int) -> int:
     return x
 
 
+def _mask(T: FiniteGroupTable, H: Subgroup) -> np.ndarray:
+    """Boolean membership mask of H over the indices of T."""
+    mask = np.zeros(T.n, dtype=bool)
+    mask[list(H.members)] = True
+    return mask
+
+
 def _is_self_centralizing(
     T: FiniteGroupTable, below: Subgroup, above: Subgroup
 ) -> bool:
@@ -160,18 +169,16 @@ def _is_self_centralizing(
 
     The preimage of C_{G/N}(M/N) is {g : [g, m] in N for each generator m
     of M}; the factor is self-centralizing iff that preimage is exactly M.
+    Row i of the conjugates of the inverse generators holds (m^-1)^g, and
+    [g, m] = (m^-1)^g * m.
     """
-    bset = below.member_set
+    nmask = _mask(T, below)
     gens = above.generators
-    count = 0
-    for g in range(T.n):
-        if all(T.comm(g, m) in bset for m in gens):
-            count += 1
-            if count > above.order:
-                return False
-            if g not in above.member_set:
-                return False
-    return count == above.order
+    conj = T.conjugates([T.inv_idx[m] for m in gens])
+    pre = np.ones(T.n, dtype=bool)
+    for m, row in zip(gens, conj):
+        pre &= nmask[T.right_action(m)[row]]
+    return np.array_equal(pre, _mask(T, above))
 
 
 def chief_series(
@@ -292,35 +299,20 @@ def soluble_subgroups(
     while frontier:
         nxt = []
         for H in frontier:
-            hset = H.member_set
-            norm = [
-                g
-                for g in range(T.n)
-                if all(T.conj(x, g) in hset for x in H.generators)
-            ]
-            seen_cosets = set(H.members)
-            for g in norm:
-                if g in seen_cosets:
+            members = np.array(H.members, dtype=np.int32)
+            hmask = _mask(T, H)
+            # g normalizes H iff it conjugates each generator of H into H.
+            normalizer = hmask[T.conjugates(H.generators)].all(axis=0)
+            seen = hmask.copy()
+            for g in np.flatnonzero(normalizer).tolist():
+                if seen[g]:
                     continue
-                coset = {T.mul(h, g) for h in H.members}
-                seen_cosets |= coset
-                m, x = 1, g
-                while x not in hset:
-                    x = T.mul(x, g)
-                    m += 1
-                pr = _prime_power(m)
-                if pr is None or pr[1] != 1:
-                    continue
-                members = set(H.members)
-                power = 0
-                for _ in range(m - 1):
-                    power = T.mul(power, g)
-                    members.update(T.mul(h, power) for h in H.members)
-                assert len(members) == H.order * m
-                key = frozenset(members)
-                if key not in found:
-                    K = Subgroup(T, tuple(sorted(members)), H.generators + (g,), key)
-                    found[key] = K
+                seen[T.right_action(g)[members]] = True  # the coset Hg
+                # g normalizes H, so <H, g> / H is cyclic of order |gH|.
+                K = subgroup_generated(T, H.generators + (g,))
+                pr = _prime_power(K.order // H.order)
+                if pr is not None and pr[1] == 1 and K.member_set not in found:
+                    found[K.member_set] = K
                     nxt.append(K)
         frontier = nxt
     return sorted(found.values(), key=lambda S: (S.order, S.members))
@@ -354,10 +346,10 @@ def sc_iff_maximal_index_check(T: FiniteGroupTable) -> bool:
 
 def analyze_record(T: FiniteGroupTable) -> dict:
     """Full analysis record for the CLI: order, series data, chief data."""
-    soluble = is_soluble(T)
-    rec: dict = {"order": T.n, "soluble": soluble}
     ds = derived_series(T)
-    rec["derived_length"] = len(ds) - 1 if ds[-1].is_trivial() else None
+    soluble = ds[-1].is_trivial()
+    rec: dict = {"order": T.n, "soluble": soluble}
+    rec["derived_length"] = len(ds) - 1 if soluble else None
     ncl = nilpotency_class(T)
     rec["nilpotent"] = ncl is not None
     rec["nilpotency_class"] = ncl

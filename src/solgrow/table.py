@@ -23,9 +23,12 @@ their elements as rows and build each element object on access.
 
 Orbits under index maps (subgroup closure, conjugacy classes, and the
 orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
-breadth-first walk, `_orbit`.
+breadth-first walk, `_orbit`. Conjugates of a few elements by the whole
+group (normalizers, centralizers, the self-centralizing test and conjugate
+chains) come from one walk down the BFS levels, `conjugates`.
 
-Tables are immutable after construction; all queries are pure reads.
+Tables are immutable after construction; all queries are pure reads (the
+dense table and the step conjugation maps are built on first use).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class FiniteGroupTable:
         self._actions = [np.asarray(action, dtype=np.int32) for _ref, action in steps]
         # Colliding encodings leave fewer keys than the actions have indices.
         assert all(len(a) == self.n for a in self._actions), "encodings are not injective"
-        wl, parent, parent_step = _cayley_bfs(self._actions, self.n)
+        wl, parent, parent_step, self._levels = _cayley_bfs(self._actions, self.n)
         self.word_length: list[int] = wl.tolist()
         self._inverse = _inverse_indices(self._actions, parent, parent_step)
         self.inv_idx: list[int] = self._inverse.tolist()
@@ -81,6 +84,8 @@ class FiniteGroupTable:
         self._action_views = [memoryview(a).toreadonly() for a in self._actions]
         # Dense table, None until built: _rows[j][i] = index of i * j.
         self._rows: list[memoryview] | None = None
+        # Conjugation map of each step, None until first used.
+        self._step_conj: np.ndarray | None = None
 
     # -- products ---------------------------------------------------------
 
@@ -146,6 +151,24 @@ class FiniteGroupTable:
         right, inv = self.right_action(g), self._inverse
         return right[inv[right[inv]]]
 
+    def conjugates(self, xs: Sequence[int]) -> np.ndarray:
+        """int32 array C with C[i, g] = index of g^-1 * xs[i] * g, for every g.
+
+        x^(p*s) = (x^p)^s, so walking down the BFS levels, each element's
+        column is its BFS parent's column through the conjugation map of the
+        step that reaches it.
+        """
+        if self._step_conj is None:
+            inv = self._inverse
+            self._step_conj = np.array([a[inv[a[inv]]] for a in self._actions], dtype=np.int32)
+        maps = self._step_conj
+        parent, step = np.asarray(self._parent), np.asarray(self._parent_step)
+        out = np.empty((self.n, len(xs)), dtype=np.int32)
+        out[0] = xs
+        for level in self._levels[1:]:
+            out[level] = maps[step[level][:, None], out[parent[level]]]
+        return out.T
+
     # -- BFS and words ------------------------------------------------------
 
     def _geodesic(self, i: int) -> list[int]:
@@ -205,7 +228,7 @@ class FiniteGroupTable:
 
 
 def _cayley_bfs(actions: list[np.ndarray], n: int):
-    """Word lengths, BFS parents and parent steps over the step actions.
+    """Word lengths, BFS parents, parent steps and levels over the step actions.
 
     Level by level from the identity; a new index takes the first
     (frontier position, step ordinal) that reaches it, as an element BFS
@@ -216,6 +239,7 @@ def _cayley_bfs(actions: list[np.ndarray], n: int):
     step = np.zeros(n, dtype=np.int32)
     wl[0] = 0
     frontier = np.zeros(1, dtype=np.int32)
+    levels = [frontier]
     k = len(actions)
     depth = 0
     while k and frontier.size:
@@ -229,8 +253,9 @@ def _cayley_bfs(actions: list[np.ndarray], n: int):
         parent[found] = frontier[fresh // k]
         step[found] = fresh % k
         frontier = found
+        levels.append(found)
     assert (wl >= 0).all(), "generators do not generate the table"
-    return wl, parent, step
+    return wl, parent, step, levels
 
 
 def _inverted(action: np.ndarray) -> np.ndarray:
@@ -484,13 +509,9 @@ def conjugacy_classes(
 
 def centralizer(T: FiniteGroupTable, S: Subgroup) -> Subgroup:
     """Elements commuting with every member of S (generators suffice)."""
-    gens = S.generators if S.generators else ()
-    members = [
-        g
-        for g in range(T.n)
-        if all(T.mul(g, s) == T.mul(s, g) for s in gens)
-    ]
-    H = Subgroup(T, tuple(members), ())
+    gens = np.array(S.generators, dtype=np.int32)
+    fixed = (T.conjugates(gens) == gens[:, None]).all(axis=0)
+    H = Subgroup(T, tuple(np.flatnonzero(fixed).tolist()), ())
     return reduce_generators(T, H)
 
 

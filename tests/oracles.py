@@ -189,6 +189,14 @@ def naive_centralizer(T: FiniteGroupTable, members: frozenset[int]) -> frozenset
     )
 
 
+def naive_self_centralizing(T: FiniteGroupTable, N: Subgroup, M: Subgroup) -> bool:
+    """Whether {g : [g, m] in N for every m in M} is exactly M."""
+    pre = frozenset(
+        g for g in range(T.n) if all(T.comm(g, m) in N.member_set for m in M.members)
+    )
+    return pre == M.member_set
+
+
 def naive_is_normal(T: FiniteGroupTable, members: frozenset[int]) -> bool:
     return all(T.conj(x, g) in members for x in members for g in range(T.n))
 

@@ -5,10 +5,15 @@ from __future__ import annotations
 import pytest
 
 from conftest import CORPUS_SOLUBLE, table_of
-from oracles import naive_is_normal, subgroup_family_is_extension_closed
+from oracles import (
+    naive_is_normal,
+    naive_self_centralizing,
+    subgroup_family_is_extension_closed,
+)
 
 from solgrow.errors import NotSoluble, TrivialGroup
 from solgrow.soluble import (
+    _is_self_centralizing,
     chief_series,
     check_srank_nilpotency,
     is_supersoluble,
@@ -19,7 +24,7 @@ from solgrow.soluble import (
     sc_iff_maximal_index_check,
     soluble_subgroups,
 )
-from solgrow.table import direct_product, quotient, whole_group
+from solgrow.table import center, direct_product, quotient, whole_group
 
 # soluble corpus members small enough for full-lattice work in one test run
 LATTICE_CORPUS = [n for n in CORPUS_SOLUBLE if n not in ("gl3(2)",)]
@@ -170,3 +175,16 @@ def test_quotient_table_analysis():
     Q = quotient(T, Z).table
     assert sc_chief_rank(Q) == 2  # Alt(4) has the V4 factor
     assert not is_supersoluble(Q)
+
+
+@pytest.mark.parametrize("name", ["s4", "sl2(3)", "f3^2:q8", "gl2(3)/centre"])
+def test_is_self_centralizing_matches_definition(name):
+    if name == "gl2(3)/centre":
+        G = table_of("gl2(3)")
+        T = quotient(G, center(G)).table
+    else:
+        T = table_of(name)
+    lat = normal_subgroups(T)
+    for N in lat.subgroups:
+        for M in lat.minimal_over(N):
+            assert _is_self_centralizing(T, N, M) == naive_self_centralizing(T, N, M)

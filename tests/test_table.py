@@ -252,6 +252,26 @@ def test_conjugation_action_matches_element_products(name):
             assert action[x] == product(product(T.inv_idx[g], x), g)
 
 
+@pytest.mark.parametrize("name", ["s4", "sl2(3)/centre", "s4-subgroup", "s3xq8"])
+def test_conjugates_match_conj(name):
+    T = DENSE_CASES[name]()[0]
+    C = T.conjugates(range(T.n))
+    assert C.shape == (T.n, T.n)
+    for x in range(T.n):
+        assert C[x].tolist() == [T.conj(x, g) for g in range(T.n)]
+
+
+def test_conjugates_above_dense_limit():
+    T = enumerate_group(catalog("s7"))
+    rng = random.Random(7)
+    xs = rng.sample(range(T.n), 40)
+    C = T.conjugates(xs)
+    for _ in range(2000):
+        i, g = rng.randrange(len(xs)), rng.randrange(T.n)
+        assert C[i, g] == T.conj(xs[i], g)
+    assert T._rows is None
+
+
 def _first_discovery_words(T):
     """Words of a BFS over T.mul, each element reached first by (position, step)."""
     steps = [
