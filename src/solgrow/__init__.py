@@ -11,6 +11,7 @@ from .errors import (
     ContextViolated,
     DegenerateWindow,
     HypothesisViolated,
+    InvariantViolated,
     MixedVariants,
     NotNormal,
     NotSelfCentralizing,

@@ -16,7 +16,7 @@ import sys
 
 from .bounds import bound_decimal, mu_bound, rho_bound, rho_int_bound, sigma_value
 from .catalog import catalog
-from .errors import CapExceeded, ParseError, SolgrowError, UnknownName
+from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError, UnknownName
 from .mu import mu_bruteforce, mu_fast
 from .soluble import analyze_record
 from .specio import dump_genset, load_genset, serialize_genset
@@ -238,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UnknownName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except SolgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,10 @@ Permutations and F_p matrices also have a row codec (PermRows, MatFpRows,
 next to their classes): the element's data as a fixed-width numpy row, a
 batched product over many rows at once, and row -> element. A row's
 encoding is the codec's prefix plus the row's bytes, the same bytes the
-element's own `encode` gives.
+element's own `encode` gives. Integer matrices and lamplighter elements
+have row codecs for counting Cayley balls only (MatZRows, LamplighterRows,
+from `GenSet.ball_codec`): their rows are not their encodings, and they
+give only rows, products and the encodings' total length.
 
 Composition convention: permutations and tree automorphisms act on the
 left, (g*h)(x) = g(h(x)), matching matrix action on column vectors.
@@ -64,6 +67,10 @@ class GroupElement:
         """Fixed-width row form of this variant and degree, if it has one."""
         return None
 
+    def ball_codec(self, steps: Sequence["GroupElement"], radius: int) -> "RowCodec | None":
+        """Row form for counting the ball of `radius` over `steps`, if any."""
+        return self.row_codec()
+
     def is_identity(self) -> bool:
         return self == self.identity()
 
@@ -92,9 +99,12 @@ class RowCodec:
     """Elements of one variant and degree as fixed-width rows.
 
     A row is an element's data as a 1-D array of `width` entries of
-    `dtype`; the element's encoding is `prefix` followed by the row's
-    bytes. `products` forms x * s for every frontier row x and every step
-    row s at once, x-major.
+    `dtype`. `products` forms x * s for every frontier row x and every step
+    row s at once, x-major, and `encoded_bytes` is the summed length of the
+    rows' encodings. For perm and matfp the element's encoding is `prefix`
+    followed by the row's bytes (`encodings`, `decode`, `element`). The
+    matz and lamplighter codecs serve growth only: their row bytes are not
+    the encoding, and `encoded_bytes` counts the encoding's text from them.
     """
 
     prefix: bytes
@@ -109,6 +119,9 @@ class RowCodec:
 
     def element(self, row: np.ndarray) -> "GroupElement":
         raise NotImplementedError
+
+    def encoded_bytes(self, rows: np.ndarray) -> int:
+        return len(rows) * (len(self.prefix) + self.width * self.dtype.itemsize)
 
     def encodings(self, rows: np.ndarray) -> list[bytes]:
         """Encoding of each row, cut from one prefixed byte matrix."""
@@ -508,8 +521,55 @@ class MatZ(GroupElement):
             self._enc = b"Z" + struct.pack("<B", self.n) + repr(self.entries).encode()
         return self._enc
 
+    def ball_codec(self, steps: Sequence[GroupElement], radius: int) -> "MatZRows":
+        return MatZRows(self.n)
+
     def __repr__(self) -> str:
         return f"MatZ({self.n}, {self.rows()})"
+
+
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _text_lengths(values: np.ndarray) -> np.ndarray:
+    """len(str(v)) of each int64 entry v, for |v| < 2**63."""
+    return np.searchsorted(_POW10, np.abs(values), side="right") + 1 + (values < 0)
+
+
+def _max_abs(values: np.ndarray) -> int:
+    return max(int(values.max()), -int(values.min()))
+
+
+class MatZRows(RowCodec):
+    """n x n integer matrices as int64 rows of entries, row-major.
+
+    For growth only: the encoding is the entries' repr text, whose length
+    `encoded_bytes` counts from the rows. `rows` and `products` raise
+    OverflowError when an entry could pass int64.
+    """
+
+    dtype = np.dtype(np.int64)
+    limit = 1 << 62
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = n * n
+
+    def rows(self, mats: Sequence[MatZ]) -> np.ndarray:
+        return np.array([g.entries for g in mats], dtype=self.dtype)
+
+    def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        # An entry of x @ s sums n terms, each at most max|x| * max|s|.
+        if self.n * _max_abs(frontier) * _max_abs(steps) >= self.limit:
+            raise OverflowError("integer matrix entries could pass int64")
+        n = self.n
+        x = frontier.reshape(-1, 1, n, n)
+        return (x @ steps.reshape(1, -1, n, n)).reshape(-1, n * n)
+
+    def encoded_bytes(self, rows: np.ndarray) -> int:
+        # b"Z", the size byte, then "(a, b, ...)", or "(a,)" for one entry
+        punctuation = 3 if self.width == 1 else 2 * self.width
+        return len(rows) * (2 + punctuation) + int(_text_lengths(rows).sum())
 
 
 class Lamplighter(GroupElement):
@@ -552,8 +612,81 @@ class Lamplighter(GroupElement):
             self._enc = b"L" + repr((tuple(sorted(self.lamps)), self.head)).encode()
         return self._enc
 
+    def ball_codec(
+        self, steps: Sequence[GroupElement], radius: int
+    ) -> "LamplighterRows | None":
+        # A word of r steps lights lamps only within r * (max |head| + max |lamp|).
+        step = max(abs(s.head) for s in steps)  # type: ignore[attr-defined]
+        step += max((abs(x) for s in steps for x in s.lamps), default=0)  # type: ignore[attr-defined]
+        reach = max(radius, 1) * step
+        if 2 * reach + 1 > 64 * LamplighterRows.max_words:
+            return None
+        return LamplighterRows(reach)
+
     def __repr__(self) -> str:
         return f"Lamplighter({sorted(self.lamps)}, {self.head})"
+
+
+class LamplighterRows(RowCodec):
+    """Lamplighter elements as int64 rows: the head, then a lamp bitmask.
+
+    Bit b of the mask (bit b % 64 of word b // 64 after the head) is the
+    lamp at b - reach, so every lamp must lie in [-reach, reach]; windows
+    wider than `max_words` words are not offered, as such rows would cost
+    more than the encodings they replace. For growth only: the encoding is
+    repr text, whose length `encoded_bytes` counts from the rows.
+    """
+
+    dtype = np.dtype(np.int64)
+    max_words = 16
+    _block = 1 << 16  # rows unpacked to one byte per lamp at once
+
+    def __init__(self, reach: int):
+        self.reach = reach
+        self.words = (2 * reach + 64) // 64
+        self.width = 1 + self.words
+        # Text length of the position of each mask bit.
+        self._digits = _text_lengths(np.arange(64 * self.words) - reach)
+
+    def rows(self, elements: Sequence[Lamplighter]) -> np.ndarray:
+        out = np.zeros((len(elements), self.width), self.dtype)
+        masks = out[:, 1:].view(np.uint64)
+        for i, g in enumerate(elements):
+            out[i, 0] = g.head
+            for lamp in g.lamps:
+                if abs(lamp) > self.reach:
+                    raise ValueError(f"lamp {lamp} outside [-{self.reach}, {self.reach}]")
+                b = lamp + self.reach
+                masks[i, b >> 6] |= np.uint64(1 << (b & 63))
+        return out
+
+    def _bits(self, rows: np.ndarray) -> np.ndarray:
+        """One uint8 per mask bit of each row, bit b at column b."""
+        masks = rows[:, 1:].astype("<u8").view(np.uint8)
+        return np.unpackbits(masks, axis=1, bitorder="little")
+
+    def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        # (L, k) * (L', k') = (L xor (L' + k), k + k'): each lamp l of a step
+        # flips the bit of position head + l and the step moves the head.
+        out = np.repeat(frontier[:, None, :], len(steps), axis=1)
+        out[:, :, 0] += steps[:, 0]
+        masks = out[:, :, 1:].view(np.uint64)
+        at = np.arange(len(frontier))
+        for j, step_bits in enumerate(self._bits(steps)):
+            for offset in np.flatnonzero(step_bits):  # offset = lamp + reach
+                b = frontier[:, 0] + offset
+                masks[at, j, b >> 6] ^= np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
+        return out.reshape(-1, self.width)
+
+    def encoded_bytes(self, rows: np.ndarray) -> int:
+        # b"L" + repr((lamps, head)): "((), h)", "((a,), h)", "((a, b, ...), h)"
+        total = 5 * len(rows) + int(_text_lengths(rows[:, 0]).sum())
+        for lo in range(0, len(rows), self._block):
+            bits = self._bits(rows[lo : lo + self._block])
+            lamps = bits.sum(axis=1, dtype=np.int64)
+            total += int(2 * lamps.sum() + (bits @ self._digits).sum())
+            total += int((lamps == 1).sum() + 2 * (lamps == 0).sum())
+        return total
 
 
 def _node_paths(arity: int, depth: int) -> list[tuple[int, ...]]:
@@ -738,6 +871,10 @@ class GenSet:
 
     def row_codec(self) -> RowCodec | None:
         return self.elements[0].row_codec()
+
+    def ball_codec(self, radius: int) -> RowCodec | None:
+        """Row form for counting the ball of `radius` over `bfs_steps`, if any."""
+        return self.elements[0].ball_codec([s for s, _ref in self.bfs_steps()], radius)
 
     def bfs_steps(self) -> list[tuple[GroupElement, int]]:
         """Multiplication steps in deterministic order: X, then X^-1.

@@ -67,3 +67,7 @@ class RankDeficient(SolgrowError):
 
 class NotSelfCentralizing(SolgrowError):
     """No self-centralizing minimal normal subgroup available."""
+
+
+class InvariantViolated(SolgrowError):
+    """An internal consistency check failed (internal error)."""

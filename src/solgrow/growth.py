@@ -1,14 +1,24 @@
-"""Cayley-ball growth tables from the element BFS of `solgrow.table`.
+"""Cayley-ball growth tables gamma(0..R), counted sphere by sphere.
 
-Works for finite and infinite groups alike: `table.element_bfs`, the same
-BFS that enumerates finite groups, deduplicates elements by their
-canonical encodings and expands each level generator-by-generator in a
-fixed order; a growth table sums its level sizes and asks the BFS for no
-product indices. Caps turn a run into a partial table that is exact up to
-its last completed radius: the BFS raises CapExceeded when a level would
-pass the element cap, and a per-level estimate of the bytes held (the new
-encodings plus a fixed per-element overhead) is checked here. Partial
-tables are first-class results, flagged `truncated`.
+Works for finite and infinite groups alike. When the BFS steps are
+inverse-closed, every neighbour of the sphere S_r lies in S_{r-1}, S_r or
+S_{r+1}, so S_{r+1} is the set of distinct products of S_r minus the two
+spheres before it. Generating sets with a ball codec (perm, matfp, matz,
+lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows:
+each sphere is a sorted array of void-viewed rows, products are
+deduplicated with `np.unique` and tested against the previous two spheres
+with `searchsorted`, and nothing older than S_{r-1} is held. Every other
+set (no codec, steps not inverse-closed, integer matrices whose entries
+could pass int64) is counted from the level sizes of `table.element_bfs`,
+the BFS that enumerates finite groups; an integer-matrix run that could
+overflow starts again from radius 0 on that path.
+
+Caps turn a run into a partial table that is exact up to its last
+completed radius: a level that would take the ball past the element cap
+is dropped whole, and so is one that would pass `max_bytes`, an estimate
+of the bytes held (each element's encoding plus a fixed overhead; the
+codecs count encoding lengths from their rows). Partial tables are
+first-class results, flagged `truncated`.
 """
 
 from __future__ import annotations
@@ -16,10 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
-from .elements import GenSet, TreeAuto
+from .elements import GenSet, GroupElement, RowCodec, TreeAuto
 from .errors import CapExceeded, DegenerateWindow
 from .specio import spec_digest
 from .table import (
@@ -94,36 +105,104 @@ def growth_table(
     """
     if R < 0:
         raise ValueError("radius must be >= 0")
-    index: dict[bytes, int] = {}
-    levels = element_bfs(X, index, max_elements, products=False)
-    next(levels)
-    bytes_used = len(X.identity().encode()) + _PER_ELEMENT_OVERHEAD
-    counts = [1]
-    truncated = False
-    reason = None
-    try:
-        while len(counts) <= R:
-            new, _ = next(levels)
-            if not len(new):
-                break  # group exhausted; ball is the whole group from here on
-            # The level's encodings are the newest keys of the BFS's map.
-            encodings = islice(reversed(index), len(new))
-            level_bytes = sum(map(len, encodings)) + len(new) * _PER_ELEMENT_OVERHEAD
-            if bytes_used + level_bytes > max_bytes:
-                truncated, reason = True, "max_bytes"
-                break
-            bytes_used += level_bytes
-            counts.append(counts[-1] + len(new))
-    except CapExceeded:
-        truncated, reason = True, "max_elements"
+    e = X.identity()
+    steps = [s for s, _ref in X.bfs_steps()]
+    codec = X.ball_codec(R)
+    tally = None
+    if codec is not None and _inverse_closed(steps):
+        try:
+            tally = _tally(_sphere_levels(codec, e, steps), e, R, max_elements, max_bytes)
+        except OverflowError:
+            pass  # integer matrix entries could pass int64: start again on encodings
+    if tally is None:
+        tally = _tally(_encoded_levels(X, max_elements), e, R, max_elements, max_bytes)
+    counts, reason = tally
     return GrowthTable(
         counts=counts,
         digest=spec_digest(X),
         generator_count=len(X),
         requested_radius=R,
-        truncated=truncated,
+        truncated=reason is not None,
         truncation_reason=reason,
     )
+
+
+def _tally(
+    levels: Iterator[tuple[int, int]], e: GroupElement, R: int, max_elements: int, max_bytes: int
+) -> tuple[list[int], str | None]:
+    """Ball sizes up to radius R from (size, encoded bytes) of each sphere
+    S_1, S_2, ... around the identity e; and the truncation reason, or None."""
+    bytes_used = len(e.encode()) + _PER_ELEMENT_OVERHEAD
+    counts = [1]
+    while len(counts) <= R:
+        try:
+            size, encoded = next(levels)
+        except CapExceeded:
+            return counts, "max_elements"
+        if not size:
+            break  # group exhausted; ball is the whole group from here on
+        if counts[-1] + size > max_elements:
+            return counts, "max_elements"
+        level_bytes = encoded + size * _PER_ELEMENT_OVERHEAD
+        if bytes_used + level_bytes > max_bytes:
+            return counts, "max_bytes"
+        bytes_used += level_bytes
+        counts.append(counts[-1] + size)
+    return counts, None
+
+
+def _encoded_levels(X: GenSet, cap: int) -> Iterator[tuple[int, int]]:
+    """Spheres from the element BFS, deduplicated by encoding in one dict."""
+    index: dict[bytes, int] = {}
+    levels = element_bfs(X, index, cap, products=False)
+    next(levels)
+    for new, _ in levels:
+        # The level's encodings are the newest keys of the BFS's map.
+        yield len(new), sum(map(len, islice(reversed(index), len(new))))
+
+
+def _sphere_levels(
+    codec: RowCodec, e: GroupElement, steps: list[GroupElement]
+) -> Iterator[tuple[int, int]]:
+    """Spheres on rows: S_{r+1} = distinct products of S_r - S_{r-1} - S_r.
+
+    Needs inverse-closed steps. Each sphere is held as its sorted void
+    keys, which view back as its rows.
+    """
+    step_rows = codec.rows(steps)
+    rows = codec.rows([e])
+    before = _keys(rows[:0])
+    current = _keys(rows)
+    while True:
+        found = np.unique(_keys(codec.products(rows, step_rows)))
+        new = found[_outside(found, (before, current))]
+        rows = new.view(rows.dtype).reshape(-1, rows.shape[1])
+        yield len(new), codec.encoded_bytes(rows)
+        before, current = current, new
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one void scalar; rows compare as their bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+
+
+def _outside(found: np.ndarray, spheres: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Mask of the keys of `found` in none of `spheres`, all sorted and distinct.
+
+    Each (smaller) sphere is searched in `found`, not the other way round.
+    """
+    keep = np.ones(len(found), dtype=bool)
+    if len(found):
+        for sphere in spheres:
+            at = np.minimum(np.searchsorted(found, sphere), len(found) - 1)
+            keep[at[found[at] == sphere]] = False
+    return keep
+
+
+def _inverse_closed(steps: list[GroupElement]) -> bool:
+    encodings = {s.encode() for s in steps}
+    return all(s.inverse().encode() in encodings for s in steps)
 
 
 def gap_hypothesis_check(tbl: GrowthTable, theta: float, C: float) -> bool:

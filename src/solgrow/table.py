@@ -1,12 +1,13 @@
 """Fully enumerated finite groups with exact Cayley word lengths.
 
-One level-synchronous element BFS, `element_bfs`, serves both enumeration
-here and growth tables in `solgrow.growth`. It deduplicates by encoding in
-one caller-owned dict and applies the element cap in one place: a new
-element that would take the count past the cap raises CapExceeded,
-carrying the size of the last complete ball. Permutation and F_p-matrix
-levels are expanded as numpy row arrays through the variant's row codec
-(`solgrow.elements`); other variants stream element objects.
+One level-synchronous element BFS, `element_bfs`, serves enumeration here
+and the growth tables of `solgrow.growth` that cannot be counted sphere by
+sphere on rows. It deduplicates by encoding in one caller-owned dict and
+checks the element cap as it goes: a new element that would take the
+count past the cap raises CapExceeded, carrying the size of the last
+complete ball. Permutation and F_p-matrix levels are expanded as numpy row
+arrays through the variant's row codec (`solgrow.elements`); other
+variants stream element objects.
 
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .elements import GenSet, GroupElement, RowElements
-from .errors import CapExceeded, NotNormal
+from .errors import CapExceeded, InvariantViolated, NotNormal
 
 DEFAULT_CAP = 2_000_000
 DENSE_LIMIT = 4096
@@ -73,7 +74,8 @@ class FiniteGroupTable:
         self.step_refs = [ref for ref, _action in steps]
         self._actions = [np.asarray(action, dtype=np.int32) for _ref, action in steps]
         # Colliding encodings leave fewer keys than the actions have indices.
-        assert all(len(a) == self.n for a in self._actions), "encodings are not injective"
+        if any(len(a) != self.n for a in self._actions):
+            raise InvariantViolated("encodings are not injective")
         wl, parent, parent_step, self._levels = _cayley_bfs(self._actions, self.n)
         self.word_length: list[int] = wl.tolist()
         self._inverse = _inverse_indices(self._actions, parent, parent_step)

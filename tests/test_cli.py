@@ -176,6 +176,21 @@ def test_analyze_treeauto_and_lamplighter_growth(tmp_path, capsys):
     assert lines[0] == "radius,gamma" and lines[1] == "0,1"
 
 
+def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
+    # a failed internal check exits 3, apart from invalid input (1) and caps (2)
+    import numpy as np
+
+    from solgrow.table import FiniteGroupTable
+
+    def colliding_table(_T):
+        swap = np.array([1, 0], dtype=np.int32)
+        return FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
+
+    monkeypatch.setattr("solgrow.cli.analyze_record", colliding_table)
+    assert _run(["analyze", str(spec_dir / "s4.json")]) == 3
+    assert capsys.readouterr().err == "internal error: encodings are not injective\n"
+
+
 def test_unknown_catalog_name_exit(capsys):
     assert _run(["catalog", "nonsense"]) == 1
 

@@ -136,3 +136,29 @@ def test_element_order():
     assert Perm([1, 2, 0]).order() == 3
     assert MatFp(2, 3, [[0, 2], [1, 0]]).order() == 4
     assert Lamplighter([0], 0).order() == 2
+
+
+def test_ball_codecs_match_objects():
+    # rows, products (x-major) and encoded lengths against the element objects
+    cases = [
+        [MatZ(2, [[1, 2], [0, 1]]), MatZ(2, [[1, -2], [0, 1]]), MatZ(2, [[-7, 3], [12, -5]])],
+        [MatZ(1, [[-1]]), MatZ(1, [[1]])],
+        [Lamplighter([], 1), Lamplighter([], -1), Lamplighter([0], 0), Lamplighter([-3, 2], 2)],
+    ]
+    for elems in cases:
+        steps = elems + [g.inverse() for g in elems]
+        codec = GenSet(elems, allow_identity=True).ball_codec(6)
+        frontier = [a * b for a in steps for b in steps]
+        got = codec.products(codec.rows(frontier), codec.rows(steps))
+        assert (got == codec.rows([x * s for x in frontier for s in steps])).all()
+        assert codec.encoded_bytes(codec.rows(frontier)) == sum(len(g.encode()) for g in frontier)
+
+
+def test_lamplighter_window_bounds():
+    codec = GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)]).ball_codec(4)
+    # the steps' heads are +-2 and their lamps -3, 2 and, for the inverse, -5, 0
+    assert codec.reach == 4 * (2 + 5)
+    with pytest.raises(ValueError):
+        codec.rows([Lamplighter([codec.reach + 1], 0)])
+    # a window wider than the codec allows is not offered
+    assert GenSet([Lamplighter([], 1)]).ball_codec(10**4) is None

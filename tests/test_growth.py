@@ -5,9 +5,17 @@ from __future__ import annotations
 import pytest
 
 from conftest import table_of
-from oracles import free_group_ball, free_group_reduced_words, word_ball_sizes, z2_ball
+from oracles import (
+    free_group_ball,
+    free_group_reduced_words,
+    word_ball_lengths,
+    word_ball_sizes,
+    z2_ball,
+)
 
+import solgrow.growth
 from solgrow.catalog import catalog
+from solgrow.elements import GenSet, Lamplighter, MatZ
 from solgrow.errors import DegenerateWindow
 from solgrow.growth import (
     gap_hypothesis_check,
@@ -129,6 +137,95 @@ def test_exhausted_ball_saturates():
     exact = growth_table(catalog("s3"), 2)
     with pytest.raises(ValueError):
         exact.gamma(3)
+
+
+def _oracle_ball(gens, radius):
+    """Ball sizes up to the radius or to exhaustion, and the exact byte total."""
+    dist = word_ball_lengths(gens, radius)
+    sizes = [sum(1 for d in dist.values() if d <= r) for r in range(radius + 1)]
+    while len(sizes) > 1 and sizes[-1] == sizes[-2]:
+        sizes.pop()
+    return sizes, sum(len(enc) + 64 for enc in dist)
+
+
+@pytest.fixture()
+def dict_path_runs(monkeypatch):
+    """Number of growth tables counted on the element BFS's encoding dict."""
+    runs = []
+    element_bfs = solgrow.growth.element_bfs
+
+    def spy(*args, **kwargs):
+        runs.append(args[0])
+        return element_bfs(*args, **kwargs)
+
+    monkeypatch.setattr(solgrow.growth, "element_bfs", spy)
+    return runs
+
+
+def _check_against_oracle(gens, radius):
+    sizes, total = _oracle_ball(gens, radius)
+    tbl = growth_table(gens, radius)
+    assert tbl.counts == sizes and not tbl.truncated
+    for cap in (0, 5, 17, 100):
+        kept = [1] + [c for c in sizes[1:] if c <= cap]
+        capped = growth_table(gens, radius, max_elements=cap)
+        assert capped.counts == kept
+        assert capped.truncation_reason == ("max_elements" if kept != sizes else None)
+    assert growth_table(gens, radius, max_bytes=total).counts == sizes
+    short = growth_table(gens, radius, max_bytes=total - 1)
+    assert short.counts == sizes[:-1] and short.truncation_reason == "max_bytes"
+
+
+SPHERE_CASES = [
+    (catalog("sanov"), 8),
+    (catalog("z2"), 40),
+    (catalog("heisenberg"), 10),
+    (catalog("lamplighter"), 12),
+    (GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)]), 7),  # several lamps, negative
+    (GenSet([MatZ(1, [[-1]])]), 4),  # one entry: "(-1,)"
+    (GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])]), 9),
+    (catalog("s4"), 20),
+    (catalog("gl2(3)"), 20),
+    (catalog("agl1(64)"), 40),
+]
+
+
+@pytest.mark.parametrize("gens,radius", SPHERE_CASES)
+def test_sphere_path_matches_word_oracle(gens, radius, dict_path_runs):
+    _check_against_oracle(gens, radius)
+    assert not dict_path_runs
+
+
+def test_matz_overflow_falls_back_to_encodings(dict_path_runs):
+    # entries of 2**40 pass int64 within a few radii; the run starts again
+    # from radius 0 on the encoding dict
+    gens = GenSet([MatZ(2, [[1, 2**40], [0, 1]]), MatZ(2, [[1, 0], [2**40, 1]])])
+    assert growth_table(gens, 5).counts == _oracle_ball(gens, 5)[0]
+    assert len(dict_path_runs) == 1
+
+
+@pytest.mark.parametrize(
+    "gens,closed",
+    [
+        # BFS over X only: these steps are not inverse-closed
+        (GenSet(catalog("s4").elements, symmetric=False), False),
+        (GenSet([MatZ(2, [[1, 1], [0, 1]]), MatZ(2, [[1, 0], [1, 1]])], symmetric=False), False),
+        # inverse-closed by hand
+        (GenSet([g for x in catalog("heisenberg") for g in (x, x.inverse())], symmetric=False), True),
+        (GenSet([Lamplighter([], 1), Lamplighter([], -1), Lamplighter([0], 0)], symmetric=False), True),
+    ],
+)
+def test_unsymmetric_sets_match_word_oracle(gens, closed, dict_path_runs):
+    _check_against_oracle(gens, 8)
+    assert bool(dict_path_runs) != closed
+
+
+def test_wide_lamp_window_falls_back_to_encodings(dict_path_runs):
+    # radius 600 would need 1,201 lamp bits per row; the cap stops the run early
+    gens = catalog("lamplighter")
+    tbl = growth_table(gens, 600, max_elements=2000)
+    assert tbl.counts == growth_table(gens, 14).counts[: len(tbl.counts)]
+    assert tbl.truncation_reason == "max_elements" and len(dict_path_runs) == 1
 
 
 def test_fit_z2():

@@ -12,7 +12,7 @@ from conftest import table_of
 
 from solgrow.catalog import catalog
 from solgrow.elements import GenSet, MatFp, Perm
-from solgrow.errors import CapExceeded
+from solgrow.errors import CapExceeded, InvariantViolated
 from solgrow.table import (
     DENSE_LIMIT,
     FiniteGroupTable,
@@ -108,7 +108,7 @@ def test_matfp_overflow_takes_object_path():
 def test_colliding_encodings_rejected():
     # two indices under one encoding leave the dict short of the actions
     swap = np.array([1, 0], dtype=np.int32)
-    with pytest.raises(AssertionError, match="not injective"):
+    with pytest.raises(InvariantViolated, match="not injective"):
         FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
 
 
