@@ -25,7 +25,7 @@ import operator
 import struct
 from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class GroupElement:
         """Fixed-width row form of this variant and degree, if it has one."""
         return None
 
-    def ball_codec(self, steps: Sequence["GroupElement"], radius: int) -> "RowCodec | None":
-        """Row form for counting the ball of `radius` over `steps`, if any."""
+    def ball_codec(self, steps: Sequence["GroupElement"]) -> "RowCodec | None":
+        """Row form for counting Cayley balls over `steps`, if any."""
         return self.row_codec()
 
     def is_identity(self) -> bool:
@@ -105,6 +105,8 @@ class RowCodec:
     followed by the row's bytes (`encodings`, `decode`, `element`). The
     matz and lamplighter codecs serve growth only: their row bytes are not
     the encoding, and `encoded_bytes` counts the encoding's text from them.
+    `make_room` readies a codec for a level's products; only the
+    lamplighter codec ever widens its rows.
     """
 
     prefix: bytes
@@ -122,6 +124,17 @@ class RowCodec:
 
     def encoded_bytes(self, rows: np.ndarray) -> int:
         return len(rows) * (len(self.prefix) + self.width * self.dtype.itemsize)
+
+    def make_room(
+        self, frontier: np.ndarray, steps: np.ndarray
+    ) -> Callable[[np.ndarray], np.ndarray] | None:
+        """Ready the codec for `products(frontier, steps)`.
+
+        A codec that must widen its rows first does so and returns the map
+        from rows of the old width to the new, which keeps the rows' byte
+        order; fixed-width codecs return None.
+        """
+        return None
 
     def encodings(self, rows: np.ndarray) -> list[bytes]:
         """Encoding of each row, cut from one prefixed byte matrix."""
@@ -521,7 +534,7 @@ class MatZ(GroupElement):
             self._enc = b"Z" + struct.pack("<B", self.n) + repr(self.entries).encode()
         return self._enc
 
-    def ball_codec(self, steps: Sequence[GroupElement], radius: int) -> "MatZRows":
+    def ball_codec(self, steps: Sequence[GroupElement]) -> "MatZRows":
         return MatZRows(self.n)
 
     def __repr__(self) -> str:
@@ -612,16 +625,8 @@ class Lamplighter(GroupElement):
             self._enc = b"L" + repr((tuple(sorted(self.lamps)), self.head)).encode()
         return self._enc
 
-    def ball_codec(
-        self, steps: Sequence[GroupElement], radius: int
-    ) -> "LamplighterRows | None":
-        # A word of r steps lights lamps only within r * (max |head| + max |lamp|).
-        step = max(abs(s.head) for s in steps)  # type: ignore[attr-defined]
-        step += max((abs(x) for s in steps for x in s.lamps), default=0)  # type: ignore[attr-defined]
-        reach = max(radius, 1) * step
-        if 2 * reach + 1 > 64 * LamplighterRows.max_words:
-            return None
-        return LamplighterRows(reach)
+    def ball_codec(self, steps: Sequence[GroupElement]) -> "LamplighterRows":
+        return LamplighterRows(max((abs(x) for s in steps for x in s.lamps), default=0))  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         return f"Lamplighter({sorted(self.lamps)}, {self.head})"
@@ -631,22 +636,45 @@ class LamplighterRows(RowCodec):
     """Lamplighter elements as int64 rows: the head, then a lamp bitmask.
 
     Bit b of the mask (bit b % 64 of word b // 64 after the head) is the
-    lamp at b - reach, so every lamp must lie in [-reach, reach]; windows
-    wider than `max_words` words are not offered, as such rows would cost
-    more than the encodings they replace. For growth only: the encoding is
-    repr text, whose length `encoded_bytes` counts from the rows.
+    lamp at b - reach, and every lamp must lie in [-reach, reach]: a window
+    of whole words, at least as wide as the reach the codec is made with.
+    `make_room` widens the window by whole words on both sides once a
+    level's heads could light a lamp outside it. For growth only: the
+    encoding is repr text, whose length `encoded_bytes` counts from the rows.
     """
 
     dtype = np.dtype(np.int64)
-    max_words = 16
     _block = 1 << 16  # rows unpacked to one byte per lamp at once
 
     def __init__(self, reach: int):
-        self.reach = reach
+        self._set_reach(reach)
+
+    def _set_reach(self, reach: int) -> None:
+        # The fewest words that hold [-reach, reach], centred on lamp 0.
         self.words = (2 * reach + 64) // 64
+        self.reach = (64 * self.words - 1) // 2
         self.width = 1 + self.words
         # Text length of the position of each mask bit.
-        self._digits = _text_lengths(np.arange(64 * self.words) - reach)
+        self._digits = _text_lengths(np.arange(64 * self.words) - self.reach)
+
+    def make_room(
+        self, frontier: np.ndarray, steps: np.ndarray
+    ) -> Callable[[np.ndarray], np.ndarray] | None:
+        # A product lights lamps at head + l for the lamps l of a step.
+        lamps = np.flatnonzero(self._bits(steps).any(axis=0)) - self.reach
+        need = _max_abs(frontier[:, 0]) + (_max_abs(lamps) if len(lamps) else 0)
+        if need <= self.reach:
+            return None
+        grow = -(-(need - self.reach) // 64)  # words on each side
+        self._set_reach(self.reach + 64 * grow)
+
+        def pad(rows: np.ndarray) -> np.ndarray:
+            # Bit b becomes bit b + 64 * grow: zero words before and after
+            # the mask, the same bytes at the same place in every row.
+            zeros = np.zeros((len(rows), grow), rows.dtype)
+            return np.concatenate([rows[:, :1], zeros, rows[:, 1:], zeros], axis=1)
+
+        return pad
 
     def rows(self, elements: Sequence[Lamplighter]) -> np.ndarray:
         out = np.zeros((len(elements), self.width), self.dtype)
@@ -872,9 +900,9 @@ class GenSet:
     def row_codec(self) -> RowCodec | None:
         return self.elements[0].row_codec()
 
-    def ball_codec(self, radius: int) -> RowCodec | None:
-        """Row form for counting the ball of `radius` over `bfs_steps`, if any."""
-        return self.elements[0].ball_codec([s for s, _ref in self.bfs_steps()], radius)
+    def ball_codec(self) -> RowCodec | None:
+        """Row form for counting Cayley balls over `bfs_steps`, if any."""
+        return self.elements[0].ball_codec([s for s, _ref in self.bfs_steps()])
 
     def bfs_steps(self) -> list[tuple[GroupElement, int]]:
         """Multiplication steps in deterministic order: X, then X^-1.

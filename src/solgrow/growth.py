@@ -6,8 +6,10 @@ S_{r+1}, so S_{r+1} is the set of distinct products of S_r minus the two
 spheres before it. Generating sets with a ball codec (perm, matfp, matz,
 lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows:
 each sphere is a sorted array of void-viewed rows, products are
-deduplicated with `np.unique` and tested against the previous two spheres
-with `searchsorted`, and nothing older than S_{r-1} is held. Every other
+deduplicated with `np.unique` a block at a time, merged and tested against
+the previous two spheres with `searchsorted`, and nothing older than
+S_{r-1} is held. Blocks are merged once they could pass the element cap,
+so the cap also bounds the rows held and stops a level early. Every other
 set (no codec, steps not inverse-closed, integer matrices whose entries
 could pass int64) is counted from the level sizes of `table.element_bfs`,
 the BFS that enumerates finite groups; an integer-matrix run that could
@@ -44,6 +46,7 @@ from .table import (
 DEFAULT_MAX_ELEMENTS = 2_000_000
 DEFAULT_MAX_BYTES = 8 << 30
 _PER_ELEMENT_OVERHEAD = 64
+_BLOCK = 1 << 16  # products formed and deduplicated at once on the sphere path
 
 
 @dataclass
@@ -107,15 +110,16 @@ def growth_table(
         raise ValueError("radius must be >= 0")
     e = X.identity()
     steps = [s for s, _ref in X.bfs_steps()]
-    codec = X.ball_codec(R)
+    codec = X.ball_codec()
     tally = None
     if codec is not None and _inverse_closed(steps):
         try:
-            tally = _tally(_sphere_levels(codec, e, steps), e, R, max_elements, max_bytes)
+            levels = _sphere_levels(codec, e, steps, max_elements)
+            tally = _tally(levels, e, R, max_bytes)
         except OverflowError:
             pass  # integer matrix entries could pass int64: start again on encodings
     if tally is None:
-        tally = _tally(_encoded_levels(X, max_elements), e, R, max_elements, max_bytes)
+        tally = _tally(_encoded_levels(X, max_elements), e, R, max_bytes)
     counts, reason = tally
     return GrowthTable(
         counts=counts,
@@ -128,10 +132,12 @@ def growth_table(
 
 
 def _tally(
-    levels: Iterator[tuple[int, int]], e: GroupElement, R: int, max_elements: int, max_bytes: int
+    levels: Iterator[tuple[int, int]], e: GroupElement, R: int, max_bytes: int
 ) -> tuple[list[int], str | None]:
     """Ball sizes up to radius R from (size, encoded bytes) of each sphere
-    S_1, S_2, ... around the identity e; and the truncation reason, or None."""
+    S_1, S_2, ... around the identity e; and the truncation reason, or None.
+
+    `levels` applies the element cap itself, raising CapExceeded."""
     bytes_used = len(e.encode()) + _PER_ELEMENT_OVERHEAD
     counts = [1]
     while len(counts) <= R:
@@ -141,8 +147,6 @@ def _tally(
             return counts, "max_elements"
         if not size:
             break  # group exhausted; ball is the whole group from here on
-        if counts[-1] + size > max_elements:
-            return counts, "max_elements"
         level_bytes = encoded + size * _PER_ELEMENT_OVERHEAD
         if bytes_used + level_bytes > max_bytes:
             return counts, "max_bytes"
@@ -162,23 +166,42 @@ def _encoded_levels(X: GenSet, cap: int) -> Iterator[tuple[int, int]]:
 
 
 def _sphere_levels(
-    codec: RowCodec, e: GroupElement, steps: list[GroupElement]
+    codec: RowCodec, e: GroupElement, steps: list[GroupElement], cap: int
 ) -> Iterator[tuple[int, int]]:
     """Spheres on rows: S_{r+1} = distinct products of S_r - S_{r-1} - S_r.
 
-    Needs inverse-closed steps. Each sphere is held as its sorted void
-    keys, which view back as its rows.
+    Needs inverse-closed steps. Each sphere is held as its rows in sorted
+    key order. A level is expanded in blocks of about `_BLOCK` products,
+    each deduplicated on its own. The blocks wait to be merged into the new
+    sphere until their keys could take the ball past `cap` and outnumber
+    the keys a merge reads again (the new and held spheres), so no more
+    keys wait than the cap and one block, and each merge costs no more
+    than the blocks it takes in. CapExceeded is raised as soon as a merged
+    sphere would take the ball past `cap`.
     """
     step_rows = codec.rows(steps)
     rows = codec.rows([e])
-    before = _keys(rows[:0])
-    current = _keys(rows)
+    before = rows[:0]
+    total = 1
     while True:
-        found = np.unique(_keys(codec.products(rows, step_rows)))
-        new = found[_outside(found, (before, current))]
-        rows = new.view(rows.dtype).reshape(-1, rows.shape[1])
+        pad = codec.make_room(rows, step_rows)
+        if pad is not None:
+            step_rows, before, rows = pad(step_rows), pad(before), pad(rows)
+        held = [_keys(before), _keys(rows)]
+        new, parts, unmerged = held[0][:0], [], 0
+        reread = len(before) + len(rows)  # keys a merge reads besides the new sphere
+        per = max(1, _BLOCK // len(step_rows))
+        for lo in range(0, len(rows), per):
+            parts.append(np.unique(_keys(codec.products(rows[lo : lo + per], step_rows))))
+            unmerged += len(parts[-1])
+            last = lo + per >= len(rows)
+            if last or unmerged > max(cap - total - len(new), len(new) + reread):
+                new, parts, unmerged = _merge([new, *parts], held), [], 0
+                if total + len(new) > cap:
+                    raise CapExceeded(f"ball exceeds cap of {cap} elements", total)
+        total += len(new)
+        before, rows = rows, new.view(rows.dtype).reshape(-1, rows.shape[1])
         yield len(new), codec.encoded_bytes(rows)
-        before, current = current, new
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
@@ -187,17 +210,20 @@ def _keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
 
 
-def _outside(found: np.ndarray, spheres: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Mask of the keys of `found` in none of `spheres`, all sorted and distinct.
+def _merge(found: list[np.ndarray], held: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct keys of `found` that are in none of `held`.
 
-    Each (smaller) sphere is searched in `found`, not the other way round.
+    Every array is sorted and distinct, so a stable sort of `found` merges
+    its runs; each (smaller) held sphere is then searched in the result.
     """
-    keep = np.ones(len(found), dtype=bool)
-    if len(found):
-        for sphere in spheres:
-            at = np.minimum(np.searchsorted(found, sphere), len(found) - 1)
-            keep[at[found[at] == sphere]] = False
-    return keep
+    keys = np.concatenate(found)
+    keys.sort(kind="stable")
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keep = np.ones(len(keys), dtype=bool)
+    for sphere in held:
+        at = np.minimum(np.searchsorted(keys, sphere), len(keys) - 1)
+        keep[at[keys[at] == sphere]] = False
+    return keys[keep]
 
 
 def _inverse_closed(steps: list[GroupElement]) -> bool:

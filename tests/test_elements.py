@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from solgrow.elements import GenSet, Lamplighter, MatFp, MatZ, Perm, TreeAuto
@@ -147,18 +148,33 @@ def test_ball_codecs_match_objects():
     ]
     for elems in cases:
         steps = elems + [g.inverse() for g in elems]
-        codec = GenSet(elems, allow_identity=True).ball_codec(6)
+        codec = GenSet(elems, allow_identity=True).ball_codec()
+        codec.make_room(codec.rows(steps), codec.rows(steps))
         frontier = [a * b for a in steps for b in steps]
         got = codec.products(codec.rows(frontier), codec.rows(steps))
         assert (got == codec.rows([x * s for x in frontier for s in steps])).all()
         assert codec.encoded_bytes(codec.rows(frontier)) == sum(len(g.encode()) for g in frontier)
 
 
-def test_lamplighter_window_bounds():
-    codec = GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)]).ball_codec(4)
-    # the steps' heads are +-2 and their lamps -3, 2 and, for the inverse, -5, 0
-    assert codec.reach == 4 * (2 + 5)
+def test_lamplighter_window_widens_in_byte_order():
+    gens = GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)])
+    steps = [s for s, _ref in gens.bfs_steps()]
+    codec = gens.ball_codec()
+    # the steps' lamps are -3, 2 and, for the inverse, -5, 0: one word holds them
+    assert codec.reach == 31 and codec.make_room(codec.rows([gens.identity()]), codec.rows(steps)) is None
+    rng = random.Random(3)
+    elems = [
+        Lamplighter(rng.sample(range(-5, 6), rng.randrange(4)), rng.randrange(-99, 100))
+        for _ in range(200)
+    ]
+    old = codec.rows(elems)
+    keys = old.view(f"V{old.shape[1] * 8}").ravel()
+    # a head of 100 reaches lamps up to 105: two more words on each side
+    pad = codec.make_room(codec.rows([Lamplighter([], 100)]), codec.rows(steps))
+    assert codec.reach == 31 + 2 * 64 and codec.width == 1 + 5
+    wider = pad(old)
+    assert (wider == codec.rows(elems)).all()
+    wider_keys = wider.view(f"V{wider.shape[1] * 8}").ravel()
+    assert (np.argsort(wider_keys, kind="stable") == np.argsort(keys, kind="stable")).all()
     with pytest.raises(ValueError):
         codec.rows([Lamplighter([codec.reach + 1], 0)])
-    # a window wider than the codec allows is not offered
-    assert GenSet([Lamplighter([], 1)]).ball_codec(10**4) is None

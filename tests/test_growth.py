@@ -15,7 +15,7 @@ from oracles import (
 
 import solgrow.growth
 from solgrow.catalog import catalog
-from solgrow.elements import GenSet, Lamplighter, MatZ
+from solgrow.elements import GenSet, Lamplighter, MatZ, MatZRows
 from solgrow.errors import DegenerateWindow
 from solgrow.growth import (
     gap_hypothesis_check,
@@ -182,6 +182,7 @@ SPHERE_CASES = [
     (catalog("heisenberg"), 10),
     (catalog("lamplighter"), 12),
     (GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)]), 7),  # several lamps, negative
+    (GenSet([Lamplighter([], 40), Lamplighter([0], 0)]), 12),  # the lamp window widens
     (GenSet([MatZ(1, [[-1]])]), 4),  # one entry: "(-1,)"
     (GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])]), 9),
     (catalog("s4"), 20),
@@ -220,12 +221,23 @@ def test_unsymmetric_sets_match_word_oracle(gens, closed, dict_path_runs):
     assert bool(dict_path_runs) != closed
 
 
-def test_wide_lamp_window_falls_back_to_encodings(dict_path_runs):
-    # radius 600 would need 1,201 lamp bits per row; the cap stops the run early
-    gens = catalog("lamplighter")
-    tbl = growth_table(gens, 600, max_elements=2000)
-    assert tbl.counts == growth_table(gens, 14).counts[: len(tbl.counts)]
-    assert tbl.truncation_reason == "max_elements" and len(dict_path_runs) == 1
+def test_element_cap_stops_a_level_early(monkeypatch):
+    # the cap is checked between blocks of a level, not after the whole level
+    monkeypatch.setattr(solgrow.growth, "_BLOCK", 64)  # 16 frontier rows of sanov
+    gens = catalog("sanov")
+    full = growth_table(gens, 7).counts
+    expanded = []
+    products = MatZRows.products
+
+    def spy(self, frontier, steps):
+        expanded.append(len(frontier))
+        return products(self, frontier, steps)
+
+    monkeypatch.setattr(MatZRows, "products", spy)
+    tbl = growth_table(gens, 7, max_elements=full[6] + 1)
+    assert tbl.counts == full[:7] and tbl.truncation_reason == "max_elements"
+    # the spheres S_0..S_5 in full and less than half of S_6
+    assert full[5] < sum(expanded) < full[5] + (full[6] - full[5]) // 2
 
 
 def test_fit_z2():
