@@ -2,9 +2,10 @@
 certify over group spec files, plus a catalog dumper.
 
 Exit codes: 0 success; 1 invalid input; 2 cap exhaustion (partial outputs
-are written and flagged, never silent). Outputs are byte-identical across
-runs on the same inputs: JSON is emitted with sorted keys and no
-timestamps.
+are written and flagged, never silent); 3 an internal check failed; 141
+stdout was closed early (as for a process ended by SIGPIPE). Outputs are
+byte-identical across runs on the same inputs: JSON is emitted with sorted
+keys and no timestamps.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import sys
 
 from .bounds import bound_decimal, mu_bound, rho_bound, rho_int_bound, sigma_value
 from .catalog import catalog
-from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError, UnknownName
+from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError
 from .mu import mu_bruteforce, mu_fast
 from .soluble import analyze_record
 from .specio import dump_genset, load_genset, serialize_genset
 from .table import DEFAULT_CAP, enumerate_group, is_normal, subgroup_generated
 
 ENV_MAX_ELEMENTS = "SOLGROW_MAX_ELEMENTS"
+EXIT_CLOSED_PIPE = 141
 
 
 def _default_cap() -> int:
@@ -219,25 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        ap = build_parser()
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout early, say `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit flushes nothing
+        return EXIT_CLOSED_PIPE
+
+
+def _run(argv: list[str] | None) -> int:
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse: --help or invalid arguments
+        return 1 if exc.code not in (0, None) else 0
     except CapExceeded as exc:
         reached = ""
         if exc.last_completed is not None:
             reached = f" (last complete ball: {exc.last_completed} elements)"
         print(f"cap exceeded: {exc}{reached}", file=sys.stderr)
         return 2
-    except (ParseError, UnknownName) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

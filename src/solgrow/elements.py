@@ -100,13 +100,11 @@ class RowCodec:
 
     A row is an element's data as a 1-D array of `width` entries of
     `dtype`. `products` forms x * s for every frontier row x and every step
-    row s at once, x-major, and `encoded_bytes` is the summed length of the
-    rows' encodings. For perm and matfp the element's encoding is `prefix`
-    followed by the row's bytes (`encodings`, `decode`, `element`). The
-    matz and lamplighter codecs serve growth only: their row bytes are not
-    the encoding, and `encoded_bytes` counts the encoding's text from them.
-    `make_room` readies a codec for a level's products; only the
-    lamplighter codec ever widens its rows.
+    row s at once, x-major. For perm and matfp the element's encoding is
+    `prefix` followed by the row's bytes (`encodings`, `decode`,
+    `element`). The matz and lamplighter codecs serve growth only: their
+    row bytes are not the encoding. `make_room` readies a codec for a
+    level's products; only the lamplighter codec ever widens its rows.
     """
 
     prefix: bytes
@@ -122,17 +120,15 @@ class RowCodec:
     def element(self, row: np.ndarray) -> "GroupElement":
         raise NotImplementedError
 
-    def encoded_bytes(self, rows: np.ndarray) -> int:
-        return len(rows) * (len(self.prefix) + self.width * self.dtype.itemsize)
-
     def make_room(
         self, frontier: np.ndarray, steps: np.ndarray
     ) -> Callable[[np.ndarray], np.ndarray] | None:
-        """Ready the codec for `products(frontier, steps)`.
+        """Ready the codec for the products of rows within the column
+        ranges of `frontier` (the growth path passes just their bounds).
 
         A codec that must widen its rows first does so and returns the map
-        from rows of the old width to the new, which keeps the rows' byte
-        order; fixed-width codecs return None.
+        from rows of the old width to the new, which inserts constant
+        columns and so keeps the rows' order; fixed-width codecs return None.
         """
         return None
 
@@ -541,14 +537,6 @@ class MatZ(GroupElement):
         return f"MatZ({self.n}, {self.rows()})"
 
 
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _text_lengths(values: np.ndarray) -> np.ndarray:
-    """len(str(v)) of each int64 entry v, for |v| < 2**63."""
-    return np.searchsorted(_POW10, np.abs(values), side="right") + 1 + (values < 0)
-
-
 def _max_abs(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min()))
 
@@ -556,9 +544,8 @@ def _max_abs(values: np.ndarray) -> int:
 class MatZRows(RowCodec):
     """n x n integer matrices as int64 rows of entries, row-major.
 
-    For growth only: the encoding is the entries' repr text, whose length
-    `encoded_bytes` counts from the rows. `rows` and `products` raise
-    OverflowError when an entry could pass int64.
+    For growth only. `rows` and `products` raise OverflowError when an
+    entry could pass int64.
     """
 
     dtype = np.dtype(np.int64)
@@ -578,11 +565,6 @@ class MatZRows(RowCodec):
         n = self.n
         x = frontier.reshape(-1, 1, n, n)
         return (x @ steps.reshape(1, -1, n, n)).reshape(-1, n * n)
-
-    def encoded_bytes(self, rows: np.ndarray) -> int:
-        # b"Z", the size byte, then "(a, b, ...)", or "(a,)" for one entry
-        punctuation = 3 if self.width == 1 else 2 * self.width
-        return len(rows) * (2 + punctuation) + int(_text_lengths(rows).sum())
 
 
 class Lamplighter(GroupElement):
@@ -639,12 +621,10 @@ class LamplighterRows(RowCodec):
     lamp at b - reach, and every lamp must lie in [-reach, reach]: a window
     of whole words, at least as wide as the reach the codec is made with.
     `make_room` widens the window by whole words on both sides once a
-    level's heads could light a lamp outside it. For growth only: the
-    encoding is repr text, whose length `encoded_bytes` counts from the rows.
+    level's heads could light a lamp outside it. For growth only.
     """
 
     dtype = np.dtype(np.int64)
-    _block = 1 << 16  # rows unpacked to one byte per lamp at once
 
     def __init__(self, reach: int):
         self._set_reach(reach)
@@ -654,8 +634,6 @@ class LamplighterRows(RowCodec):
         self.words = (2 * reach + 64) // 64
         self.reach = (64 * self.words - 1) // 2
         self.width = 1 + self.words
-        # Text length of the position of each mask bit.
-        self._digits = _text_lengths(np.arange(64 * self.words) - self.reach)
 
     def make_room(
         self, frontier: np.ndarray, steps: np.ndarray
@@ -705,16 +683,6 @@ class LamplighterRows(RowCodec):
                 b = frontier[:, 0] + offset
                 masks[at, j, b >> 6] ^= np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
         return out.reshape(-1, self.width)
-
-    def encoded_bytes(self, rows: np.ndarray) -> int:
-        # b"L" + repr((lamps, head)): "((), h)", "((a,), h)", "((a, b, ...), h)"
-        total = 5 * len(rows) + int(_text_lengths(rows[:, 0]).sum())
-        for lo in range(0, len(rows), self._block):
-            bits = self._bits(rows[lo : lo + self._block])
-            lamps = bits.sum(axis=1, dtype=np.int64)
-            total += int(2 * lamps.sum() + (bits @ self._digits).sum())
-            total += int((lamps == 1).sum() + 2 * (lamps == 0).sum())
-        return total
 
 
 def _node_paths(arity: int, depth: int) -> list[tuple[int, ...]]:

@@ -4,23 +4,22 @@ Works for finite and infinite groups alike. When the BFS steps are
 inverse-closed, every neighbour of the sphere S_r lies in S_{r-1}, S_r or
 S_{r+1}, so S_{r+1} is the set of distinct products of S_r minus the two
 spheres before it. Generating sets with a ball codec (perm, matfp, matz,
-lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows:
-each sphere is a sorted array of void-viewed rows, products are
-deduplicated with `np.unique` a block at a time, merged and tested against
-the previous two spheres with `searchsorted`, and nothing older than
-S_{r-1} is held. Blocks are merged once they could pass the element cap,
-so the cap also bounds the rows held and stops a level early. Every other
-set (no codec, steps not inverse-closed, integer matrices whose entries
-could pass int64) is counted from the level sizes of `table.element_bfs`,
-the BFS that enumerates finite groups; an integer-matrix run that could
-overflow starts again from radius 0 on that path.
+lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows. Each
+sphere is held only as the sorted keys of its rows (`_Keys`): a row's
+uint64 rank over per-column ranges, or its bytes when the ranges are too
+wide to rank in 64 bits. Products are deduplicated by sorting a block at a
+time, merged, and tested against the previous two spheres with
+`searchsorted`; nothing older than S_{r-1} is held. Blocks are merged once
+they could pass the element cap, so the cap also bounds the keys held and
+stops a level early. Every other set (no codec, steps not inverse-closed,
+integer matrices whose entries could pass int64) is counted from the level
+sizes of `table.element_bfs`, the BFS that enumerates finite groups; an
+integer-matrix run that could overflow starts again from radius 0 on that
+path.
 
-Caps turn a run into a partial table that is exact up to its last
-completed radius: a level that would take the ball past the element cap
-is dropped whole, and so is one that would pass `max_bytes`, an estimate
-of the bytes held (each element's encoding plus a fixed overhead; the
-codecs count encoding lengths from their rows). Partial tables are
-first-class results, flagged `truncated`.
+A level that would take the ball past the element cap is dropped whole, so
+a capped run is a partial table, exact up to its last completed radius.
+Partial tables are first-class results, flagged `truncated`.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from .table import (
 )
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
-DEFAULT_MAX_BYTES = 8 << 30
-_PER_ELEMENT_OVERHEAD = 64
 _BLOCK = 1 << 16  # products formed and deduplicated at once on the sphere path
 
 
@@ -96,30 +93,25 @@ class GrowthTable:
 
 
 def growth_table(
-    X: GenSet,
-    R: int,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-    max_bytes: int = DEFAULT_MAX_BYTES,
+    X: GenSet, R: int, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> GrowthTable:
-    """Exact gamma(0..R) for <X>, stopping early only at the caps.
+    """Exact gamma(0..R) for <X>, stopping early only at the element cap.
 
-    A level that would cross a cap is discarded whole, so every reported
+    A level that would cross the cap is discarded whole, so every reported
     count is the exact ball size at its radius.
     """
     if R < 0:
         raise ValueError("radius must be >= 0")
-    e = X.identity()
     steps = [s for s, _ref in X.bfs_steps()]
     codec = X.ball_codec()
     tally = None
     if codec is not None and _inverse_closed(steps):
         try:
-            levels = _sphere_levels(codec, e, steps, max_elements)
-            tally = _tally(levels, e, R, max_bytes)
+            tally = _tally(_sphere_levels(codec, X.identity(), steps, max_elements), R)
         except OverflowError:
             pass  # integer matrix entries could pass int64: start again on encodings
     if tally is None:
-        tally = _tally(_encoded_levels(X, max_elements), e, R, max_bytes)
+        tally = _tally(_encoded_levels(X, max_elements), R)
     counts, reason = tally
     return GrowthTable(
         counts=counts,
@@ -131,83 +123,143 @@ def growth_table(
     )
 
 
-def _tally(
-    levels: Iterator[tuple[int, int]], e: GroupElement, R: int, max_bytes: int
-) -> tuple[list[int], str | None]:
-    """Ball sizes up to radius R from (size, encoded bytes) of each sphere
-    S_1, S_2, ... around the identity e; and the truncation reason, or None.
-
-    `levels` applies the element cap itself, raising CapExceeded."""
-    bytes_used = len(e.encode()) + _PER_ELEMENT_OVERHEAD
+def _tally(levels: Iterator[int], R: int) -> tuple[list[int], str | None]:
+    """Ball sizes up to radius R from the sizes of the spheres S_1, S_2, ...
+    (whose iterator raises CapExceeded), and the truncation reason or None."""
     counts = [1]
     while len(counts) <= R:
         try:
-            size, encoded = next(levels)
+            size = next(levels)
         except CapExceeded:
             return counts, "max_elements"
         if not size:
             break  # group exhausted; ball is the whole group from here on
-        level_bytes = encoded + size * _PER_ELEMENT_OVERHEAD
-        if bytes_used + level_bytes > max_bytes:
-            return counts, "max_bytes"
-        bytes_used += level_bytes
         counts.append(counts[-1] + size)
     return counts, None
 
 
-def _encoded_levels(X: GenSet, cap: int) -> Iterator[tuple[int, int]]:
-    """Spheres from the element BFS, deduplicated by encoding in one dict."""
-    index: dict[bytes, int] = {}
-    levels = element_bfs(X, index, cap, products=False)
-    next(levels)
-    for new, _ in levels:
-        # The level's encodings are the newest keys of the BFS's map.
-        yield len(new), sum(map(len, islice(reversed(index), len(new))))
+def _encoded_levels(X: GenSet, cap: int) -> Iterator[int]:
+    """Sphere sizes from the element BFS, deduplicated by encoding in one dict."""
+    for new, _ in islice(element_bfs(X, {}, cap, products=False), 1, None):
+        yield len(new)
 
 
 def _sphere_levels(
     codec: RowCodec, e: GroupElement, steps: list[GroupElement], cap: int
-) -> Iterator[tuple[int, int]]:
-    """Spheres on rows: S_{r+1} = distinct products of S_r - S_{r-1} - S_r.
+) -> Iterator[int]:
+    """Sphere sizes on rows: S_{r+1} = distinct products of S_r - S_{r-1} - S_r.
 
-    Needs inverse-closed steps. Each sphere is held as its rows in sorted
-    key order. A level is expanded in blocks of about `_BLOCK` products,
-    each deduplicated on its own. The blocks wait to be merged into the new
+    Needs inverse-closed steps. Each sphere is held as the sorted keys of
+    its rows. The key ranges cover the held spheres and every product
+    formed so far: a block of products outside them widens them, and the
+    held, merged and waiting keys are keyed again, which keeps them sorted.
+    A level is expanded in blocks of about `_BLOCK` products, each
+    deduplicated on its own. The blocks wait to be merged into the new
     sphere until their keys could take the ball past `cap` and outnumber
     the keys a merge reads again (the new and held spheres), so no more
     keys wait than the cap and one block, and each merge costs no more
     than the blocks it takes in. CapExceeded is raised as soon as a merged
     sphere would take the ball past `cap`.
     """
-    step_rows = codec.rows(steps)
-    rows = codec.rows([e])
-    before = rows[:0]
+    step_rows, rows = codec.rows(steps), codec.rows([e])
+    keys = _Keys(rows.dtype, rows[0].astype(np.int64), rows[0].astype(np.int64))
+    before, sphere = keys.of(rows[:0]), keys.of(rows)
     total = 1
     while True:
-        pad = codec.make_room(rows, step_rows)
+        bounds = np.stack([keys.lo, keys.hi])
+        pad = codec.make_room(bounds, step_rows)
         if pad is not None:
-            step_rows, before, rows = pad(step_rows), pad(before), pad(rows)
-        held = [_keys(before), _keys(rows)]
-        new, parts, unmerged = held[0][:0], [], 0
-        reread = len(before) + len(rows)  # keys a merge reads besides the new sphere
+            step_rows = pad(step_rows)
+            wider = _Keys(keys.dtype, *pad(bounds))
+            before, sphere = (wider.of(pad(keys.rows(k))) for k in (before, sphere))
+            keys = wider
+        new, parts, unmerged = sphere[:0], [], 0
+        reread = len(before) + len(sphere)  # keys a merge reads besides the new sphere
         per = max(1, _BLOCK // len(step_rows))
-        for lo in range(0, len(rows), per):
-            parts.append(np.unique(_keys(codec.products(rows[lo : lo + per], step_rows))))
+        for lo in range(0, len(sphere), per):
+            products = codec.products(keys.rows(sphere[lo : lo + per]), step_rows)
+            wider = keys.widened(products)
+            if wider is not None:
+                before, sphere, new, *parts = (wider.rekey(k, keys) for k in (before, sphere, new, *parts))
+                keys = wider
+            parts.append(_distinct(keys.of(products)))
             unmerged += len(parts[-1])
-            last = lo + per >= len(rows)
+            last = lo + per >= len(sphere)
             if last or unmerged > max(cap - total - len(new), len(new) + reread):
-                new, parts, unmerged = _merge([new, *parts], held), [], 0
+                new, parts, unmerged = _merge([new, *parts], [before, sphere]), [], 0
                 if total + len(new) > cap:
                     raise CapExceeded(f"ball exceeds cap of {cap} elements", total)
         total += len(new)
-        before, rows = rows, new.view(rows.dtype).reshape(-1, rows.shape[1])
-        yield len(new), codec.encoded_bytes(rows)
+        before, sphere = sphere, new
+        yield len(new)
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Each row as one void scalar; rows compare as their bytes."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel()
+class _Keys:
+    """Sort keys of rows whose columns lie in the ranges [lo, hi].
+
+    While the column spans multiply to at most 2**64 (`packed`), a row's key
+    is its mixed-radix rank over the ranges, a uint64. Past that it is the
+    row's columns as big-endian unsigned bytes (signed columns offset by
+    half their type's range), one void scalar. Either key orders rows
+    lexicographically by their entries whatever the ranges, so keys made
+    again under wider ranges (`rekey`) keep a sorted array sorted.
+    """
+
+    def __init__(self, dtype: np.dtype, lo: np.ndarray, hi: np.ndarray):
+        self.dtype, self.lo, self.hi = np.dtype(dtype), lo, hi
+        spans = [h - l + 1 for l, h in zip(lo.tolist(), hi.tolist())]
+        self.packed = math.prod(spans) <= 1 << 64
+        self.radix = [(c, s) for c, s in enumerate(spans) if s > 1]  # most significant first
+        self.unsigned = np.dtype(f"u{self.dtype.itemsize}")
+        self.offset = self.unsigned.type(self.dtype.kind == "i") << (8 * self.dtype.itemsize - 1)
+
+    def widened(self, rows: np.ndarray) -> _Keys | None:
+        """Keys whose ranges also cover `rows`, or None if these do."""
+        lo = np.minimum(self.lo, rows.min(axis=0))
+        hi = np.maximum(self.hi, rows.max(axis=0))
+        if (lo == self.lo).all() and (hi == self.hi).all():
+            return None
+        # Widen as far again, so that a level widens a few times rather than
+        # once a block, unless only the exact ranges still rank in uint64.
+        # (Where 2 * lo - self.lo wraps round int64, the exact bound stays.)
+        loose = _Keys(self.dtype, np.minimum(lo, 2 * lo - self.lo), np.maximum(hi, 2 * hi - self.hi))
+        return loose if loose.packed else _Keys(self.dtype, lo, hi)
+
+    def of(self, rows: np.ndarray) -> np.ndarray:
+        """The key of each row, which must lie in the ranges."""
+        if not self.packed:
+            cols = np.ascontiguousarray(rows, self.dtype).view(self.unsigned) ^ self.offset
+            cols = cols.astype(self.unsigned.newbyteorder(">"))
+            return cols.view(f"V{cols.shape[1] * cols.itemsize}").ravel()
+        key = np.zeros(len(rows), np.uint64)
+        for c, span in self.radix:  # key is 0 at the first, whose span may be 2**64
+            key *= np.uint64(span % (1 << 64))
+            key += rows[:, c].astype(np.int64).view(np.uint64) - np.uint64(int(self.lo[c]) % (1 << 64))
+        return key
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of the given keys."""
+        if not self.packed:
+            cols = keys.view(self.unsigned.newbyteorder(">")).reshape(len(keys), len(self.lo))
+            return (cols.astype(self.unsigned) ^ self.offset).view(self.dtype)
+        rows = np.repeat(self.lo[None, :], len(keys), axis=0)
+        for c, span in self.radix[:0:-1]:
+            keys, digit = np.divmod(keys, np.uint64(span))
+            rows[:, c] += digit.view(np.int64)
+        for c, _span in self.radix[:1]:  # the most significant digit is what is left
+            rows[:, c] += keys.view(np.int64)
+        return rows.astype(self.dtype, copy=False)
+
+    def rekey(self, keys: np.ndarray, old: _Keys) -> np.ndarray:
+        """`keys` made under `old`, made again under these wider ranges."""
+        return self.of(old.rows(keys)) if old.packed else keys  # bytes ignore the ranges
+
+
+def _distinct(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """The distinct keys, sorted; sorts `keys` in place."""
+    # Not np.unique: it hashes integer keys, many times slower than a sort.
+    keys.sort(kind=kind)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _merge(found: list[np.ndarray], held: list[np.ndarray]) -> np.ndarray:
@@ -216,9 +268,7 @@ def _merge(found: list[np.ndarray], held: list[np.ndarray]) -> np.ndarray:
     Every array is sorted and distinct, so a stable sort of `found` merges
     its runs; each (smaller) held sphere is then searched in the result.
     """
-    keys = np.concatenate(found)
-    keys.sort(kind="stable")
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    keys = _distinct(np.concatenate(found), kind="stable")
     keep = np.ones(len(keys), dtype=bool)
     for sphere in held:
         at = np.minimum(np.searchsorted(keys, sphere), len(keys) - 1)

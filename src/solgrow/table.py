@@ -256,7 +256,8 @@ def _cayley_bfs(actions: list[np.ndarray], n: int):
         step[found] = fresh % k
         frontier = found
         levels.append(found)
-    assert (wl >= 0).all(), "generators do not generate the table"
+    if (wl < 0).any():
+        raise InvariantViolated("generators do not generate the table")
     return wl, parent, step, levels
 
 
@@ -316,16 +317,6 @@ class Subgroup:
 
     def is_trivial(self) -> bool:
         return len(self.members) == 1
-
-    def is_whole(self) -> bool:
-        return len(self.members) == self.table.n
-
-    def is_abelian(self) -> bool:
-        T = self.table
-        gens = self.generators
-        return all(
-            T.mul(a, b) == T.mul(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
-        )
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order})"
@@ -488,12 +479,6 @@ def nilpotency_class(T: FiniteGroupTable, start: Subgroup | None = None) -> int 
     if series[-1].is_trivial():
         return len(series) - 1
     return None
-
-
-def gamma3(T: FiniteGroupTable, H: Subgroup) -> Subgroup:
-    """Third lower-central term of H (computed inside H)."""
-    h2 = commutator_subgroup(T, H, H)
-    return commutator_subgroup(T, h2, H)
 
 
 def conjugacy_classes(
@@ -686,7 +671,8 @@ class QuotientGroup:
         self.normal = N
         self.coset_of = coset_of
         self.reps = reps
-        assert len(reps) * N.order == parent.n
+        if len(reps) * N.order != parent.n:
+            raise InvariantViolated("cosets of the normal subgroup do not partition the group")
 
         index = {parent.encodings[r]: c for c, r in enumerate(reps)}
         # Images of the parent generators, order and multiplicity preserved,
@@ -737,10 +723,3 @@ def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable
         return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
 
     return FiniteGroupTable(index, gens, _derived_steps(gens, action))
-
-
-def direct_power(A: FiniteGroupTable, k: int) -> FiniteGroupTable:
-    T = A
-    for _ in range(k - 1):
-        T = direct_product(T, A)
-    return T

@@ -191,6 +191,29 @@ def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: encodings are not injective\n"
 
 
+def test_closed_stdout_exits_quietly():
+    # the reader closes the pipe before anything is written: no traceback,
+    # and the documented exit code
+    import os
+    import subprocess
+    import sys
+
+    import solgrow
+
+    env = dict(os.environ, PYTHONPATH=str(Path(solgrow.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "solgrow.cli", "catalog", "s3wrs3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""
+
+
 def test_unknown_catalog_name_exit(capsys):
     assert _run(["catalog", "nonsense"]) == 1
 

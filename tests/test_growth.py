@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import table_of
@@ -117,12 +118,6 @@ def test_truncation_flags():
     assert zero.counts == [1] and not zero.truncated
     one = growth_table(catalog("sanov"), 1, max_elements=0)
     assert one.counts == [1] and one.truncation_reason == "max_elements"
-    small_mem = growth_table(catalog("sanov"), 12, max_bytes=4000)
-    assert small_mem.truncated and small_mem.truncation_reason == "max_bytes"
-    # S4 runs on perm rows: 11-byte encodings plus the per-element overhead,
-    # so the 9-element ball needs exactly 9 * 75 bytes
-    assert growth_table(catalog("s4"), 6, max_bytes=9 * 75).counts == [1, 4, 9]
-    assert growth_table(catalog("s4"), 6, max_bytes=9 * 75 - 1).counts == [1, 4]
     # a truncated table knows nothing past its last radius
     with pytest.raises(ValueError):
         tbl.gamma(tbl.radius + 1)
@@ -140,12 +135,12 @@ def test_exhausted_ball_saturates():
 
 
 def _oracle_ball(gens, radius):
-    """Ball sizes up to the radius or to exhaustion, and the exact byte total."""
+    """Ball sizes up to the radius or to exhaustion."""
     dist = word_ball_lengths(gens, radius)
     sizes = [sum(1 for d in dist.values() if d <= r) for r in range(radius + 1)]
     while len(sizes) > 1 and sizes[-1] == sizes[-2]:
         sizes.pop()
-    return sizes, sum(len(enc) + 64 for enc in dist)
+    return sizes
 
 
 @pytest.fixture()
@@ -163,7 +158,7 @@ def dict_path_runs(monkeypatch):
 
 
 def _check_against_oracle(gens, radius):
-    sizes, total = _oracle_ball(gens, radius)
+    sizes = _oracle_ball(gens, radius)
     tbl = growth_table(gens, radius)
     assert tbl.counts == sizes and not tbl.truncated
     for cap in (0, 5, 17, 100):
@@ -171,9 +166,6 @@ def _check_against_oracle(gens, radius):
         capped = growth_table(gens, radius, max_elements=cap)
         assert capped.counts == kept
         assert capped.truncation_reason == ("max_elements" if kept != sizes else None)
-    assert growth_table(gens, radius, max_bytes=total).counts == sizes
-    short = growth_table(gens, radius, max_bytes=total - 1)
-    assert short.counts == sizes[:-1] and short.truncation_reason == "max_bytes"
 
 
 SPHERE_CASES = [
@@ -197,11 +189,58 @@ def test_sphere_path_matches_word_oracle(gens, radius, dict_path_runs):
     assert not dict_path_runs
 
 
+@pytest.fixture()
+def merged_key_kinds(monkeypatch):
+    """The dtype of the keys of every merge into a new sphere."""
+    kinds = []
+    merge = solgrow.growth._merge
+
+    def spy(found, held):
+        kinds.append({k.dtype for k in found + held})
+        return merge(found, held)
+
+    monkeypatch.setattr(solgrow.growth, "_merge", spy)
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "name,radius", [("sanov", 12), ("z2", 40), ("heisenberg", 10), ("lamplighter", 12)]
+)
+def test_catalog_balls_rank_into_uint64(name, radius, merged_key_kinds):
+    # every level merges at least once; none may fall back to byte keys
+    assert growth_table(catalog(name), radius).radius == radius
+    assert len(merged_key_kinds) >= radius
+    assert all(kinds == {np.dtype(np.uint64)} for kinds in merged_key_kinds)
+
+
+def test_keys_turn_to_bytes_partway(monkeypatch, merged_key_kinds, dict_path_runs):
+    # the entries' spans pass 2**64 at radius 9; with small blocks the switch
+    # comes in the middle of a level, with waiting blocks to convert too
+    monkeypatch.setattr(solgrow.growth, "_BLOCK", 64)
+    gens = GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])])
+    _check_against_oracle(gens, 9)
+    assert not dict_path_runs
+    seen = set().union(*merged_key_kinds)
+    assert np.dtype(np.uint64) in seen and any(k.kind == "V" for k in seen)
+    switched = []
+    rekey = solgrow.growth._Keys.rekey
+
+    def spy(self, keys, old):
+        if old.packed and not self.packed:
+            switched.append(len(keys))
+        return rekey(self, keys, old)
+
+    monkeypatch.setattr(solgrow.growth._Keys, "rekey", spy)
+    assert growth_table(gens, 9).counts == _oracle_ball(gens, 9)
+    # both held spheres (S_7 and S_8), the empty new sphere, waiting blocks
+    assert switched[:3] == [2506, 7030, 0] and len(switched) > 3
+
+
 def test_matz_overflow_falls_back_to_encodings(dict_path_runs):
     # entries of 2**40 pass int64 within a few radii; the run starts again
     # from radius 0 on the encoding dict
     gens = GenSet([MatZ(2, [[1, 2**40], [0, 1]]), MatZ(2, [[1, 0], [2**40, 1]])])
-    assert growth_table(gens, 5).counts == _oracle_ball(gens, 5)[0]
+    assert growth_table(gens, 5).counts == _oracle_ball(gens, 5)
     assert len(dict_path_runs) == 1
 
 

@@ -16,6 +16,7 @@ from solgrow.errors import CapExceeded, InvariantViolated
 from solgrow.table import (
     DENSE_LIMIT,
     FiniteGroupTable,
+    Subgroup,
     center,
     commutator_subgroup,
     direct_product,
@@ -110,6 +111,23 @@ def test_colliding_encodings_rejected():
     swap = np.array([1, 0], dtype=np.int32)
     with pytest.raises(InvariantViolated, match="not injective"):
         FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
+
+
+def test_steps_that_do_not_generate_rejected():
+    # index 1 is unreachable when both steps fix every index
+    fixed = np.array([0, 1], dtype=np.int32)
+    with pytest.raises(InvariantViolated, match="do not generate"):
+        FiniteGroupTable({b"x": 0, b"y": 1}, [1], [(1, fixed), (-1, fixed)])
+
+
+def test_quotient_by_a_non_subgroup_rejected():
+    # {1, g} in C3 = <g> passes the normality test on its generator but is
+    # no subgroup: its translates cover the group with overlaps
+    T = table_of("c3")
+    g = T.generators[0]
+    fake = Subgroup(T, (0, g), (g,))
+    with pytest.raises(InvariantViolated, match="do not partition"):
+        quotient(T, fake)
 
 
 def test_element_bfs_levels():
