@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import rho_int_bound
-from .errors import CapExceeded, NotSoluble, TrivialGroup
+from .errors import CapExceeded, InvariantViolated, NotSoluble, TrivialGroup
 from .fields import _prime_power
 from .table import (
     FiniteGroupTable,
@@ -131,7 +131,7 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
 
 
 def _factor_rank(T: FiniteGroupTable, below: Subgroup, above: Subgroup) -> tuple[int, int]:
-    """(p, r) with |above/below| = p^r; asserts elementary abelian factor."""
+    """(p, r) with |above/below| = p^r; checks the factor is elementary abelian."""
     m = above.order // below.order
     pr = _prime_power(m)
     if pr is None:
@@ -141,10 +141,10 @@ def _factor_rank(T: FiniteGroupTable, below: Subgroup, above: Subgroup) -> tuple
     gens = above.generators
     for i, a in enumerate(gens):
         if pow_in(T, a, p) not in bset:
-            raise AssertionError("chief factor is not elementary abelian (exponent)")
+            raise InvariantViolated("chief factor is not elementary abelian (exponent)")
         for b in gens[i + 1 :]:
             if T.comm(a, b) not in bset:
-                raise AssertionError("chief factor is not abelian")
+                raise InvariantViolated("chief factor is not abelian")
     return p, r
 
 
@@ -185,14 +185,17 @@ def chief_series(
     T: FiniteGroupTable,
     lattice: NormalLattice | None = None,
     reverse_tiebreak: bool = False,
+    *,
+    soluble: bool | None = None,
 ) -> list[ChiefFactorRecord]:
     """A chief series 1 = G_0 < ... < G_m = G with factor data.
 
     Deterministic: at each step the minimal normal subgroup of G/G_i with
     the smallest (order, members) key is chosen; reverse_tiebreak picks the
     largest key instead (used to probe Jordan-Hoelder invariance).
+    `soluble` is the caller's is_soluble(T), computed here if not given.
     """
-    if not is_soluble(T):
+    if not (is_soluble(T) if soluble is None else soluble):
         raise NotSoluble("chief series factor data requires a soluble group")
     lat = lattice if lattice is not None else normal_subgroups(T)
     chain = [trivial_subgroup(T)]
@@ -227,17 +230,24 @@ def _selfc_factors(T: FiniteGroupTable, lattice: NormalLattice | None):
 
 
 def sc_chief_rank(
-    T: FiniteGroupTable, lattice: NormalLattice | None = None
+    T: FiniteGroupTable,
+    lattice: NormalLattice | None = None,
+    *,
+    soluble: bool | None = None,
 ) -> int:
-    """Maximum rank of self-centralizing chief factors over all quotients."""
+    """Maximum rank of self-centralizing chief factors over all quotients.
+
+    `soluble` is the caller's is_soluble(T), computed here if not given.
+    """
     if T.n == 1:
         raise TrivialGroup("self-centralizing chief rank needs a nontrivial group")
-    if not is_soluble(T):
+    if not (is_soluble(T) if soluble is None else soluble):
         raise NotSoluble("self-centralizing chief rank requires a soluble group")
     best = max(
         (_factor_rank(T, N, M)[1] for N, M in _selfc_factors(T, lattice)), default=0
     )
-    assert best >= 1, "every nontrivial soluble group has a self-centralizing factor"
+    if best < 1:
+        raise InvariantViolated("soluble group has no self-centralizing chief factor")
     return best
 
 
@@ -248,16 +258,29 @@ def chief_factor_orders_selfc(
     return {M.order // N.order for N, M in _selfc_factors(T, lattice)}
 
 
-def is_supersoluble(T: FiniteGroupTable, lattice: NormalLattice | None = None) -> bool:
+def is_supersoluble(
+    T: FiniteGroupTable,
+    lattice: NormalLattice | None = None,
+    *,
+    rank: int | None = None,
+    series: list[ChiefFactorRecord] | None = None,
+) -> bool:
     """True iff the self-centralizing chief rank is 1.
 
     Cross-checked against the direct definition: a chief series in which
-    every factor has prime order.
+    every factor has prime order. `rank` and `series` are the caller's
+    sc_chief_rank and chief_series of T, computed here if not given.
     """
-    lat = lattice if lattice is not None else normal_subgroups(T)
-    by_rank = sc_chief_rank(T, lat) == 1
-    by_series = all(rec.rank == 1 for rec in chief_series(T, lat))
-    assert by_rank == by_series, "rank-1 criterion disagrees with cyclic chief factors"
+    if rank is None or series is None:
+        lat = lattice if lattice is not None else normal_subgroups(T)
+        soluble = is_soluble(T)
+        if rank is None:
+            rank = sc_chief_rank(T, lat, soluble=soluble)
+        if series is None:
+            series = chief_series(T, lat, soluble=soluble)
+    by_rank = rank == 1
+    if by_rank != all(rec.rank == 1 for rec in series):
+        raise InvariantViolated("rank-1 criterion disagrees with cyclic chief factors")
     return by_rank
 
 
@@ -267,12 +290,12 @@ def check_srank_nilpotency(T: FiniteGroupTable, n: int) -> bool:
     Takes the derived-series term at the integer derived-length bound for
     soluble linear groups of degree n and reports whether it is nilpotent.
     """
-    if not is_soluble(T):
+    series = derived_series(T)
+    if not series[-1].is_trivial():
         raise NotSoluble("check requires a soluble group")
-    if T.n > 1 and n < sc_chief_rank(T):
+    if T.n > 1 and n < sc_chief_rank(T, soluble=True):
         raise ValueError("n is below the self-centralizing chief rank")
     d = rho_int_bound(n)
-    series = derived_series(T)
     term = series[d] if d < len(series) else series[-1]
     sub_series = lower_central_series(T, start=term)
     return sub_series[-1].is_trivial()
@@ -355,6 +378,8 @@ def analyze_record(T: FiniteGroupTable) -> dict:
     rec["nilpotency_class"] = ncl
     if soluble and T.n > 1:
         lat = normal_subgroups(T)
+        series = chief_series(T, lat, soluble=True)
+        rank = sc_chief_rank(T, lat, soluble=True)
         rec["chief_factors"] = [
             {
                 "p": r.p,
@@ -362,10 +387,10 @@ def analyze_record(T: FiniteGroupTable) -> dict:
                 "order": r.order,
                 "self_centralizing": r.self_centralizing,
             }
-            for r in chief_series(T, lat)
+            for r in series
         ]
-        rec["sc_chief_rank"] = sc_chief_rank(T, lat)
-        rec["supersoluble"] = is_supersoluble(T, lat)
+        rec["sc_chief_rank"] = rank
+        rec["supersoluble"] = is_supersoluble(T, rank=rank, series=series)
     else:
         rec["chief_factors"] = None
         rec["sc_chief_rank"] = None

@@ -17,10 +17,13 @@ quotient, subgroup or direct product, multiplies the same way: it stores
 the right action of each BFS step on indices, R[s][i] = index of i * s.
 One BFS over these arrays gives word lengths and BFS parents, and walking
 the parents with the inverse actions gives inverse indices. Up to
-DENSE_LIMIT elements the full product table is built from them on first
-use; above it, i * j walks j's geodesic through R. An enumerated table
-takes over the BFS's encoding -> index dict; perm and matfp tables keep
-their elements as rows and build each element object on access.
+DENSE_LIMIT elements, the right action of j is kept as a dense row once it
+is first read: row j is R[s] applied to the row of j's BFS parent, so
+building it builds the missing rows on j's geodesic and no others. Above
+DENSE_LIMIT no row is kept, and i * j walks j's geodesic through R. An
+enumerated table takes over the BFS's encoding -> index dict; perm and
+matfp tables keep their elements as rows and build each element object on
+access.
 
 Orbits under index maps (subgroup closure, conjugacy classes, and the
 orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
@@ -28,8 +31,8 @@ breadth-first walk, `_orbit`. Conjugates of a few elements by the whole
 group (normalizers, centralizers, the self-centralizing test and conjugate
 chains) come from one walk down the BFS levels, `conjugates`.
 
-Tables are immutable after construction; all queries are pure reads (the
-dense table and the step conjugation maps are built on first use).
+Tables are immutable after construction; all queries are pure reads (dense
+rows and the step conjugation maps are built on first use).
 """
 
 from __future__ import annotations
@@ -84,8 +87,12 @@ class FiniteGroupTable:
         self._parent = memoryview(parent).toreadonly()
         self._parent_step = memoryview(parent_step).toreadonly()
         self._action_views = [memoryview(a).toreadonly() for a in self._actions]
-        # Dense table, None until built: _rows[j][i] = index of i * j.
-        self._rows: list[memoryview] | None = None
+        # Dense rows, each None until first read: _rows[j][i] = index of
+        # i * j. Row 0 is the identity. None above DENSE_LIMIT: no row kept.
+        self._rows: list[memoryview | None] | None = None
+        if self.n <= DENSE_LIMIT:
+            self._rows = [None] * self.n
+            self._rows[0] = memoryview(np.arange(self.n, dtype=np.int32)).toreadonly()
         # Conjugation map of each step, None until first used.
         self._step_conj: np.ndarray | None = None
 
@@ -94,14 +101,14 @@ class FiniteGroupTable:
     def mul(self, i: int, j: int) -> int:
         rows = self._rows
         if rows is None:
-            if self.n > DENSE_LIMIT:
-                actions = self._action_views
-                for s in self._geodesic(j):
-                    i = actions[s][i]
-                return i
-            self.ensure_dense()
-            rows = self._rows
-        return rows[j][i]  # type: ignore[index]
+            actions = self._action_views
+            for s in self._geodesic(j):
+                i = actions[s][i]
+            return i
+        row = rows[j]
+        if row is None:
+            row = self._build_row(j)
+        return row[i]
 
     def inv(self, i: int) -> int:
         return self.inv_idx[i]
@@ -122,27 +129,39 @@ class FiniteGroupTable:
         return k
 
     def ensure_dense(self) -> bool:
-        """Build the dense product table if the group has <= DENSE_LIMIT elements.
+        """Build every missing dense row if the group has <= DENSE_LIMIT elements."""
+        if self._rows is None:
+            return False
+        for j, row in enumerate(self._rows):
+            if row is None:
+                self._build_row(j)
+        return True
+
+    def _build_row(self, j: int) -> memoryview:
+        """Build dense row j and the missing rows on its geodesic.
 
         The right action of j is that of its BFS parent p followed by the
-        step s from p to j, so row j is R[s] applied to row p.
+        step s from p to j, so row j is R[s] applied to row p: walk up to
+        the nearest built row, then gather back down. Each row is its own
+        array, so reading a few rows touches only their memory.
         """
-        if self._rows is not None:
-            return True
-        if self.n > DENSE_LIMIT:
-            return False
-        rows = np.empty((self.n, self.n), dtype=np.int32)
-        rows[0] = np.arange(self.n, dtype=np.int32)
-        parent, step = self._parent, self._parent_step
-        for j in np.argsort(self.word_length, kind="stable")[1:]:
-            np.take(self._actions[step[j]], rows[parent[j]], out=rows[j])
-        self._rows = [memoryview(row).toreadonly() for row in rows]
-        return True
+        rows, parent, step = self._rows, self._parent, self._parent_step
+        chain = []
+        while rows[j] is None:
+            chain.append(j)
+            j = parent[j]
+        row = np.asarray(rows[j])
+        for j in reversed(chain):
+            row = self._actions[step[j]][row]
+            rows[j] = memoryview(row).toreadonly()
+        return rows[j]
 
     def right_action(self, x: int) -> np.ndarray:
         """int32 array mapping index i to the index of i * x."""
-        if self._rows is not None:
-            return np.asarray(self._rows[x])
+        rows = self._rows
+        if rows is not None:
+            row = rows[x]
+            return np.asarray(row if row is not None else self._build_row(x))
         out = np.arange(self.n, dtype=np.int32)
         for s in self._geodesic(x):
             out = self._actions[s][out]
@@ -358,10 +377,7 @@ def _close_indices(T: FiniteGroupTable, gens: Sequence[int]) -> list[int]:
     In a finite group the subsemigroup containing the identity and closed
     under right multiplication by the seeds is already a subgroup.
     """
-    if T._rows is None and T.n <= DENSE_LIMIT:
-        T.ensure_dense()
-    rows = T._rows
-    maps = [rows[g] if rows is not None else memoryview(T.right_action(g)) for g in gens if g]
+    maps = [memoryview(T.right_action(g)) for g in gens if g]
     return _orbit(maps, (0,), bytearray(T.n))
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -194,24 +197,55 @@ def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
 def test_closed_stdout_exits_quietly():
     # the reader closes the pipe before anything is written: no traceback,
     # and the documented exit code
-    import os
-    import subprocess
-    import sys
-
-    import solgrow
-
-    env = dict(os.environ, PYTHONPATH=str(Path(solgrow.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "solgrow.cli", "catalog", "s3wrs3"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 141
     assert err == b""
+
+
+def _child_env() -> dict:
+    import solgrow
+
+    return dict(os.environ, PYTHONPATH=str(Path(solgrow.__file__).parents[1]))
+
+
+# On Linux a child's ru_maxrss starts from the high-water mark of the
+# process that spawned it, so the CLI is started from a small launcher
+# rather than from the test process, whose peak can be far larger.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_pid, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _child_peak_rss_mib(args: list[str]) -> float:
+    """Peak RSS of a `python -m solgrow.cli` child, from its own rusage."""
+    cmd = [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "solgrow.cli", *args]
+    out = subprocess.run(
+        cmd, env=_child_env(), capture_output=True, text=True, check=True, timeout=300
+    )
+    code, maxrss_kib = map(int, out.stdout.split())
+    assert code == 0
+    return maxrss_kib / 1024
+
+
+def test_analyze_reads_dense_rows_without_the_whole_table(tmp_path):
+    # agl1(64) has 4,032 elements, so its whole int32 product table would
+    # be 62 MiB; analyze reads the rows of a few hundred elements only.
+    spec = tmp_path / "agl1_64.json"
+    dump_genset(catalog("agl1(64)"), str(spec))
+    startup = _child_peak_rss_mib(["--help"])
+    analyze = _child_peak_rss_mib(["analyze", str(spec)])
+    assert analyze - startup < 4032**2 * 4 / 2**20 / 2
 
 
 def test_unknown_catalog_name_exit(capsys):

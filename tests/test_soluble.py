@@ -11,9 +11,13 @@ from oracles import (
     subgroup_family_is_extension_closed,
 )
 
-from solgrow.errors import NotSoluble, TrivialGroup
+import solgrow.soluble as soluble
+from solgrow.catalog import catalog
+from solgrow.cli import main
+from solgrow.errors import InvariantViolated, NotSoluble, TrivialGroup
 from solgrow.soluble import (
     _is_self_centralizing,
+    analyze_record,
     chief_series,
     check_srank_nilpotency,
     is_supersoluble,
@@ -24,6 +28,7 @@ from solgrow.soluble import (
     sc_iff_maximal_index_check,
     soluble_subgroups,
 )
+from solgrow.specio import dump_genset
 from solgrow.table import center, direct_product, quotient, whole_group
 
 # soluble corpus members small enough for full-lattice work in one test run
@@ -124,6 +129,40 @@ def test_supersoluble_examples():
     assert is_supersoluble(table_of("s3"))
     assert not is_supersoluble(table_of("s4"))
     assert not is_supersoluble(table_of("f3^2:q8"))
+
+
+def test_supersoluble_cross_check_raises(monkeypatch, tmp_path):
+    # A rank that disagrees with the chief series is an internal error
+    # (exit 3), raised rather than asserted so that python -O keeps it.
+    T = table_of("s3")
+    with pytest.raises(InvariantViolated):
+        is_supersoluble(T, rank=2)
+    monkeypatch.setattr(soluble, "sc_chief_rank", lambda *args, **kwargs: 2)
+    with pytest.raises(InvariantViolated):
+        is_supersoluble(T)
+    with pytest.raises(InvariantViolated):
+        analyze_record(T)
+    spec = tmp_path / "s3.json"
+    dump_genset(catalog("s3"), str(spec))
+    assert main(["analyze", str(spec)]) == 3
+
+
+def test_sc_chief_rank_without_factor_raises(monkeypatch):
+    monkeypatch.setattr(soluble, "_selfc_factors", lambda T, lattice: iter(()))
+    with pytest.raises(InvariantViolated):
+        sc_chief_rank(table_of("s3"))
+
+
+def test_passed_through_solubility_and_series_match():
+    for name in ["s3", "s4", "f3^2:q8"]:
+        T = table_of(name)
+        lat = normal_subgroups(T)
+        series = chief_series(T, lat, soluble=True)
+        rank = sc_chief_rank(T, lat, soluble=True)
+        assert series == chief_series(T) and rank == sc_chief_rank(T)
+        assert is_supersoluble(T, lat, rank=rank, series=series) == is_supersoluble(T)
+    with pytest.raises(NotSoluble):
+        chief_series(table_of("s4"), soluble=False)
 
 
 @pytest.mark.parametrize("name", ["c2", "c6", "s3", "q8", "s4", "sl2(3)", "f3^2:q8"])

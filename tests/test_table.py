@@ -23,6 +23,7 @@ from solgrow.table import (
     element_bfs,
     enumerate_group,
     quotient,
+    subgroup_generated,
     subgroup_table,
     whole_group,
 )
@@ -229,12 +230,23 @@ DENSE_CASES = {
 }
 
 
+def _fresh(T):
+    """A new table over T's encodings and steps, with no dense row built."""
+    return FiniteGroupTable(T.index, T.generators, list(zip(T.step_refs, T._actions)))
+
+
+def _built_rows(T):
+    return sum(row is not None for row in T._rows)
+
+
 @pytest.mark.parametrize("name", list(DENSE_CASES))
 def test_dense_table_agrees_with_elementwise(name):
     # perm, matrix, quotient, subgroup and direct-product tables all build
-    # their dense table from step actions; every product is checked.
+    # their dense rows from step actions; ensure_dense builds every row,
+    # and every product is checked.
     T, product = DENSE_CASES[name]()
-    assert T.ensure_dense() and T._rows is not None
+    T = _fresh(T)
+    assert T.ensure_dense() and _built_rows(T) == T.n
     for i in range(T.n):
         assert product(i, T.inv_idx[i]) == 0
         for j in range(T.n):
@@ -242,9 +254,48 @@ def test_dense_table_agrees_with_elementwise(name):
             assert type(got) is int and got == product(i, j)
 
 
+@pytest.mark.parametrize("name", list(DENSE_CASES))
+def test_rows_built_in_any_order_agree_with_elementwise(name):
+    # Rows built in a shuffled order, each from whichever ancestors are
+    # already there, match the element products.
+    T, product = DENSE_CASES[name]()
+    T = _fresh(T)
+    order = list(range(T.n))
+    random.Random(name).shuffle(order)
+    for j in order:
+        row = T.right_action(j)
+        assert row.dtype == np.int32
+        assert row.tolist() == [product(i, j) for i in range(T.n)]
+    assert _built_rows(T) == T.n
+
+
+def test_mul_builds_only_the_geodesic_rows():
+    T = enumerate_group(catalog("s4wrs2"))
+    assert T.n <= DENSE_LIMIT
+    product = _element_product(T)
+    rng = random.Random(3)
+    for j in rng.sample(range(T.n), 25):
+        fresh = _fresh(T)
+        i = rng.randrange(T.n)
+        assert fresh.mul(i, j) == product(i, j)
+        assert fresh._rows[j] is not None
+        assert _built_rows(fresh) <= T.word_length[j] + 1
+
+
+def test_small_subgroup_leaves_most_rows_unbuilt():
+    T = enumerate_group(catalog("agl1(64)"))
+    assert T.n == 4032 <= DENSE_LIMIT
+    g = T.generators[0]
+    H = subgroup_generated(T, [g, T.conj(g, T.generators[1])])
+    assert H.order < T.n
+    assert all(T.mul(y, x) in H for x in H.generators for y in H.members)
+    assert _built_rows(T) < T.n // 10
+
+
 def test_geodesic_walk_above_dense_limit():
     T = enumerate_group(catalog("s7"))
     assert T.n == 5040 > DENSE_LIMIT
+    # Above the limit no dense row is kept: every product walks a geodesic.
     assert not T.ensure_dense() and T._rows is None
     product = _element_product(T)
     rng = random.Random(11)
