@@ -6,20 +6,28 @@ are written and flagged, never silent); 3 an internal check failed; 141
 stdout was closed early (as for a process ended by SIGPIPE). Outputs are
 byte-identical across runs on the same inputs: JSON is emitted with sorted
 keys and no timestamps.
+
+A run starts only what it uses. This module imports only `errors`,
+`specio` and `table` (and so `elements` and numpy); each subcommand imports
+its own modules when it runs, so a `growth` job never loads the structure,
+mu or certificate code. The CLI pins OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is already set: solgrow does no BLAS work, and an
+OpenBLAS pool would start idle workers that busy-wait before they sleep.
+Library imports leave the BLAS setting alone.
 """
 
 from __future__ import annotations
 
+import os
+
+# Before numpy loads: solgrow does no BLAS work, and idle OpenBLAS workers spin.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
-import os
 import sys
 
-from .bounds import bound_decimal, mu_bound, rho_bound, rho_int_bound, sigma_value
-from .catalog import catalog
 from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError
-from .mu import mu_bruteforce, mu_fast
-from .soluble import analyze_record
 from .specio import dump_genset, load_genset, serialize_genset
 from .table import DEFAULT_CAP, enumerate_group, is_normal, subgroup_generated
 
@@ -53,6 +61,9 @@ def _emit_text(text: str, path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .mu import mu_fast
+    from .soluble import analyze_record
+
     T = enumerate_group(load_genset(args.spec), cap=args.max_elements)
     rec = analyze_record(T)
     if rec["soluble"]:
@@ -65,6 +76,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mu(args) -> int:
+    from .mu import mu_bruteforce, mu_fast
+
     T = enumerate_group(load_genset(args.spec), cap=args.max_elements)
     if args.method == "bruteforce":
         cost, series = mu_bruteforce(T)
@@ -81,6 +94,8 @@ def cmd_mu(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bound_decimal, mu_bound, rho_bound, rho_int_bound, sigma_value
+
     n = args.n
     sig = sigma_value(n)
     rec = {
@@ -152,6 +167,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import catalog
+
     gens = catalog(args.name)
     if args.out is None:
         _emit(serialize_genset(gens), None)

@@ -410,11 +410,11 @@ def s4_tower_derived(depth: int) -> GenSet:
         gens.append(_leveled_gen(depth, 0, label))
     inner = s4_tower(depth - 1)
     for x in inner.elements:
-        assert isinstance(x, TreeAuto)
+        assert isinstance(x, TreeAuto)  # type narrowing: s4_tower builds TreeAuto
         pos = _embed(x, depth, 0)
         neg = _embed(x.inverse(), depth, 1)
         gens.append(pos * neg)
     for x in s4_tower_derived(depth - 1).elements:
-        assert isinstance(x, TreeAuto)
+        assert isinstance(x, TreeAuto)  # type narrowing, as above
         gens.append(_embed(x, depth, 0))
     return GenSet(gens)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .bounds import _echelon_insert
 from .errors import (
     HypothesisViolated,
+    InvariantViolated,
     NotSelfCentralizing,
     RankDeficient,
     SeriesMismatch,
@@ -85,7 +86,8 @@ def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
         if subgroups[-1].order == subgroups[-2].order:
             k = i - 1
     closure = normal_closure(T, seeds)
-    assert subgroups[k].member_set == closure.member_set, "chain missed the closure"
+    if subgroups[k].member_set != closure.member_set:
+        raise InvariantViolated("chain missed the closure")
     witnesses = []
     for j in range(1, k + 1):
         prev = subgroups[j - 1].member_set
@@ -93,7 +95,8 @@ def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
         witnesses.append(y_j)
     L = max((wl[y] for y in seeds), default=0)
     lZ = max((wl[z] for z in levels[k]), default=0)
-    assert lZ <= L + 2 * k, "closure generating set is longer than L + 2k"
+    if lZ > L + 2 * k:
+        raise InvariantViolated("closure generating set is longer than L + 2k")
     return MilnorChain(
         table=T,
         seeds=tuple(seeds),
@@ -146,7 +149,7 @@ def quantitative_bound_check(chain: MilnorChain, theta: float, C: float) -> dict
     """Check the quantitative chain bounds under the growth hypothesis.
 
     Requires gamma(n) <= exp(C n^theta) on the table's whole range (else
-    HypothesisViolated); then asserts
+    HypothesisViolated); then checks, raising InvariantViolated if not,
         k <= (5C)^(1/(1-2 theta)) * max(L,1)^(theta/(1-theta))
     and len(Z) <= L + C1 * max(L,1)^(theta/(1-theta)) with
     C1 = 2 (5C)^(1/(1-2 theta)).
@@ -169,8 +172,10 @@ def quantitative_bound_check(chain: MilnorChain, theta: float, C: float) -> dict
     z_bound = chain.seed_length + c1 * L_eff ** (theta / (1 - theta))
     k_ok = chain.k <= k_bound
     z_ok = chain.closure_length <= z_bound
-    assert k_ok, "stabilization index exceeds the quantitative bound"
-    assert z_ok, "closure generator length exceeds the quantitative bound"
+    if not k_ok:
+        raise InvariantViolated("stabilization index exceeds the quantitative bound")
+    if not z_ok:
+        raise InvariantViolated("closure generator length exceeds the quantitative bound")
     return {
         "theta": theta,
         "C": C,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import CapExceeded, NotSoluble
+from .errors import CapExceeded, InvariantViolated, NotSoluble
 from .table import (
     FiniteGroupTable,
     Subgroup,
@@ -135,23 +135,31 @@ class ModifiedSeries:
         return [4 if k == ABELIAN else 10 for k in self.kinds]
 
     def validate(self, T: FiniteGroupTable) -> None:
-        """Recheck normality and factor kinds of every step."""
-        assert self.chain[-1].is_trivial(), "series does not end at 1"
-        assert len(self.kinds) == len(self.chain) - 1
+        """Recheck normality and factor kinds of every step.
+
+        Raises InvariantViolated on the first step that fails.
+        """
+        if not self.chain[-1].is_trivial():
+            raise InvariantViolated("series does not end at 1")
+        if len(self.kinds) != len(self.chain) - 1:
+            raise InvariantViolated("series needs one kind per step")
         for i in range(1, len(self.chain)):
             head, sub = self.chain[i - 1], self.chain[i]
-            assert head.member_set > sub.member_set, "chain is not strictly descending"
+            if not head.member_set > sub.member_set:
+                raise InvariantViolated("chain is not strictly descending")
             for x in sub.generators:
                 for g in head.generators:
-                    assert T.conj(x, g) in sub.member_set, "step is not normal"
+                    if T.conj(x, g) not in sub.member_set:
+                        raise InvariantViolated("step is not normal")
             derived = commutator_subgroup(T, head, head)
             g3 = commutator_subgroup(T, derived, head)
             abelian = sub.contains_set(derived)
             class2 = sub.contains_set(g3) and not abelian
             if self.kinds[i - 1] == ABELIAN:
-                assert abelian, "abelian step has nonabelian factor"
-            else:
-                assert class2, "class-2 step factor is not class exactly 2"
+                if not abelian:
+                    raise InvariantViolated("abelian step has nonabelian factor")
+            elif not class2:
+                raise InvariantViolated("class-2 step factor is not class exactly 2")
 
 
 def mu_bruteforce(

@@ -189,7 +189,7 @@ def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
         swap = np.array([1, 0], dtype=np.int32)
         return FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
 
-    monkeypatch.setattr("solgrow.cli.analyze_record", colliding_table)
+    monkeypatch.setattr("solgrow.soluble.analyze_record", colliding_table)
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 3
     assert capsys.readouterr().err == "internal error: encodings are not injective\n"
 

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from conftest import table_of
 
+import solgrow.milnor as milnor
+from solgrow.catalog import catalog
 from solgrow.elements import Perm
 from solgrow.errors import (
     HypothesisViolated,
+    InvariantViolated,
     NotSelfCentralizing,
     WitnessDegenerate,
 )
@@ -26,7 +30,13 @@ from solgrow.milnor import (
 )
 from solgrow.mu import mu_fast
 from solgrow.soluble import minimal_normal_subgroups
-from solgrow.table import center, normal_closure, subgroup_generated
+from solgrow.table import (
+    center,
+    enumerate_group,
+    normal_closure,
+    subgroup_generated,
+    whole_group,
+)
 
 
 def _perm_index(T, images):
@@ -72,6 +82,41 @@ def test_chain_soundness(name, seed_index):
     ok, dp = distinct_products_check(ch)
     assert ok
     assert dp["gamma"] >= dp["bound"]
+
+
+# The chain and bound checks below raise rather than assert, so that
+# python -O keeps them; each test forces one of them to fail.
+
+
+def test_chain_missing_the_closure_raises(monkeypatch):
+    T = table_of("s4")
+    y = _perm_index(T, [1, 0, 3, 2])
+    monkeypatch.setattr(milnor, "normal_closure", lambda T, seeds: whole_group(T))
+    with pytest.raises(InvariantViolated, match="missed the closure"):
+        milnor_chain(T, [y])
+
+
+def test_chain_closure_longer_than_bound_raises():
+    # a private table, since its word lengths are overwritten: every
+    # element but the identity and the seed is made 100 long
+    T = enumerate_group(catalog("s3"))
+    y = _perm_index(T, [1, 0, 2])
+    by_len = T.elements_by_length()
+    T.elements_by_length = lambda: by_len
+    T.word_length = [T.word_length[i] if i in (0, y) else 100 for i in range(T.n)]
+    with pytest.raises(InvariantViolated, match="longer than L"):
+        milnor_chain(T, [y])
+
+
+def test_quantitative_bound_violations_raise():
+    T = table_of("s3")
+    ch = milnor_chain(T, [_perm_index(T, [1, 0, 2])])
+    with pytest.raises(InvariantViolated, match="stabilization index"):
+        quantitative_bound_check(dataclasses.replace(ch, k=10**6), theta=1 / 3, C=5.0)
+    with pytest.raises(InvariantViolated, match="closure generator length"):
+        quantitative_bound_check(
+            dataclasses.replace(ch, closure_length=10**6), theta=1 / 3, C=5.0
+        )
 
 
 def test_distinct_products_k1():

@@ -9,8 +9,11 @@ from mpmath import mp, mpf, log as mplog
 
 from conftest import table_of, square_of
 
-from solgrow.errors import NotSoluble
+from solgrow.errors import InvariantViolated, NotSoluble
 from solgrow.mu import (
+    ABELIAN,
+    CLASS2,
+    ModifiedSeries,
     MuValue,
     mu_bruteforce,
     mu_fast,
@@ -18,7 +21,13 @@ from solgrow.mu import (
     mu_properties_check,
     product_counterexample_check,
 )
-from solgrow.table import derived_length, direct_product, whole_group
+from solgrow.table import (
+    derived_length,
+    direct_product,
+    subgroup_generated,
+    trivial_subgroup,
+    whole_group,
+)
 
 LOG410 = math.log(10) / math.log(4)
 
@@ -91,6 +100,25 @@ def test_mu_q8():
     fast_cost, fast_series = mu_fast(T)
     assert fast_cost == cost
     fast_series.validate(T)
+
+
+def test_validate_raises_on_each_bad_series():
+    # raised rather than asserted, so that python -O keeps the checks
+    T = table_of("s3")
+    G, one = whole_group(T), trivial_subgroup(T)
+    transposition = next(i for i in range(1, T.n) if T.mul(i, i) == 0)
+    t = subgroup_generated(T, [transposition])
+    cases = [
+        (ModifiedSeries([G], []), "does not end at 1"),
+        (ModifiedSeries([G, one], []), "one kind per step"),
+        (ModifiedSeries([G, G, one], [ABELIAN, ABELIAN]), "not strictly descending"),
+        (ModifiedSeries([G, t, one], [ABELIAN, ABELIAN]), "not normal"),
+        (ModifiedSeries([G, one], [ABELIAN]), "nonabelian factor"),
+        (ModifiedSeries([G, one], [CLASS2]), "not class exactly 2"),
+    ]
+    for series, message in cases:
+        with pytest.raises(InvariantViolated, match=message):
+            series.validate(T)
 
 
 def test_mu_sl23():
