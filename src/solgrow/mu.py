@@ -203,7 +203,8 @@ def mu_bruteforce(
             cand = (step + sub_cost, [H] + sub_chain, [kind] + sub_kinds)
             if best is None or cand[0] < best[0]:
                 best = cand
-        assert best is not None, "soluble head admits no modified step"
+        if best is None:
+            raise InvariantViolated("soluble head admits no modified step")
         memo[key] = best
         return best
 

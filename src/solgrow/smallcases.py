@@ -57,7 +57,8 @@ def _conjugacy_reps(T: FiniteGroupTable, subs: list[Subgroup]) -> list[Subgroup]
 
 def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
     """Generator elements of S (T must be element-backed)."""
-    assert T.elements is not None
+    if T.elements is None:
+        raise ContextViolated("subgroup generators need an element-backed table")
     return [T.elements[g] for g in S.generators]
 
 
@@ -115,9 +116,8 @@ def check_irreducible_witness(
     """Check claimed bounds on one named irreducible witness."""
     gens, model = witness_group(name)
     first = gens.elements[0]
-    assert isinstance(first, MatFp) and first.n == n and first.p == p, (
-        f"witness {name} is not in GL_{n}({p})"
-    )
+    if not (isinstance(first, MatFp) and first.n == n and first.p == p):
+        raise ContextViolated(f"witness {name} is not in GL_{n}({p})")
     if not is_irreducible(list(gens.elements)):  # type: ignore[arg-type]
         raise ContextViolated(f"witness {name} is reducible")
     entry: dict = {"name": name, "order": model.n, "mode": "witness"}
@@ -336,18 +336,21 @@ def verify_mu_theorem(
             if not is_transitive_on(_subgroup_gens(T, subgroup), n):
                 raise ContextViolated("subgroup is not transitive")
         else:
-            struct = permutation_structure(T)
-            assert isinstance(T.elements[0], Perm) and T.elements[0].degree == n
-            if not struct["transitive"]:
+            first = T.elements[0] if T.elements is not None else None
+            if not (isinstance(first, Perm) and first.degree == n):
+                raise ContextViolated(f"group is not a permutation group of degree {n}")
+            if not permutation_structure(T)["transitive"]:
                 raise ContextViolated("group is not transitive")
         c_num, c_den, r, s = MU_TRANSITIVE_BOUND
     elif kind == "irreducible":
         mats = list(matrix_gens) if matrix_gens is not None else None
         if mats is None:
-            assert T.elements is not None and isinstance(T.elements[0], MatFp)
+            if T.elements is None or not isinstance(T.elements[0], MatFp):
+                raise ContextViolated("group is not a matrix group")
             src = subgroup.generators if subgroup is not None else T.generators
             mats = [T.elements[g] for g in src]
-        assert mats and mats[0].n == n and (p is None or mats[0].p == p)
+        if not (mats and mats[0].n == n and (p is None or mats[0].p == p)):
+            raise ContextViolated(f"matrices are not in GL_{n}({p or 'p'})")
         if not is_irreducible(mats):
             raise ContextViolated("group is not irreducible")
         c_num, c_den, r, s = MU_IRREDUCIBLE_BOUND

@@ -40,6 +40,8 @@ from .table import (
 LATTICE_CAP = 20_000
 SUBGROUP_ENUM_CAP = 10_000
 MAXIMAL_CHECK_CAP = 500
+# int32 entries in one soluble_subgroups conjugation walk (16 MiB)
+CONJ_BLOCK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -304,6 +306,28 @@ def check_srank_nilpotency(T: FiniteGroupTable, n: int) -> bool:
 # -- full subgroup enumeration (soluble subgroups, cyclic extensions) --------
 
 
+def _conjugation_blocks(T: FiniteGroupTable, frontier: list[Subgroup]):
+    """Runs of the frontier, in order, with their generators' conjugates.
+
+    A run grows while its distinct generators fit CONJ_BLOCK_ENTRIES int32
+    entries, so a round is one `T.conjugates` walk unless the frontier is
+    very large. Yields (run, pos, conj): row pos[x] of conj holds g^-1 x g
+    for every g.
+    """
+    width = max(1, CONJ_BLOCK_ENTRIES // T.n)
+    run: list[Subgroup] = []
+    pos: dict[int, int] = {}
+    for H in frontier:
+        if run and len(pos.keys() | H.generators) > width:
+            yield run, pos, T.conjugates(list(pos))
+            run, pos = [], {}
+        run.append(H)
+        for x in H.generators:
+            pos.setdefault(x, len(pos))
+    if run:
+        yield run, pos, T.conjugates(list(pos))
+
+
 def soluble_subgroups(
     T: FiniteGroupTable, cap: int = SUBGROUP_ENUM_CAP
 ) -> list[Subgroup]:
@@ -313,6 +337,17 @@ def soluble_subgroups(
     factors, so repeatedly extending each known subgroup H by elements g of
     its normalizer whose coset gH has prime order finds them all. For a
     soluble T this is the complete subgroup list.
+
+    Each round conjugates the distinct generators of the whole frontier in
+    one walk (blocks of at most CONJ_BLOCK_ENTRIES entries) and reads every
+    H's normalizer from its generators' rows. Each g then claims the
+    elements whose extension it stands for. When K = <H, g> has prime
+    index over H, every g' in K \\ H generates the same K over H (nothing
+    lies strictly between), so all of K is claimed. For composite index
+    only the coset Hg is, since the prime-index subgroups between H and K
+    must still be found. Elements are visited in index order either way,
+    so each K is first reached from the same (H, g) as one coset at a time
+    would reach it, and keeps the same generators.
     """
     if T.n > cap:
         raise CapExceeded(f"group order {T.n} exceeds subgroup enumeration cap {cap}")
@@ -321,22 +356,25 @@ def soluble_subgroups(
     frontier = [triv]
     while frontier:
         nxt = []
-        for H in frontier:
-            members = np.array(H.members, dtype=np.int32)
-            hmask = _mask(T, H)
-            # g normalizes H iff it conjugates each generator of H into H.
-            normalizer = hmask[T.conjugates(H.generators)].all(axis=0)
-            seen = hmask.copy()
-            for g in np.flatnonzero(normalizer).tolist():
-                if seen[g]:
-                    continue
-                seen[T.right_action(g)[members]] = True  # the coset Hg
-                # g normalizes H, so <H, g> / H is cyclic of order |gH|.
-                K = subgroup_generated(T, H.generators + (g,))
-                pr = _prime_power(K.order // H.order)
-                if pr is not None and pr[1] == 1 and K.member_set not in found:
-                    found[K.member_set] = K
-                    nxt.append(K)
+        for run, pos, conj in _conjugation_blocks(T, frontier):
+            for H in run:
+                hmask = _mask(T, H)
+                # g normalizes H iff it conjugates each generator of H into H.
+                normalizer = hmask[conj[[pos[x] for x in H.generators]]].all(axis=0)
+                seen = hmask.copy()
+                for g in np.flatnonzero(normalizer).tolist():
+                    if seen[g]:
+                        continue
+                    # g normalizes H, so <H, g> / H is cyclic of order |gH|.
+                    K = subgroup_generated(T, H.generators + (g,))
+                    pr = _prime_power(K.order // H.order)
+                    if pr is None or pr[1] != 1:
+                        seen[T.right_action(g)[list(H.members)]] = True  # the coset Hg
+                        continue
+                    seen[list(K.members)] = True
+                    if K.member_set not in found:
+                        found[K.member_set] = K
+                        nxt.append(K)
         frontier = nxt
     return sorted(found.values(), key=lambda S: (S.order, S.members))
 

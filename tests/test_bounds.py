@@ -27,12 +27,13 @@ from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.errors import CapExceeded, ContextViolated, NotSoluble
 from solgrow.mu import MuValue
 from solgrow.smallcases import (
+    _subgroup_gens,
     check_irreducible_witness,
     verify_mu_theorem,
     verify_small_cases,
     verify_transitive_exhaustive,
 )
-from solgrow.table import enumerate_group
+from solgrow.table import direct_product, enumerate_group, whole_group
 
 
 def test_sigma_table_values():
@@ -169,6 +170,24 @@ def test_verify_mu_theorem_context_violated():
     )
     with pytest.raises(ContextViolated):
         verify_mu_theorem(diag, "irreducible", 2, p=3)
+
+
+def test_small_cases_context_checks_raise():
+    # raised rather than asserted, so that python -O keeps the checks
+    perm, mat = table_of("s4"), table_of("gl2(3)")
+    no_elements = direct_product(perm, perm)
+    cases = [
+        (lambda: verify_mu_theorem(mat, "transitive", 2), "not a permutation group"),
+        (lambda: verify_mu_theorem(perm, "transitive", 5), "not a permutation group"),
+        (lambda: verify_mu_theorem(perm, "irreducible", 2, p=3), "not a matrix group"),
+        (lambda: verify_mu_theorem(mat, "irreducible", 3, p=3), r"not in GL_3\(3\)"),
+        (lambda: verify_mu_theorem(mat, "irreducible", 2, p=5), r"not in GL_2\(5\)"),
+        (lambda: check_irreducible_witness("gl2(3)", 2, 5, None, 4), r"not in GL_2\(5\)"),
+        (lambda: _subgroup_gens(no_elements, whole_group(no_elements)), "element-backed"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ContextViolated, match=message):
+            call()
 
 
 def test_sharpness_witness():

@@ -121,6 +121,16 @@ def test_validate_raises_on_each_bad_series():
             series.validate(T)
 
 
+def test_bruteforce_raises_when_no_modified_step(monkeypatch):
+    # a soluble head always has one (H' is normal and contains gamma_3);
+    # an empty normal lattice must raise, not pass silently under python -O
+    import solgrow.soluble
+
+    monkeypatch.setattr(solgrow.soluble, "normal_subgroups_within", lambda T, H: [H])
+    with pytest.raises(InvariantViolated, match="no modified step"):
+        mu_bruteforce(table_of("s3"))
+
+
 def test_mu_sl23():
     cost, _ = mu_bruteforce(table_of("sl2(3)"))
     assert cost == MuValue(1, 1)

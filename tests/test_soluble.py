@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import CORPUS_SOLUBLE, table_of
@@ -29,7 +31,7 @@ from solgrow.soluble import (
     soluble_subgroups,
 )
 from solgrow.specio import dump_genset
-from solgrow.table import center, direct_product, quotient, whole_group
+from solgrow.table import FiniteGroupTable, center, direct_product, quotient, whole_group
 
 # soluble corpus members small enough for full-lattice work in one test run
 LATTICE_CORPUS = [n for n in CORPUS_SOLUBLE if n not in ("gl3(2)",)]
@@ -58,8 +60,71 @@ def test_subgroup_enumeration_extension_closed(name):
 
 
 def test_known_subgroup_counts():
-    assert len(soluble_subgroups(table_of("s4"))) == 30
-    assert len(soluble_subgroups(table_of("sl2(3)"))) == 15
+    # classical subgroup totals less the insoluble subgroups: Sym(5) has 156
+    # subgroups (less A5, S5), Sym(6) 1,455 (less 12 A5, 12 S5, A6, S6),
+    # GL_3(2) 179 (less itself); S4, SL_2(3) and GL_2(3) are soluble
+    expected = {"s4": 30, "sl2(3)": 15, "gl2(3)": 55, "s5": 154, "gl3(2)": 178, "s6": 1429}
+    for name, count in expected.items():
+        assert len(soluble_subgroups(table_of(name))) == count, name
+
+
+def _digest(subs) -> str:
+    return hashlib.sha256(repr([(S.members, S.generators) for S in subs]).encode()).hexdigest()
+
+
+# sha256 of repr([(members, generators), ...]), recorded when each subgroup
+# still had its own conjugation walk
+_PINNED_DIGESTS = {
+    "s5": "eae03b03170890edffbe247121ffba01769a75f389b4b720924b5bab5e8c1bdf",
+    "gl3(2)": "c8c27af9b6746416e92100e865ecc89a530355cd09fd833a6fe44bf54ff9d114",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+def test_subgroup_list_and_generators_pinned(name):
+    assert _digest(soluble_subgroups(table_of(name))) == _PINNED_DIGESTS[name]
+
+
+def _count_conjugates(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    walk = FiniteGroupTable.conjugates
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return walk(self, xs)
+
+    monkeypatch.setattr(FiniteGroupTable, "conjugates", counted)
+    return calls
+
+
+def _prime_factor_count(n: int) -> int:
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count
+
+
+def test_one_conjugation_walk_per_round(monkeypatch):
+    T = table_of("s5")
+    calls = _count_conjugates(monkeypatch)
+    subs = soluble_subgroups(T)
+    # round k discovers the subgroups whose order has k prime factors
+    # (with multiplicity); one more round finds nothing new
+    rounds = 1 + max(_prime_factor_count(S.order) for S in subs)
+    assert rounds == 5
+    assert len(calls) <= rounds
+
+
+def test_small_conjugation_blocks_give_the_same_list(monkeypatch):
+    T = table_of("s5")
+    calls = _count_conjugates(monkeypatch)
+    # walks of at most four generators, the most any subgroup here has (S4)
+    monkeypatch.setattr(soluble, "CONJ_BLOCK_ENTRIES", 4 * T.n)
+    subs = soluble_subgroups(T)
+    assert max(calls) <= 4 and len(calls) > 5
+    assert _digest(subs) == _PINNED_DIGESTS["s5"]
 
 
 def test_minimal_normal_subgroups():
