@@ -152,12 +152,10 @@ def cmd_certify(args) -> int:
     N = None
     if args.normal is not None:
         ngens = load_genset(args.normal)
-        seeds = []
-        for g in ngens.elements:
-            idx = T.index.get(g.encode())
-            if idx is None:
-                raise ParseError("normal-subgroup generator is not a group member")
-            seeds.append(idx)
+        try:
+            seeds = [T.elements.index(g) for g in ngens.elements]
+        except ValueError:
+            raise ParseError("normal-subgroup generator is not a group member") from None
         N = subgroup_generated(T, seeds)
         if not is_normal(T, N):
             raise ParseError("the given subgroup is not normal")

@@ -140,7 +140,7 @@ def _tally(levels: Iterator[int], R: int) -> tuple[list[int], str | None]:
 
 def _encoded_levels(X: GenSet, cap: int) -> Iterator[int]:
     """Sphere sizes from the element BFS, deduplicated by encoding in one dict."""
-    for new, _ in islice(element_bfs(X, {}, cap, products=False), 1, None):
+    for new, _ in islice(element_bfs(X, cap, products=False), 1, None):
         yield len(new)
 
 

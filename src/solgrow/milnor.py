@@ -333,7 +333,8 @@ def _elementary_abelian_coords(T: FiniteGroupTable, V: Subgroup, p: int):
                 x = T.mul(x, v)
                 new[x] = coords + (j,)
         span = new
-    assert len(span) == V.order, "subgroup is not elementary abelian"
+    if len(span) != V.order:
+        raise InvariantViolated("subgroup is not elementary abelian")
     return basis, span
 
 
@@ -356,7 +357,8 @@ def canonical_modified_chain(
             "canonical series does not end at the self-centralizing socle"
         )
     word = series.cost_word()
-    assert math.prod(word) == 4**cost.a * 10**cost.b
+    if math.prod(word) != 4**cost.a * 10**cost.b:
+        raise InvariantViolated("cost word does not multiply to 4^a * 10^b")
     return series, word
 
 
@@ -395,7 +397,8 @@ def certify_growth_lower_bound(
         raise NotSelfCentralizing("no self-centralizing minimal normal subgroup")
     V = candidates[0]
     pr = _prime_power(V.order)
-    assert pr is not None, "socle is not a p-group"
+    if pr is None:
+        raise InvariantViolated("socle is not a p-group")
     p, rank = pr
 
     series, cost_word = canonical_modified_chain(Gbar, V)
@@ -474,7 +477,8 @@ def certify_growth_lower_bound(
         # Words in the quotient lift letter-by-letter to G.
         for w, blen in zip(b_words, b_lengths):
             lifted = G.evaluate_word(w)
-            assert G.word_length[lifted] <= blen
+            if G.word_length[lifted] > blen:
+                raise InvariantViolated("lifted word is longer than its quotient word")
 
     return Certificate(
         group_order=G.n,

@@ -2,7 +2,7 @@
 
 One level-synchronous element BFS, `element_bfs`, serves enumeration here
 and the growth tables of `solgrow.growth` that cannot be counted sphere by
-sphere on rows. It deduplicates by encoding in one caller-owned dict and
+sphere on rows. It deduplicates by encoding in a dict of its own and
 checks the element cap as it goes: a new element that would take the
 count past the cap raises CapExceeded, carrying the size of the last
 complete ball. Permutation and F_p-matrix levels are expanded as numpy row
@@ -20,10 +20,10 @@ the parents with the inverse actions gives inverse indices. Up to
 DENSE_LIMIT elements, the right action of j is kept as a dense row once it
 is first read: row j is R[s] applied to the row of j's BFS parent, so
 building it builds the missing rows on j's geodesic and no others. Above
-DENSE_LIMIT no row is kept, and i * j walks j's geodesic through R. An
-enumerated table takes over the BFS's encoding -> index dict; perm and
-matfp tables keep their elements as rows and build each element object on
-access.
+DENSE_LIMIT no row is kept, and i * j walks j's geodesic through R. A
+table holds no encoding -> index dict: its order n is the length of its
+step actions. Perm and matfp tables keep their elements as rows and build
+each element object on access.
 
 Orbits under index maps (subgroup closure, conjugacy classes, and the
 orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
@@ -54,31 +54,27 @@ _ROW_BLOCK = 1024  # frontier rows expanded at once by a row codec
 class FiniteGroupTable:
     """Indexed finite group. Do not mutate after construction.
 
-    `index` maps each encoding to its index, in index order; the table
-    keeps it. `steps` lists the BFS steps in order as (signed generator
-    reference, right action): +k is generator k-1, -k its inverse, and the
-    action is an int32 array mapping index i to the index of i * step.
+    `steps` lists the BFS steps in order as (signed generator reference,
+    right action): +k is generator k-1, -k its inverse, and the action is
+    an int32 array mapping index i to the index of i * step. The order n is
+    the length of the actions; a table with no steps is the trivial group.
     """
 
     def __init__(
         self,
-        index: dict[bytes, int],
         generators: list[int],
         steps: Sequence[tuple[int, np.ndarray]],
         elements: Sequence[GroupElement] | None = None,
         gen_set: GenSet | None = None,
     ):
-        self.index = index
-        self.encodings = list(index)
-        self.n = len(self.encodings)
         self.generators = list(generators)
         self.elements = elements
         self.gen_set = gen_set
         self.step_refs = [ref for ref, _action in steps]
         self._actions = [np.asarray(action, dtype=np.int32) for _ref, action in steps]
-        # Colliding encodings leave fewer keys than the actions have indices.
+        self.n = len(self._actions[0]) if self._actions else 1
         if any(len(a) != self.n for a in self._actions):
-            raise InvariantViolated("encodings are not injective")
+            raise InvariantViolated("step actions differ in length")
         wl, parent, parent_step, self._levels = _cayley_bfs(self._actions, self.n)
         self.word_length: list[int] = wl.tolist()
         self._inverse = _inverse_indices(self._actions, parent, parent_step)
@@ -530,23 +526,23 @@ def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
 
 
 def element_bfs(
-    X: GenSet, index: dict[bytes, int], cap: int, products: bool = True
+    X: GenSet, cap: int, products: bool = True
 ) -> Iterator[tuple[Sequence, list[int] | None]]:
     """Level-synchronous BFS over the elements of <X>, one level per yield.
 
-    `index` is the caller's (empty) encoding -> index map; elements are
-    indexed in discovery order, expanding each level by the steps of
-    `X.bfs_steps()` in order. Radius r yields (new, products): the elements
-    first reached at r, in discovery order, and the index of x * s for each
-    element x of radius r-1 and each step s, x-major (None when `products`
-    is false). Radius 0 yields the identity level and []; the level that
-    finds nothing new is yielded too, so the products of the last level
-    are complete.
+    Elements are indexed in discovery order, expanding each level by the
+    steps of `X.bfs_steps()` in order. Radius r yields (new, products): the
+    elements first reached at r, in discovery order, and the index of x * s
+    for each element x of radius r-1 and each step s, x-major (None when
+    `products` is false). Radius 0 yields the identity level and []; the
+    level that finds nothing new is yielded too, so the products of the
+    last level are complete.
 
     Variants with a row codec (perm, matfp) carry each level as one row
     array, `new` included, and form its products a block of rows at a time
     in numpy; the others stream one element object at a time. Both are
-    deduplicated by encoding in the same loop.
+    deduplicated by encoding in the same loop, through an encoding -> index
+    dict that lives only as long as the BFS.
 
     Raises CapExceeded as soon as a new element would take the count past
     `cap`; its `last_completed` is the size of the last complete ball. The
@@ -555,7 +551,7 @@ def element_bfs(
     e = X.identity()
     steps = [s for s, _ref in X.bfs_steps()]
     codec = X.row_codec()
-    index[e.encode()] = 0
+    index = {e.encode(): 0}
     if codec is None:
         frontier: Sequence = [e]
 
@@ -613,8 +609,7 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     # from position s on extends the right action of step s.
     actions = [array("i") for _ in refs]
     levels: list[Sequence] = []
-    index: dict[bytes, int] = {}
-    for new, products in element_bfs(X, index, cap):
+    for new, products in element_bfs(X, cap):
         levels.append(new)
         for s, action in enumerate(actions):
             action.extend(products[s::k])
@@ -624,9 +619,9 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
         elements: Sequence[GroupElement] = [g for level in levels for g in level]
     else:
         elements = RowElements(codec, np.concatenate(levels))
+    # Generator k is the identity times step k, reached at radius 1.
     return FiniteGroupTable(
-        index,
-        [index[g.encode()] for g in X.elements],
+        [action[0] for action in actions[: len(X)]],
         [(ref, np.frombuffer(a, dtype=np.int32)) for ref, a in zip(refs, actions)],
         elements=elements,
         gen_set=X,
@@ -655,11 +650,10 @@ def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
     glob = np.array(members, dtype=np.int32)
     local = np.full(T.n, -1, dtype=np.int32)
     local[glob] = np.arange(len(members), dtype=np.int32)
-    index = {T.encodings[g]: i for i, g in enumerate(members)}
     gens = local[np.array(H.generators, dtype=np.int32)].tolist()
     elements = [T.elements[g] for g in members] if T.elements is not None else None
     steps = _derived_steps(gens, lambda x: local[T.right_action(members[x])[glob]])
-    return FiniteGroupTable(index, gens, steps, elements=elements)
+    return FiniteGroupTable(gens, steps, elements=elements)
 
 
 class QuotientGroup:
@@ -690,7 +684,6 @@ class QuotientGroup:
         if len(reps) * N.order != parent.n:
             raise InvariantViolated("cosets of the normal subgroup do not partition the group")
 
-        index = {parent.encodings[r]: c for c, r in enumerate(reps)}
         # Images of the parent generators, order and multiplicity preserved,
         # so that word references in the quotient lift to the parent.
         gens = [coset_of[g] for g in parent.generators]
@@ -699,7 +692,7 @@ class QuotientGroup:
         steps = _derived_steps(
             gens, lambda c: coset[parent.right_action(reps[c])[rep_index]]
         )
-        self.table = FiniteGroupTable(index, gens, steps)
+        self.table = FiniteGroupTable(gens, steps)
 
     def image(self, H: Subgroup) -> Subgroup:
         """Image of a parent subgroup in the quotient."""
@@ -726,16 +719,11 @@ def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:
 
 def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable:
     """Direct product at the table level; element (i, j) has index i*|B|+j."""
-    nA, nB = A.n, B.n
-    index: dict[bytes, int] = {}
-    for ea in A.encodings:
-        head = b"D" + len(ea).to_bytes(4, "little") + ea
-        for eb in B.encodings:
-            index[head + eb] = len(index)
+    nB = B.n
     gens = [g * nB for g in A.generators] + [g for g in B.generators]
 
     def action(x: int) -> np.ndarray:
         i, j = divmod(x, nB)
         return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
 
-    return FiniteGroupTable(index, gens, _derived_steps(gens, action))
+    return FiniteGroupTable(gens, _derived_steps(gens, action))

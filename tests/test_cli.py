@@ -14,6 +14,7 @@ import pytest
 
 from solgrow.catalog import catalog
 from solgrow.cli import main
+from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.specio import dump_genset
 
 
@@ -157,6 +158,24 @@ def test_certify_with_normal_subgroup(spec_dir, tmp_path, capsys):
     assert rec["normal_order"] == 2 and rec["rank"] == 2
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [
+        MatFp(2, 3, [[2, 0], [0, 1]]),  # same variant and degree, determinant 2
+        MatFp(3, 3, [[2, 0, 0], [0, 2, 0], [0, 0, 1]]),  # another degree
+        Perm([1, 0]),  # another variant
+    ],
+    ids=["det2", "degree3", "perm"],
+)
+def test_certify_normal_generator_outside_the_group(tmp_path, capsys, generator):
+    dump_genset(GenSet([generator]), str(tmp_path / "n.json"))
+    dump_genset(catalog("sl2(3)"), str(tmp_path / "sl23.json"))
+    rc = _run(["certify", str(tmp_path / "sl23.json"), "--normal", str(tmp_path / "n.json")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: normal-subgroup generator is not a group member\n"
+
+
 def test_catalog_subcommand(tmp_path, capsys):
     rc = _run(["catalog", "s3wrs2", "-o", str(tmp_path / "w.json")])
     assert rc == 0
@@ -185,13 +204,13 @@ def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
 
     from solgrow.table import FiniteGroupTable
 
-    def colliding_table(_T):
+    def uneven_table(_T):
         swap = np.array([1, 0], dtype=np.int32)
-        return FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
+        return FiniteGroupTable([1], [(1, swap), (-1, np.array([0], dtype=np.int32))])
 
-    monkeypatch.setattr("solgrow.soluble.analyze_record", colliding_table)
+    monkeypatch.setattr("solgrow.soluble.analyze_record", uneven_table)
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 3
-    assert capsys.readouterr().err == "internal error: encodings are not injective\n"
+    assert capsys.readouterr().err == "internal error: step actions differ in length\n"
 
 
 def test_closed_stdout_exits_quietly():

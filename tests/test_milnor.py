@@ -28,9 +28,10 @@ from solgrow.milnor import (
     quantitative_bound_check,
     subset_products,
 )
-from solgrow.mu import mu_fast
+from solgrow.mu import MuValue, mu_fast
 from solgrow.soluble import minimal_normal_subgroups
 from solgrow.table import (
+    Subgroup,
     center,
     enumerate_group,
     normal_closure,
@@ -40,7 +41,7 @@ from solgrow.table import (
 
 
 def _perm_index(T, images):
-    return T.index[Perm(images).encode()]
+    return T.elements.index(Perm(images))
 
 
 def test_chain_normal_seed_stabilizes_immediately():
@@ -117,6 +118,49 @@ def test_quantitative_bound_violations_raise():
         quantitative_bound_check(
             dataclasses.replace(ch, closure_length=10**6), theta=1 / 3, C=5.0
         )
+
+
+# The certificate's own checks raise rather than assert as well.
+
+
+def test_coordinates_of_a_non_subgroup_raise():
+    # two transpositions of S3 with the identity are not closed: the span
+    # they generate over F_2 has four members, not three
+    T = table_of("s3")
+    V = Subgroup(T, (0, _perm_index(T, [1, 0, 2]), _perm_index(T, [0, 2, 1])), ())
+    with pytest.raises(InvariantViolated, match="not elementary abelian"):
+        milnor._elementary_abelian_coords(T, V, 2)
+
+
+def test_cost_word_mismatch_raises(monkeypatch):
+    # a cost pair that the series' own cost word does not multiply to
+    def shifted_mu_fast(T):
+        cost, series = mu_fast(T)
+        return MuValue(cost.a + 1, cost.b), series
+
+    monkeypatch.setattr(milnor, "mu_fast", shifted_mu_fast)
+    with pytest.raises(InvariantViolated, match="cost word"):
+        certify_growth_lower_bound(table_of("f2^3:c7"))
+
+
+def test_socle_of_composite_order_raises(monkeypatch):
+    # C6 is self-centralizing in itself; offered as the only minimal normal
+    # subgroup, its order 6 is no prime power
+    import solgrow.soluble
+
+    monkeypatch.setattr(solgrow.soluble, "minimal_normal_subgroups", lambda T: [whole_group(T)])
+    with pytest.raises(InvariantViolated, match="not a p-group"):
+        certify_growth_lower_bound(table_of("c6"))
+
+
+def test_lifted_word_longer_than_quotient_word_raises():
+    # a private table, since its word lengths are overwritten: every
+    # element but the identity is made 100 long, past any quotient word
+    T = enumerate_group(catalog("sl2(3)"))
+    Z = center(T)
+    T.word_length = [0] + [100] * (T.n - 1)
+    with pytest.raises(InvariantViolated, match="lifted word"):
+        certify_growth_lower_bound(T, Z)
 
 
 def test_distinct_products_k1():

@@ -38,7 +38,7 @@ SMALL = ["c6", "s3", "q8", "c2wrc2", "s4", "sl2(3)"]
 
 
 def _perm_index(T, images):
-    return T.index[Perm(images).encode()]
+    return T.elements.index(Perm(images))
 
 
 def test_subgroup_generated_examples():

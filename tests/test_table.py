@@ -25,6 +25,7 @@ from solgrow.table import (
     quotient,
     subgroup_generated,
     subgroup_table,
+    trivial_subgroup,
     whole_group,
 )
 
@@ -76,16 +77,27 @@ def test_cap_mid_level_on_row_path():
         assert exc.value.last_completed == counts[2]
 
 
+# Generating sets whose generator indices the radius-1 products must get
+# right: a repeated generator, the identity, and no inverses adjoined.
+_CYCLE, _CYCLE_INV, _SWAP = Perm([1, 2, 3, 0]), Perm([3, 0, 1, 2]), Perm([1, 0, 2, 3])
+_ODD_GENSETS = {
+    "repeated": lambda: GenSet([_SWAP, _CYCLE, _SWAP]),
+    "identity": lambda: GenSet([_CYCLE, Perm([0, 1, 2, 3]), _SWAP], allow_identity=True),
+    "asymmetric": lambda: GenSet([_CYCLE, _CYCLE_INV, _SWAP], symmetric=False),
+}
+
+
 @pytest.mark.parametrize(
     "name",
-    ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2", "gl3(2)", "gammal1(16)", "s4wrs2"],
+    ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2", "gl3(2)", "gammal1(16)", "s4wrs2"]
+    + list(_ODD_GENSETS),
 )
 def test_row_table_matches_object_loop(name):
-    X = catalog(name)
+    X = _ODD_GENSETS[name]() if name in _ODD_GENSETS else catalog(name)
     assert X.row_codec() is not None
     T = enumerate_group(X)
     ref = object_enumeration(X)
-    assert T.encodings == ref["encodings"]
+    assert [g.encode() for g in T.elements] == ref["encodings"]
     assert T.inv_idx == ref["inv_idx"]
     assert T.generators == ref["generators"]
     assert [a.tolist() for a in T._actions] == ref["actions"]
@@ -102,23 +114,24 @@ def test_matfp_overflow_takes_object_path():
     T = enumerate_group(X)
     assert T.n == 8 and isinstance(T.elements, list)
     ref = object_enumeration(X)
-    assert T.encodings == ref["encodings"] and T.inv_idx == ref["inv_idx"]
+    assert [g.encode() for g in T.elements] == ref["encodings"]
+    assert T.inv_idx == ref["inv_idx"]
     product = _element_product(T)
     assert all(T.mul(i, j) == product(i, j) for i in range(T.n) for j in range(T.n))
 
 
-def test_colliding_encodings_rejected():
-    # two indices under one encoding leave the dict short of the actions
+def test_uneven_step_actions_rejected():
+    # the order is the length of the first action; a shorter one is rejected
     swap = np.array([1, 0], dtype=np.int32)
-    with pytest.raises(InvariantViolated, match="not injective"):
-        FiniteGroupTable({b"x": 0}, [1], [(1, swap), (-1, swap)])
+    with pytest.raises(InvariantViolated, match="differ in length"):
+        FiniteGroupTable([1], [(1, swap), (-1, np.array([0], dtype=np.int32))])
 
 
 def test_steps_that_do_not_generate_rejected():
     # index 1 is unreachable when both steps fix every index
     fixed = np.array([0, 1], dtype=np.int32)
     with pytest.raises(InvariantViolated, match="do not generate"):
-        FiniteGroupTable({b"x": 0, b"y": 1}, [1], [(1, fixed), (-1, fixed)])
+        FiniteGroupTable([1], [(1, fixed), (-1, fixed)])
 
 
 def test_quotient_by_a_non_subgroup_rejected():
@@ -134,19 +147,19 @@ def test_quotient_by_a_non_subgroup_rejected():
 def test_element_bfs_levels():
     X = catalog("s3")
     k = len(X.bfs_steps())
-    index: dict[bytes, int] = {}
-    levels = list(element_bfs(X, index, 6))
+    levels = list(element_bfs(X, 6))
     assert [len(new) for new, _ in levels] == [1, 3, 2, 0]
     # each level carries the products of the level before, one per step
     assert [len(products) for _, products in levels] == [0, k * 1, k * 3, k * 2]
-    assert list(index) == table_of("s3").encodings
+    rows = np.concatenate([new for new, _ in levels])
+    assert np.array_equal(rows, table_of("s3").elements.rows)
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2"])
 def test_word_lengths_match_word_oracle(name):
     T = table_of(name)
     oracle = word_ball_lengths(T.gen_set, T.diameter())
-    assert all(oracle[T.encodings[i]] == T.word_length[i] for i in range(T.n))
+    assert all(oracle[g.encode()] == d for g, d in zip(T.elements, T.word_length))
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "q8", "gl2(3)", "f2^3:c7"])
@@ -191,7 +204,8 @@ def test_word_reconstruction():
 
 
 def _element_product(T):
-    return lambda i, j: T.index[(T.elements[i] * T.elements[j]).encode()]
+    index = {g.encode(): i for i, g in enumerate(T.elements)}
+    return lambda i, j: index[(T.elements[i] * T.elements[j]).encode()]
 
 
 def _quotient_case():
@@ -231,8 +245,8 @@ DENSE_CASES = {
 
 
 def _fresh(T):
-    """A new table over T's encodings and steps, with no dense row built."""
-    return FiniteGroupTable(T.index, T.generators, list(zip(T.step_refs, T._actions)))
+    """A new table over T's steps, with no dense row built."""
+    return FiniteGroupTable(T.generators, list(zip(T.step_refs, T._actions)))
 
 
 def _built_rows(T):
@@ -381,6 +395,10 @@ def test_lagrange_for_subgroup_tables():
         sub = subgroup_table(T, S)
         assert sub.n == S.order
         assert sub.growth_counts()[-1] == S.order
+    # the trivial subgroup has no generators, so its table has no steps
+    trivial = subgroup_table(T, trivial_subgroup(T))
+    assert trivial.n == 1 and trivial.step_refs == [] and trivial.word_length == [0]
+    assert trivial.inv_idx == [0] and trivial.mul(0, 0) == 0
 
 
 def test_mixed_variant_rejected():
