@@ -228,9 +228,8 @@ def derived_generators(T: FiniteGroupTable, k_max: int) -> dict:
             break
         chain = milnor_chain(T, Y)
         expected = commutator_subgroup(T, current, current)
-        assert chain.subgroups[chain.k].member_set == expected.member_set, (
-            "chain closure differs from the derived subgroup"
-        )
+        if chain.subgroups[chain.k].member_set != expected.member_set:
+            raise InvariantViolated("chain closure differs from the derived subgroup")
         X = chain.generating_set
         current = chain.subgroups[chain.k]
         lengths.append(chain.closure_length)
@@ -333,7 +332,13 @@ def _elementary_abelian_coords(T: FiniteGroupTable, V: Subgroup, p: int):
                 x = T.mul(x, v)
                 new[x] = coords + (j,)
         span = new
-    if len(span) != V.order:
+    # The span of commuting basis elements of order p has p^len(basis)
+    # members and contains V, so these three facts make it exactly V.
+    if (
+        p ** len(basis) != V.order
+        or any(T.order_of(b) != p for b in basis)
+        or any(T.comm(a, b) != 0 for i, a in enumerate(basis) for b in basis[i + 1 :])
+    ):
         raise InvariantViolated("subgroup is not elementary abelian")
     return basis, span
 

@@ -326,7 +326,8 @@ def product_counterexample_check(use_oracle: bool = False) -> dict:
     if use_oracle:
         o1, _ = mu_bruteforce(G1)
         o2, _ = mu_bruteforce(G2)
-        assert (o1, o2) == (mu1, mu2)
+        if (o1, o2) != (mu1, mu2):
+            raise InvariantViolated("brute-force oracle disagrees with mu_fast")
     biggest = mu1 if mu1 >= mu2 else mu2
     return {
         "mu_g1": mu1,

@@ -7,10 +7,12 @@ over-approximates "all chief factors up to equivalence": every chief
 factor arises in some quotient, so the maximum self-centralizing rank is
 found without implementing the equivalence relation on chief factors.
 
-The normal lattice is generated from conjugacy classes: every normal
-subgroup is the join of the normal closures of the classes it contains,
-so closing the class-closure subgroups under pairwise joins yields the
-complete lattice.
+The normal lattice is computed on sets of conjugacy classes, since a
+normal subgroup is a union of classes. Every normal subgroup is the join
+of the atoms (normal closures) of the classes it contains, so joining
+each lattice member with each atom it does not contain yields the
+complete lattice. An atom, and the join of a member with an atom, is one
+walk over the classes of its result (`_grow_classes`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .fields import _prime_power
 from .table import (
     FiniteGroupTable,
     Subgroup,
-    _normal_closure_under,
     conjugacy_classes,
     derived_series,
     is_soluble,
@@ -86,7 +87,7 @@ class NormalLattice:
 
 
 def normal_subgroups(T: FiniteGroupTable, cap: int = LATTICE_CAP) -> NormalLattice:
-    """Complete normal lattice via joins of conjugacy-class closures."""
+    """Complete normal lattice, computed on conjugacy-class sets."""
     if T.n > cap:
         raise CapExceeded(f"group order {T.n} exceeds lattice cap {cap}")
     return NormalLattice(T, normal_subgroups_within(T, whole_group(T)))
@@ -103,33 +104,67 @@ def minimal_normal_subgroups(
 def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
     """All subgroups of H normal in H, in parent-table indices.
 
-    Atoms are the normal closures in H of H's conjugacy classes, taken at
-    each class's least member; closing them under pairwise joins gives the
-    complete lattice. Returned sorted by (order, members).
+    Works on sets of H-classes, each held as a mask of one byte per class.
+    The atom of a class C is the normal closure <C>: {1} grown under right
+    multiplication by C. The join of a member A with the atom <C> is A
+    grown the same way. Starting from the atoms, each new member is joined
+    with every atom it does not contain; every normal subgroup is a join of
+    atoms, so this reaches all of them. Member tuples and short generators
+    (`reduce_generators`) are built once per distinct class set. Returned
+    sorted by (order, members).
     """
-    atoms: list[Subgroup] = []
-    seen: dict[frozenset[int], Subgroup] = {}
-    triv = trivial_subgroup(T)
-    seen[triv.member_set] = triv
-    for cls in conjugacy_classes(T, H):
-        N = reduce_generators(T, _normal_closure_under(T, [cls[0]], H.generators))
-        if N.member_set not in seen:
-            seen[N.member_set] = N
-            atoms.append(N)
-    queue = list(atoms)
-    known = list(seen.values())
+    classes = conjugacy_classes(T, H)
+    class_of = [-1] * T.n
+    for k, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = k
+    found: set[bytes] = set()
+    queue: list[tuple[bytes, list[int]]] = []  # new members: (class mask, its classes)
+    atoms: list[tuple[int, memoryview]] = []  # (class, right action of its least member)
+    for k in range(1, len(classes)):
+        row = memoryview(T.right_action(classes[k][0]))
+        mask, atom = _grow_classes(classes, class_of, [0], row)
+        if mask not in found:
+            found.add(mask)
+            queue.append((mask, atom))
+            atoms.append((k, row))
     while queue:
-        A = queue.pop()
-        for B in list(known):
-            if A.contains_set(B) or B.contains_set(A):
-                continue
-            join = subgroup_generated(T, list(A.generators) + list(B.generators))
-            if join.member_set not in seen:
-                join = reduce_generators(T, join)
-                seen[join.member_set] = join
-                known.append(join)
-                queue.append(join)
-    return sorted(seen.values(), key=lambda S: (S.order, S.members))
+        A, seeds = queue.pop()
+        for k, row in atoms:
+            if not A[k]:
+                mask, join = _grow_classes(classes, class_of, seeds, row)
+                if mask not in found:
+                    found.add(mask)
+                    queue.append((mask, join))
+    subs = [trivial_subgroup(T)]
+    for S in found:
+        members = tuple(sorted(x for cls, inside in zip(classes, S) if inside for x in cls))
+        subs.append(reduce_generators(T, Subgroup(T, members, ())))
+    return sorted(subs, key=lambda S: (S.order, S.members))
+
+
+def _grow_classes(
+    classes: list[tuple[int, ...]], class_of: list[int], start: list[int], row: memoryview
+) -> tuple[bytes, list[int]]:
+    """The normal set of classes `start` grown under right multiplication by C.
+
+    `row` is the right action of x, the least member of C. For a normal set
+    S, the classes of S * C are those of S * x, since s * x^h is conjugate
+    by h^-1 to s^(h^-1) * x. So scanning each class of the result once
+    against one row suffices. Returns the result as a mask of one byte per
+    class and as a list of its classes.
+    """
+    inside = bytearray(len(classes))
+    for k in start:
+        inside[k] = 1
+    out = list(start)
+    for k in out:  # out grows while it is walked
+        for y in classes[k]:
+            j = class_of[row[y]]
+            if not inside[j]:
+                inside[j] = 1
+                out.append(j)
+    return bytes(inside), out
 
 
 def _factor_rank(T: FiniteGroupTable, below: Subgroup, above: Subgroup) -> tuple[int, int]:

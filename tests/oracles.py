@@ -197,8 +197,12 @@ def naive_self_centralizing(T: FiniteGroupTable, N: Subgroup, M: Subgroup) -> bo
     return pre == M.member_set
 
 
-def naive_is_normal(T: FiniteGroupTable, members: frozenset[int]) -> bool:
-    return all(T.conj(x, g) in members for x in members for g in range(T.n))
+def naive_is_normal(
+    T: FiniteGroupTable, members: frozenset[int], within: Sequence[int] | None = None
+) -> bool:
+    """Whether conjugation by each element of `within` (default T) keeps the members."""
+    conjugators = range(T.n) if within is None else within
+    return all(T.conj(x, g) in members for x in members for g in conjugators)
 
 
 def naive_all_subgroups_tiny(T: FiniteGroupTable) -> set[frozenset[int]]:

@@ -132,6 +132,22 @@ def test_coordinates_of_a_non_subgroup_raise():
         milnor._elementary_abelian_coords(T, V, 2)
 
 
+@pytest.mark.parametrize("name, p", [("c4", 2), ("q8", 2), ("s3", 2), ("c9", 3)])
+def test_coordinates_of_a_non_elementary_abelian_subgroup_raise(name, p):
+    # each group taken whole is closed, so the greedy span covers it: the
+    # order of the group, of a basis element or a commutator must give it away
+    T = table_of(name)
+    with pytest.raises(InvariantViolated, match="not elementary abelian"):
+        milnor._elementary_abelian_coords(T, whole_group(T), p)
+
+
+def test_derived_generators_off_the_derived_subgroup_raises(monkeypatch):
+    # the chain closure of S4's commutators is A4, not a whole-group stand-in
+    monkeypatch.setattr(milnor, "commutator_subgroup", lambda T, A, B: whole_group(T))
+    with pytest.raises(InvariantViolated, match="chain closure differs"):
+        derived_generators(table_of("s4"), 6)
+
+
 def test_cost_word_mismatch_raises(monkeypatch):
     # a cost pair that the series' own cost word does not multiply to
     def shifted_mu_fast(T):

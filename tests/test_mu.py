@@ -131,6 +131,20 @@ def test_bruteforce_raises_when_no_modified_step(monkeypatch):
         mu_bruteforce(table_of("s3"))
 
 
+def test_product_counterexample_oracle_disagreement_raises(monkeypatch):
+    import solgrow.mu
+
+    assert product_counterexample_check(use_oracle=True)["strict"] is True
+
+    def shifted_bruteforce(T):
+        cost, series = mu_bruteforce(T)
+        return MuValue(cost.a + 1, cost.b), series
+
+    monkeypatch.setattr(solgrow.mu, "mu_bruteforce", shifted_bruteforce)
+    with pytest.raises(InvariantViolated, match="oracle disagrees"):
+        product_counterexample_check(use_oracle=True)
+
+
 def test_mu_sl23():
     cost, _ = mu_bruteforce(table_of("sl2(3)"))
     assert cost == MuValue(1, 1)

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from conftest import CORPUS_SOLUBLE, table_of
+from conftest import CORPUS_SOLUBLE, square_of, table_of
 from oracles import (
     naive_is_normal,
     naive_self_centralizing,
@@ -26,12 +26,20 @@ from solgrow.soluble import (
     maximal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
+    normal_subgroups_within,
     sc_chief_rank,
     sc_iff_maximal_index_check,
     soluble_subgroups,
 )
 from solgrow.specio import dump_genset
-from solgrow.table import FiniteGroupTable, center, direct_product, quotient, whole_group
+from solgrow.table import (
+    FiniteGroupTable,
+    center,
+    derived_series,
+    direct_product,
+    quotient,
+    whole_group,
+)
 
 # soluble corpus members small enough for full-lattice work in one test run
 LATTICE_CORPUS = [n for n in CORPUS_SOLUBLE if n not in ("gl3(2)",)]
@@ -44,13 +52,19 @@ def test_normal_lattice_examples():
     assert [S.order for S in q8.subgroups] == [1, 2, 4, 4, 4, 8]
 
 
-@pytest.mark.parametrize("name", ["c6", "s3", "q8", "s4", "sl2(3)", "f3^2:q8"])
+@pytest.mark.parametrize("name", ["c6", "s3", "q8", "s4", "sl2(3)", "f3^2:q8", "c4xc4"])
 def test_normal_lattice_complete(name):
-    # the lattice must be exactly the normal members of the full subgroup list
-    T = table_of(name)
+    # the lattice of every subgroup H must be exactly the members of the
+    # full subgroup list inside H and normal in H; in c4 x c4 every class
+    # is a single element
+    T = square_of("c4") if name == "c4xc4" else table_of(name)
     subs = soluble_subgroups(T)
     normals = {S.member_set for S in subs if naive_is_normal(T, S.member_set)}
     assert {S.member_set for S in normal_subgroups(T).subgroups} == normals
+    for H in subs:
+        inside = [S.member_set for S in subs if S.member_set <= H.member_set]
+        normals = {S for S in inside if naive_is_normal(T, S, H.members)}
+        assert {S.member_set for S in normal_subgroups_within(T, H)} == normals
 
 
 @pytest.mark.parametrize("name", ["c6", "s3", "q8", "s4", "sl2(3)", "q8"])
@@ -83,6 +97,37 @@ _PINNED_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
 def test_subgroup_list_and_generators_pinned(name):
     assert _digest(soluble_subgroups(table_of(name))) == _PINNED_DIGESTS[name]
+
+
+# sha256 of repr([(members, generators), ...]) of normal lattices, recorded
+# when the lattice was still closed under pairwise element joins
+_PINNED_LATTICE_DIGESTS = {
+    "agl1(64)": "9024437f63add318e8b1ec0c2a2aab5cc69300d0f97fab602d6c31a207e4c397",
+    "s4wrs2": "1690d04d416eb4fd572a9ba4d4b66ee3c974e8801083661a6f89052f71cc5fa1",
+    "s3wrs3": "3b2453585c23ce3e5601c7e684e570e3eff07e5926abf19831accc0b88515d89",
+}
+
+# the same for normal_subgroups_within(T, H) on each derived-series term
+# H of s4wrs2, from the whole group down to the trivial subgroup
+_PINNED_S4WRS2_DERIVED_DIGESTS = [
+    "1690d04d416eb4fd572a9ba4d4b66ee3c974e8801083661a6f89052f71cc5fa1",
+    "53b7f1af4de674d6658e396fc2569d26d4dcea20ed95feaaa4416749cfd7cc4a",
+    "25ba0a657fe06c3f8234b5c8b3d0e89e39bfe3f460db98c9bb48e808049d6861",
+    "2b3733a2eac30012a9b808fdb36654721830f86822ec2699ab2a0a4a736394f7",
+    "367d5052b11809bd2bf74b9e45d7be98112a302f4975e17201d62aedaafe0c46",
+]
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_LATTICE_DIGESTS))
+def test_normal_lattice_and_generators_pinned(name):
+    lattice = normal_subgroups(table_of(name))
+    assert _digest(lattice.subgroups) == _PINNED_LATTICE_DIGESTS[name]
+
+
+def test_normal_lattices_within_derived_terms_pinned():
+    T = table_of("s4wrs2")
+    digests = [_digest(normal_subgroups_within(T, D)) for D in derived_series(T)]
+    assert digests == _PINNED_S4WRS2_DERIVED_DIGESTS
 
 
 def _count_conjugates(monkeypatch) -> list[int]:
