@@ -10,7 +10,9 @@ keys and no timestamps.
 A run starts only what it uses. This module imports only `errors`,
 `specio` and `table` (and so `elements` and numpy); each subcommand imports
 its own modules when it runs, so a `growth` job never loads the structure,
-mu or certificate code. The CLI pins OpenBLAS to one thread unless
+mu or certificate code. A plain argv (see `_PlainArgs`) is parsed without
+argparse, which loads only for help, errors and the other spellings it
+accepts. The CLI pins OpenBLAS to one thread unless
 OPENBLAS_NUM_THREADS is already set: solgrow does no BLAS work, and an
 OpenBLAS pool would start idle workers that busy-wait before they sleep.
 Library imports leave the BLAS setting alone.
@@ -23,13 +25,17 @@ import os
 # Before numpy loads: solgrow does no BLAS work, and idle OpenBLAS workers spin.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError
 from .specio import dump_genset, load_genset, serialize_genset
 from .table import DEFAULT_CAP, enumerate_group, is_normal, subgroup_generated
+
+if TYPE_CHECKING:
+    import argparse
 
 ENV_MAX_ELEMENTS = "SOLGROW_MAX_ELEMENTS"
 EXIT_CLOSED_PIPE = 141
@@ -175,63 +181,150 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _common_args(p) -> None:
+    p.add_argument("spec", help="group spec JSON file")
+    p.add_argument("-o", "--out", default=None, help="output JSON path (default stdout)")
+    p.add_argument(
+        "--max-elements",
+        type=int,
+        default=_default_cap(),
+        help="enumeration cap (env %s overrides the default)" % ENV_MAX_ELEMENTS,
+    )
+
+
+def _mu_args(p) -> None:
+    _common_args(p)
+    p.add_argument("--method", choices=("fast", "bruteforce"), default="fast")
+
+
+def _bounds_args(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("-o", "--out", default=None)
+
+
+def _verify_cases_args(p) -> None:
+    p.add_argument("-o", "--out", default=None)
+    p.add_argument("--quick", action="store_true", help="skip the largest witnesses")
+
+
+def _growth_args(p) -> None:
+    _common_args(p)
+    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--csv", default=None, help="CSV output path (default stdout)")
+    p.add_argument("--fit", action="store_true", help="also emit a JSON fit record")
+
+
+def _certify_args(p) -> None:
+    _common_args(p)
+    p.add_argument("--normal", default=None, help="spec file generating a normal subgroup")
+    p.add_argument("--emit-transcript", action="store_true")
+
+
+def _catalog_args(p) -> None:
+    p.add_argument("name")
+    p.add_argument("-o", "--out", default=None)
+
+
+# name -> (handler, help line, adds the subcommand's arguments), in help order.
+_SUBCOMMANDS = {
+    "analyze": (cmd_analyze, "order, derived length, chief factors, ranks", _common_args),
+    "mu": (cmd_mu, "modified derived length and witness series", _mu_args),
+    "bounds": (cmd_bounds, "bound values for degree n", _bounds_args),
+    "verify-cases": (cmd_verify_cases, "run the small-cases suite", _verify_cases_args),
+    "growth": (cmd_growth, "Cayley-ball growth table (CSV) and fit", _growth_args),
+    "certify": (cmd_certify, "growth-lower-bound certificate", _certify_args),
+    "catalog": (cmd_catalog, "dump a named catalog group as a spec file", _catalog_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="solgrow",
         description="Finite soluble group analysis, growth tables, and "
         "growth-lower-bound certificates.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("spec", help="group spec JSON file")
-        p.add_argument("-o", "--out", default=None, help="output JSON path (default stdout)")
-        p.add_argument(
-            "--max-elements",
-            type=int,
-            default=_default_cap(),
-            help="enumeration cap (env %s overrides the default)" % ENV_MAX_ELEMENTS,
-        )
-
-    p = sub.add_parser("analyze", help="order, derived length, chief factors, ranks")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("mu", help="modified derived length and witness series")
-    add_common(p)
-    p.add_argument("--method", choices=("fast", "bruteforce"), default="fast")
-    p.set_defaults(func=cmd_mu)
-
-    p = sub.add_parser("bounds", help="bound values for degree n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("verify-cases", help="run the small-cases suite")
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--quick", action="store_true", help="skip the largest witnesses")
-    p.set_defaults(func=cmd_verify_cases)
-
-    p = sub.add_parser("growth", help="Cayley-ball growth table (CSV) and fit")
-    add_common(p)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--csv", default=None, help="CSV output path (default stdout)")
-    p.add_argument("--fit", action="store_true", help="also emit a JSON fit record")
-    p.set_defaults(func=cmd_growth)
-
-    p = sub.add_parser("certify", help="growth-lower-bound certificate")
-    add_common(p)
-    p.add_argument("--normal", default=None, help="spec file generating a normal subgroup")
-    p.add_argument("--emit-transcript", action="store_true")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("catalog", help="dump a named catalog group as a spec file")
-    p.add_argument("name")
-    p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_catalog)
-
+    for name, (func, help_line, add_args) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(func=func)
     return ap
+
+
+class _PlainArgs:
+    """A subcommand's `add_argument` calls, recorded to parse plain argvs.
+
+    An argv is plain when every option is spelled out in full, at most once,
+    with its value as the next word; when no value or positional starts with
+    "-"; and when every value converts and every required option is given.
+    `parse` returns the namespace argparse would build for a plain argv and
+    None for any other, which argparse then parses, with its help and error
+    messages. A job's argv is plain, so a job never loads argparse: building
+    its parser costs a few milliseconds, mostly importing `locale` for
+    gettext, more than some jobs' library work.
+    """
+
+    def __init__(self, command: str, func):
+        self.defaults = {"command": command, "func": func}
+        self.positionals: list[str] = []
+        self.options: dict[str, tuple[str, dict]] = {}
+
+    def add_argument(self, *names: str, **kw) -> None:
+        if not names[0].startswith("-"):
+            self.positionals.append(names[0])
+            return
+        # argparse's dest: the first long option, else the first option
+        dest = next((n for n in names if n.startswith("--")), names[0]).lstrip("-")
+        dest = dest.replace("-", "_")
+        flag = kw.get("action") == "store_true"
+        self.defaults[dest] = kw.get("default", False if flag else None)
+        for name in names:
+            self.options[name] = (dest, kw)
+
+    def parse(self, words: list[str]) -> SimpleNamespace | None:
+        values = dict(self.defaults)
+        given: set[str] = set()
+        positionals = []
+        rest = iter(words)
+        for word in rest:
+            if not word.startswith("-"):
+                positionals.append(word)
+                continue
+            dest, kw = self.options.get(word, (None, None))
+            if dest is None or dest in given:
+                return None
+            given.add(dest)
+            if kw.get("action") == "store_true":
+                values[dest] = True
+                continue
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+            if "type" in kw:
+                try:
+                    value = kw["type"](value)
+                except ValueError:
+                    return None
+            if value not in kw.get("choices", (value,)):
+                return None
+            values[dest] = value
+        required = {dest for dest, kw in self.options.values() if kw.get("required")}
+        if len(positionals) != len(self.positionals) or not required <= given:
+            return None
+        values.update(zip(self.positionals, positionals))
+        return SimpleNamespace(**values)
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The parsed arguments of a plain job argv (see `_PlainArgs`), else None."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    func, _help, add_args = _SUBCOMMANDS[argv[0]]
+    plain = _PlainArgs(argv[0], func)
+    add_args(plain)
+    return plain.parse(argv[1:])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,7 +339,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # from argparse: --help or invalid arguments
         return 1 if exc.code not in (0, None) else 0

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from solgrow.catalog import catalog
-from solgrow.cli import main
+from solgrow.cli import _plain_args, build_parser, main
 from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.specio import dump_genset
 
@@ -306,6 +306,60 @@ def test_env_cap_override(spec_dir, monkeypatch):
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 2
     monkeypatch.setenv("SOLGROW_MAX_ELEMENTS", "bogus")
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 1
+
+
+_PLAIN = [
+    ["analyze", "g.json"],
+    ["analyze", "g.json", "-o", "out.json", "--max-elements", "100"],
+    ["mu", "g.json", "--method", "bruteforce"],
+    ["mu", "--out", "o.json", "g.json"],
+    ["bounds", "--n", "5"],
+    ["verify-cases", "--quick", "-o", "o.json"],
+    ["verify-cases"],
+    ["growth", "g.json", "--radius", "12", "-o", "o.json", "--fit"],
+    ["growth", "g.json", "--radius", " 3", "--csv", "g.csv"],
+    ["certify", "g.json", "--normal", "n.json", "--emit-transcript"],
+    ["catalog", "s4", "-o", ""],
+]
+
+# argparse handles these: help, abbreviations, "--opt=value", repeats, values
+# that start with "-", bad values and missing or extra arguments.
+_NOT_PLAIN = [
+    [],
+    ["-h"],
+    ["nope", "g.json"],
+    ["analyze", "--help"],
+    ["analyze", "g.json", "--max", "5"],
+    ["analyze", "g.json", "--out=o.json"],
+    ["analyze", "g.json", "-o", "a", "-o", "b"],
+    ["analyze", "g.json", "-o"],
+    ["analyze", "-"],
+    ["analyze"],
+    ["analyze", "g.json", "extra"],
+    ["bounds", "--n", "-3"],
+    ["bounds", "--n", "x"],
+    ["bounds"],
+    ["mu", "g.json", "--method", "slow"],
+    ["growth", "g.json"],
+    ["verify-cases", "--quick", "--quick"],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN, ids=" ".join)
+def test_plain_argv_parses_as_argparse_does(argv):
+    plain = _plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", _NOT_PLAIN, ids=" ".join)
+def test_other_argv_is_left_to_argparse(argv):
+    assert _plain_args(argv) is None
+
+
+def test_plain_argv_reads_the_cap_from_the_environment(monkeypatch):
+    monkeypatch.setenv("SOLGROW_MAX_ELEMENTS", "7")
+    assert _plain_args(["analyze", "g.json"]).max_elements == 7
 
 
 def test_verify_cases_quick(tmp_path):

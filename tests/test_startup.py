@@ -102,9 +102,11 @@ def test_growth_run_loads_only_what_it_uses(tmp_path):
         "from solgrow.cli import main\n"
         f"rc = main(['growth', {str(spec)!r}, '--radius', '3', '--csv', {str(tmp_path / 'g.csv')!r}])\n"
         "print(json.dumps({'rc': rc, 'loaded': sorted(m for m in sys.modules"
-        " if m.startswith('solgrow.'))}))"
+        " if m.startswith('solgrow.') or m in ('argparse', 'locale'))}))"
     )
     assert report["rc"] == 0
+    # a plain argv is parsed without argparse, whose gettext imports locale
+    assert {"argparse", "locale"}.isdisjoint(report["loaded"]), report["loaded"]
     unused = {
         "solgrow." + m
         for m in ("soluble", "mu", "milnor", "smallcases", "catalog", "constructions",
