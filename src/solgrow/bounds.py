@@ -16,7 +16,7 @@ import math
 from typing import Sequence
 
 from .elements import MatFp, Perm
-from .errors import CapExceeded
+from .errors import CapExceeded, InvariantViolated
 from .fields import _vec_of, vector_actions
 from .table import FiniteGroupTable, _orbit
 
@@ -189,7 +189,8 @@ def permutation_structure(T: FiniteGroupTable) -> dict:
             key = tuple(tuple(b) for b in part)
             if key not in seen_partitions:
                 seen_partitions.add(key)
-                assert len(sizes) == 1, "blocks of unequal size"
+                if len(sizes) != 1:
+                    raise InvariantViolated("blocks of unequal size")
                 blocks.append([list(b) for b in part])
     primitive = transitive and not blocks and degree > 1
     return {"transitive": transitive, "primitive": primitive, "block_systems": blocks}

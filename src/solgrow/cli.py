@@ -103,6 +103,8 @@ def cmd_bounds(args) -> int:
     from .bounds import bound_decimal, mu_bound, rho_bound, rho_int_bound, sigma_value
 
     n = args.n
+    if n < 1:
+        raise ParseError("--n must be >= 1")
     sig = sigma_value(n)
     rec = {
         "n": n,

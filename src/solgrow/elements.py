@@ -6,6 +6,12 @@ head position), and finite-depth rooted-tree automorphisms given by
 portraits. Canonical encodings are injective per variant, so encodings
 double as hash keys for BFS deduplication.
 
+The two matrix variants share one body (`_Matrix`: product, identity, rows,
+each subclass fixing its ring in `_like`), one entry parser and one
+Gauss-Jordan elimination (`_gauss_jordan`), which gives both the determinant
+checked at construction and the inverse: over F_p, and over Q for integer
+matrices, whose inverse must come out integral or raises InvariantViolated.
+
 Permutations and F_p matrices also have a row codec (PermRows, MatFpRows,
 next to their classes): the element's data as a fixed-width numpy row, a
 batched product over many rows at once, and row -> element. A row's
@@ -29,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import MixedVariants, ParseError
+from .errors import InvariantViolated, MixedVariants, ParseError
 
 
 def _is_prime(p: int) -> bool:
@@ -76,9 +82,6 @@ class GroupElement:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.encode() == other.encode()
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self.encode())
@@ -180,32 +183,28 @@ class Perm(GroupElement):
         self.images = imgs
         self._enc: bytes | None = None
 
+    @staticmethod
+    def _of(images: tuple[int, ...]) -> "Perm":
+        p = Perm.__new__(Perm)
+        p.images, p._enc = images, None
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __mul__(self, other: "Perm") -> "Perm":
         a = self.images
-        b = other.images
-        p = Perm.__new__(Perm)
-        p.images = tuple(a[x] for x in b)
-        p._enc = None
-        return p
+        return Perm._of(tuple(a[x] for x in other.images))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        p = Perm.__new__(Perm)
-        p.images = tuple(inv)
-        p._enc = None
-        return p
+        return Perm._of(tuple(inv))
 
     def identity(self) -> "Perm":
-        p = Perm.__new__(Perm)
-        p.images = tuple(range(len(self.images)))
-        p._enc = None
-        return p
+        return Perm._of(tuple(range(len(self.images))))
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -269,63 +268,59 @@ class PermRows(RowCodec):
         return frontier[:, steps].reshape(-1, frontier.shape[1])
 
     def element(self, row: np.ndarray) -> Perm:
-        p = Perm.__new__(Perm)
-        p.images = tuple(row.tolist())
-        p._enc = None
-        return p
+        return Perm._of(tuple(row.tolist()))
 
 
-def _matfp_prefix(n: int, p: int) -> bytes:
-    return b"F" + struct.pack("<BI", n, p)
+def _flat_entries(n: int, entries: Sequence[Sequence[int]] | Sequence[int]) -> list[int]:
+    """Row-major integer entries of an n x n matrix given flat or as rows."""
+    if entries and isinstance(entries[0], (list, tuple)):
+        entries = [x for row in entries for x in row]  # type: ignore[union-attr]
+    flat = [int(x) for x in entries]  # type: ignore[arg-type]
+    if len(flat) != n * n:
+        raise ParseError(f"expected {n}x{n} entries")
+    return flat
 
 
-class MatFp(GroupElement):
-    """Invertible n x n matrix over F_p, entries reduced mod p."""
+def _gauss_jordan(n: int, entries: Sequence, inv: Callable, reduce: Callable) -> tuple[object, list | None]:
+    """Determinant and row-major inverse of row-major `entries` over a field.
 
-    variant = "matfp"
+    `reduce` gives a value's normal form, falsy for zero (x mod p over F_p,
+    a Fraction over Q); `inv` inverts a nonzero normal form. A singular
+    matrix gives (0, None).
+    """
+    m = [
+        [reduce(x) for x in entries[i * n : (i + 1) * n]] + [reduce(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    det = reduce(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det = reduce(det * m[col][col])
+        f = inv(m[col][col])
+        m[col] = [reduce(x * f) for x in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [reduce(x - f * y) for x, y in zip(m[r], m[col])]
+    return det, [x for row in m for x in row[n:]]
 
-    __slots__ = ("n", "p", "entries", "_enc")
 
-    def __init__(self, n: int, p: int, entries: Sequence[Sequence[int]] | Sequence[int]):
-        if not _is_prime(p):
-            raise ParseError(f"p = {p} is not prime")
-        flat: list[int]
-        if entries and isinstance(entries[0], (list, tuple)):
-            flat = [int(x) % p for row in entries for x in row]  # type: ignore[union-attr]
-        else:
-            flat = [int(x) % p for x in entries]  # type: ignore[arg-type]
-        if len(flat) != n * n:
-            raise ParseError(f"expected {n}x{n} entries")
-        self.n = n
-        self.p = p
-        self.entries = tuple(flat)
-        self._enc: bytes | None = None
-        if self._det() == 0:
-            raise ParseError("matrix is singular over F_p")
+class _Matrix(GroupElement):
+    """n x n matrix with row-major `entries`; subclasses fix the ring."""
 
-    def _det(self) -> int:
-        # Gaussian elimination mod p.
-        n, p = self.n, self.p
-        m = [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] % p), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det = det * m[col][col] % p
-            inv = pow(m[col][col], p - 2, p)
-            for r in range(col + 1, n):
-                f = m[r][col] * inv % p
-                if f:
-                    for c in range(col, n):
-                        m[r][c] = (m[r][c] - f * m[col][c]) % p
-        return det % p
+    __slots__ = ("n", "entries", "_enc")
 
-    def __mul__(self, other: "MatFp") -> "MatFp":
-        n, p = self.n, self.p
+    def _like(self, entries: Iterable[int]) -> "_Matrix":
+        """A matrix of the same kind and size with these entries, unchecked."""
+        raise NotImplementedError
+
+    def __mul__(self, other: "_Matrix") -> "_Matrix":
+        n = self.n
         a, b = self.entries, other.entries
         out = [0] * (n * n)
         for i in range(n):
@@ -336,37 +331,54 @@ class MatFp(GroupElement):
                     bk = k * n
                     for j in range(n):
                         out[ai + j] += aik * b[bk + j]
+        return self._like(out)
+
+    def identity(self) -> "_Matrix":
+        n = self.n
+        return self._like(int(i == j) for i in range(n) for j in range(n))
+
+    def rows(self) -> list[tuple[int, ...]]:
+        n = self.n
+        return [self.entries[i * n : (i + 1) * n] for i in range(n)]
+
+
+def _matfp_prefix(n: int, p: int) -> bytes:
+    return b"F" + struct.pack("<BI", n, p)
+
+
+class MatFp(_Matrix):
+    """Invertible n x n matrix over F_p, entries reduced mod p."""
+
+    variant = "matfp"
+
+    __slots__ = ("p",)
+
+    def __init__(self, n: int, p: int, entries: Sequence[Sequence[int]] | Sequence[int]):
+        if not _is_prime(p):
+            raise ParseError(f"p = {p} is not prime")
+        self.n = n
+        self.p = p
+        self.entries = tuple(x % p for x in _flat_entries(n, entries))
+        self._enc: bytes | None = None
+        if self._eliminate()[0] == 0:
+            raise ParseError("matrix is singular over F_p")
+
+    @staticmethod
+    def _of(n: int, p: int, entries: tuple[int, ...]) -> "MatFp":
         m = MatFp.__new__(MatFp)
-        m.n, m.p = n, p
-        m.entries = tuple(x % p for x in out)
-        m._enc = None
+        m.n, m.p, m.entries, m._enc = n, p, entries, None
         return m
+
+    def _like(self, entries: Iterable[int]) -> "MatFp":
+        p = self.p
+        return MatFp._of(self.n, p, tuple(x % p for x in entries))
+
+    def _eliminate(self) -> tuple[object, list | None]:
+        p = self.p
+        return _gauss_jordan(self.n, self.entries, lambda x: pow(x, p - 2, p), lambda x: x % p)
 
     def inverse(self) -> "MatFp":
-        n, p = self.n, self.p
-        m = [list(self.entries[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] % p)
-            m[col], m[piv] = m[piv], m[col]
-            inv = pow(m[col][col], p - 2, p)
-            m[col] = [x * inv % p for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-        out = MatFp.__new__(MatFp)
-        out.n, out.p = n, p
-        out.entries = tuple(m[i][n + j] for i in range(n) for j in range(n))
-        out._enc = None
-        return out
-
-    def identity(self) -> "MatFp":
-        n = self.n
-        m = MatFp.__new__(MatFp)
-        m.n, m.p = n, self.p
-        m.entries = tuple(int(i == j) for i in range(n) for j in range(n))
-        m._enc = None
-        return m
+        return self._like(self._eliminate()[1])  # type: ignore[arg-type]
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector over F_p."""
@@ -374,10 +386,6 @@ class MatFp(GroupElement):
         return tuple(
             sum(self.entries[i * n + j] * vec[j] for j in range(n)) % p for i in range(n)
         )
-
-    def rows(self) -> list[tuple[int, ...]]:
-        n = self.n
-        return [self.entries[i * n : (i + 1) * n] for i in range(n)]
 
     def encode(self) -> bytes:
         if self._enc is None:
@@ -418,111 +426,38 @@ class MatFpRows(RowCodec):
         return ((x @ s) % self.p).astype(self.dtype).reshape(-1, n * n)
 
     def element(self, row: np.ndarray) -> MatFp:
-        m = MatFp.__new__(MatFp)
-        m.n, m.p = self.n, self.p
-        m.entries = tuple(row.tolist())
-        m._enc = None
-        return m
+        return MatFp._of(self.n, self.p, tuple(row.tolist()))
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    # Fraction-free enough for desk-scale n; exact over Z via Fractions.
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
-class MatZ(GroupElement):
+class MatZ(_Matrix):
     """Integer n x n matrix with determinant +-1 (exact arithmetic)."""
 
     variant = "matz"
 
-    __slots__ = ("n", "entries", "_enc")
+    __slots__ = ()
 
     def __init__(self, n: int, entries: Sequence[Sequence[int]] | Sequence[int]):
-        flat: list[int]
-        if entries and isinstance(entries[0], (list, tuple)):
-            flat = [int(x) for row in entries for x in row]  # type: ignore[union-attr]
-        else:
-            flat = [int(x) for x in entries]  # type: ignore[arg-type]
-        if len(flat) != n * n:
-            raise ParseError(f"expected {n}x{n} entries")
         self.n = n
-        self.entries = tuple(flat)
+        self.entries = tuple(_flat_entries(n, entries))
         self._enc: bytes | None = None
-        d = _int_det([flat[i * n : (i + 1) * n] for i in range(n)])
+        d = self._eliminate()[0]
         if d not in (1, -1):
             raise ParseError(f"determinant {d} is not +-1")
 
-    def __mul__(self, other: "MatZ") -> "MatZ":
-        n = self.n
-        a, b = self.entries, other.entries
-        out = [0] * (n * n)
-        for i in range(n):
-            ai = i * n
-            for k in range(n):
-                aik = a[ai + k]
-                if aik:
-                    bk = k * n
-                    for j in range(n):
-                        out[ai + j] += aik * b[bk + j]
+    def _like(self, entries: Iterable[int]) -> "MatZ":
         m = MatZ.__new__(MatZ)
-        m.n = n
-        m.entries = tuple(out)
-        m._enc = None
+        m.n, m.entries, m._enc = self.n, tuple(entries), None
         return m
+
+    def _eliminate(self) -> tuple[object, list | None]:
+        return _gauss_jordan(self.n, self.entries, lambda x: 1 / x, Fraction)
 
     def inverse(self) -> "MatZ":
-        # Gauss-Jordan over Q; the result is integral because det = +-1.
-        n = self.n
-        m = [
-            [Fraction(self.entries[i * n + j]) for j in range(n)]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        out = MatZ.__new__(MatZ)
-        out.n = n
-        vals = [m[i][n + j] for i in range(n) for j in range(n)]
-        assert all(v.denominator == 1 for v in vals)
-        out.entries = tuple(int(v) for v in vals)
-        out._enc = None
-        return out
-
-    def identity(self) -> "MatZ":
-        n = self.n
-        m = MatZ.__new__(MatZ)
-        m.n = n
-        m.entries = tuple(int(i == j) for i in range(n) for j in range(n))
-        m._enc = None
-        return m
-
-    def rows(self) -> list[tuple[int, ...]]:
-        n = self.n
-        return [self.entries[i * n : (i + 1) * n] for i in range(n)]
+        # Over Q; integral whenever det = +-1, which the constructor checked.
+        vals = self._eliminate()[1]
+        if vals is None or any(v.denominator != 1 for v in vals):
+            raise InvariantViolated(f"{self!r} has no inverse over Z")
+        return self._like(v.numerator for v in vals)
 
     def encode(self) -> bytes:
         # Entries are unbounded, so the encoding is length-delimited text.
@@ -579,28 +514,22 @@ class Lamplighter(GroupElement):
         self.head = int(head)
         self._enc: bytes | None = None
 
+    @staticmethod
+    def _of(lamps: frozenset[int], head: int) -> "Lamplighter":
+        m = Lamplighter.__new__(Lamplighter)
+        m.lamps, m.head, m._enc = lamps, head, None
+        return m
+
     def __mul__(self, other: "Lamplighter") -> "Lamplighter":
         # (f1, k1)(f2, k2) = (f1 xor shift(f2, k1), k1 + k2)
         shifted = frozenset(x + self.head for x in other.lamps)
-        m = Lamplighter.__new__(Lamplighter)
-        m.lamps = self.lamps ^ shifted
-        m.head = self.head + other.head
-        m._enc = None
-        return m
+        return Lamplighter._of(self.lamps ^ shifted, self.head + other.head)
 
     def inverse(self) -> "Lamplighter":
-        m = Lamplighter.__new__(Lamplighter)
-        m.lamps = frozenset(x - self.head for x in self.lamps)
-        m.head = -self.head
-        m._enc = None
-        return m
+        return Lamplighter._of(frozenset(x - self.head for x in self.lamps), -self.head)
 
     def identity(self) -> "Lamplighter":
-        m = Lamplighter.__new__(Lamplighter)
-        m.lamps = frozenset()
-        m.head = 0
-        m._enc = None
-        return m
+        return Lamplighter._of(frozenset(), 0)
 
     def encode(self) -> bytes:
         if self._enc is None:
@@ -731,6 +660,12 @@ class TreeAuto(GroupElement):
         self.portrait = norm
         self._enc: bytes | None = None
 
+    @staticmethod
+    def _of(depth: int, arity: int, portrait: dict) -> "TreeAuto":
+        m = TreeAuto.__new__(TreeAuto)
+        m.depth, m.arity, m.portrait, m._enc = depth, arity, portrait, None
+        return m
+
     def label(self, path: tuple[int, ...]) -> tuple[int, ...]:
         return self.portrait.get(path, tuple(range(self.arity)))
 
@@ -757,12 +692,7 @@ class TreeAuto(GroupElement):
             lab = tuple(gl[hl[x]] for x in range(self.arity))
             if lab != ident:
                 port[path] = lab
-        m = TreeAuto.__new__(TreeAuto)
-        m.depth = self.depth
-        m.arity = self.arity
-        m.portrait = port
-        m._enc = None
-        return m
+        return TreeAuto._of(self.depth, self.arity, port)
 
     def _preimage_path(self, path: tuple[int, ...]) -> tuple[int, ...]:
         out: list[int] = []
@@ -775,33 +705,18 @@ class TreeAuto(GroupElement):
         return tuple(out)
 
     def inverse(self) -> "TreeAuto":
-        ident = tuple(range(self.arity))
+        # (g^-1)_v = (g_{g^-1(v)})^-1, so the inverse's label lives at g(v);
+        # stored labels are not the identity, so neither are their inverses.
         port: dict[tuple[int, ...], tuple[int, ...]] = {}
         for path, lab in self.portrait.items():
             inv = [0] * self.arity
             for i, x in enumerate(lab):
                 inv[x] = i
-            pre = self._pre_of_image_node(path)
-            if tuple(inv) != ident:
-                port[pre] = tuple(inv)
-        m = TreeAuto.__new__(TreeAuto)
-        m.depth = self.depth
-        m.arity = self.arity
-        m.portrait = port
-        m._enc = None
-        return m
-
-    def _pre_of_image_node(self, path: tuple[int, ...]) -> tuple[int, ...]:
-        # (g^-1)_v = (g_{g^-1(v)})^-1, so the inverse's label lives at g(v).
-        return self.apply_path(path)
+            port[self.apply_path(path)] = tuple(inv)
+        return TreeAuto._of(self.depth, self.arity, port)
 
     def identity(self) -> "TreeAuto":
-        m = TreeAuto.__new__(TreeAuto)
-        m.depth = self.depth
-        m.arity = self.arity
-        m.portrait = {}
-        m._enc = None
-        return m
+        return TreeAuto._of(self.depth, self.arity, {})
 
     def to_leaf_perm(self) -> Perm:
         """Action on the m^d leaves, leaf index = big-endian digit string."""
@@ -846,15 +761,12 @@ class GenSet:
         elems = list(elements)
         if not elems:
             raise ParseError("generating set is empty")
-        v = elems[0].variant
-        deg = _degree_key(elems[0])
-        for g in elems:
-            if g.variant != v or _degree_key(g) != deg:
-                raise MixedVariants(f"mixed variants/degrees in generating set")
-        if not allow_identity:
-            for g in elems:
-                if g.is_identity():
-                    raise ParseError("identity element in generating set")
+        # the identity's encoding names the variant and its degree
+        key = elems[0].identity().encode()
+        if any(g.identity().encode() != key for g in elems):
+            raise MixedVariants("mixed variants/degrees in generating set")
+        if not allow_identity and any(g.encode() == key for g in elems):
+            raise ParseError("identity element in generating set")
         self.elements = elems
         self.symmetric = symmetric
 
@@ -889,16 +801,3 @@ class GenSet:
     def __iter__(self):
         return iter(self.elements)
 
-
-def _degree_key(g: GroupElement):
-    if isinstance(g, Perm):
-        return ("perm", g.degree)
-    if isinstance(g, MatFp):
-        return ("matfp", g.n, g.p)
-    if isinstance(g, MatZ):
-        return ("matz", g.n)
-    if isinstance(g, Lamplighter):
-        return ("lamplighter",)
-    if isinstance(g, TreeAuto):
-        return ("treeauto", g.depth, g.arity)
-    return ("pair", getattr(g, "_degkey", None))

@@ -24,7 +24,7 @@ from solgrow.bounds import (
 )
 from solgrow.catalog import catalog
 from solgrow.elements import GenSet, MatFp, Perm
-from solgrow.errors import CapExceeded, ContextViolated, NotSoluble
+from solgrow.errors import CapExceeded, ContextViolated, InvariantViolated, NotSoluble
 from solgrow.mu import MuValue
 from solgrow.smallcases import (
     _subgroup_gens,
@@ -135,6 +135,15 @@ def test_permutation_structure_examples():
     assert [len(b) for b in w["block_systems"][0]] == [3, 3]
     s4 = permutation_structure(table_of("s4"))
     assert s4["primitive"]
+
+
+def test_permutation_structure_unequal_blocks_raise(monkeypatch):
+    # a block partition with blocks of unequal size is an internal fault
+    import solgrow.bounds
+
+    monkeypatch.setattr(solgrow.bounds, "_block_partition", lambda *_: [[0, 1, 2], [3]])
+    with pytest.raises(InvariantViolated, match="blocks of unequal size"):
+        permutation_structure(table_of("c4"))
 
 
 def test_catalog_orders():

@@ -213,6 +213,15 @@ def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: step actions differ in length\n"
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--n", "0"], ["bounds", "--n", "-3"]], ids=" ".join)
+def test_bounds_degree_below_one_is_an_input_error(argv, capsys):
+    # "--n 0" parses without argparse, "--n -3" through it: both reach cmd_bounds
+    assert (_plain_args(argv) is None) == (argv[-1] == "-3")
+    assert _run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --n must be >= 1\n"
+
+
 def test_closed_stdout_exits_quietly():
     # the reader closes the pipe before anything is written: no traceback,
     # and the documented exit code

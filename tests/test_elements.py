@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from solgrow.elements import GenSet, Lamplighter, MatFp, MatZ, Perm, TreeAuto
-from solgrow.errors import MixedVariants, ParseError
+from solgrow.errors import InvariantViolated, MixedVariants, ParseError
 
 
 def _samples():
@@ -91,6 +91,14 @@ def test_matz_validation():
         MatZ(2, [[2, 0], [0, 1]])  # det 2
     m = MatZ(2, [[1, 5], [0, 1]])
     assert m.inverse().rows() == [(1, -5), (0, 1)]
+
+
+def test_matz_inverse_that_is_not_integral_raises():
+    # a determinant-2 matrix that bypassed the constructor: its inverse over Q
+    # has a half, which must not be truncated to an integer
+    g = MatZ(2, [[1, 0], [0, 1]])._like([2, 0, 0, 1])
+    with pytest.raises(InvariantViolated):
+        g.inverse()
 
 
 def test_lamplighter_relations():
