@@ -87,7 +87,7 @@ _EXPORTS = {
         "rho_int_bound",
         "sigma_value",
     ),
-    "catalog": ("catalog", "catalog_names"),
+    "catalog": ("catalog",),
     "growth": (
         "GrowthFit",
         "GrowthTable",

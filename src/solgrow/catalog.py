@@ -161,19 +161,3 @@ def catalog(name: str) -> GenSet:
             return wreath_product(enumerate_group(lgs), enumerate_group(rgs))
     raise UnknownName(f"no catalog entry for {name!r}")
 
-
-def catalog_names() -> list[str]:
-    """Fixed names plus the parametric patterns, for documentation."""
-    fixed = sorted(_FIXED)
-    patterns = [
-        "sym(n) / s<n>",
-        "cyclic(n) / c<n>",
-        "agl1(q)",
-        "gammal1(q)",
-        "gl1(p)",
-        "s4tower(d)",
-        "s4tower_derived(d)",
-        "<perm>wr<perm>  (e.g. s3wrs2, s2wragl1(5))",
-        "<matrix>wrs<k>  (e.g. gl2(2)wrs4, gl1(3)wrs2, gammal1(8)wrs3)",
-    ]
-    return fixed + patterns

@@ -77,9 +77,6 @@ class GroupElement:
         """Row form for counting Cayley balls over `steps`, if any."""
         return self.row_codec()
 
-    def is_identity(self) -> bool:
-        return self == self.identity()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.encode() == other.encode()
 

@@ -6,12 +6,12 @@ S_{r+1}, so S_{r+1} is the set of distinct products of S_r minus the two
 spheres before it. Generating sets with a ball codec (perm, matfp, matz,
 lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows. Each
 sphere is held only as the sorted keys of its rows (`_Keys`): a row's
-uint64 rank over per-column ranges, or its bytes when the ranges are too
-wide to rank in 64 bits. Products are deduplicated by sorting a block at a
-time, merged, and tested against the previous two spheres with
-`searchsorted`; nothing older than S_{r-1} is held. Blocks are merged once
-they could pass the element cap, so the cap also bounds the keys held and
-stops a level early. Every other set (no codec, steps not inverse-closed,
+mixed-radix rank over per-column ranges, in as many uint64 words as the
+ranges need. Products are deduplicated by sorting a block at a time,
+merged, and tested against the previous two spheres with `searchsorted`;
+nothing older than S_{r-1} is held. Blocks are merged once they could
+pass the element cap, so the cap also bounds the keys held and stops a
+level early. Every other set (no codec, steps not inverse-closed,
 integer matrices whose entries could pass int64) is counted from the level
 sizes of `table.element_bfs`, the BFS that enumerates finite groups; an
 integer-matrix run that could overflow starts again from radius 0 on that
@@ -152,14 +152,15 @@ def _sphere_levels(
     Needs inverse-closed steps. Each sphere is held as the sorted keys of
     its rows. The key ranges cover the held spheres and every product
     formed so far: a block of products outside them widens them, and the
-    held, merged and waiting keys are keyed again, which keeps them sorted.
-    A level is expanded in blocks of about `_BLOCK` products, each
-    deduplicated on its own. The blocks wait to be merged into the new
-    sphere until their keys could take the ball past `cap` and outnumber
-    the keys a merge reads again (the new and held spheres), so no more
-    keys wait than the cap and one block, and each merge costs no more
-    than the blocks it takes in. CapExceeded is raised as soon as a merged
-    sphere would take the ball past `cap`.
+    held, merged and waiting keys are keyed again, in as many words as the
+    wider ranges need, which keeps them sorted. A level is expanded in
+    blocks of about `_BLOCK` products, each deduplicated on its own. The
+    blocks wait to be merged into the new sphere until their keys could
+    take the ball past `cap` and outnumber the keys a merge reads again
+    (the new and held spheres), so no more keys wait than the cap and one
+    block, and each merge costs no more than the blocks it takes in.
+    CapExceeded is raised as soon as a merged sphere would take the ball
+    past `cap`.
     """
     step_rows, rows = codec.rows(steps), codec.rows([e])
     keys = _Keys(rows.dtype, rows[0].astype(np.int64), rows[0].astype(np.int64))
@@ -197,21 +198,21 @@ def _sphere_levels(
 class _Keys:
     """Sort keys of rows whose columns lie in the ranges [lo, hi].
 
-    While the column spans multiply to at most 2**64 (`packed`), a row's key
-    is its mixed-radix rank over the ranges, a uint64. Past that it is the
-    row's columns as big-endian unsigned bytes (signed columns offset by
-    half their type's range), one void scalar. Either key orders rows
-    lexicographically by their entries whatever the ranges, so keys made
-    again under wider ranges (`rekey`) keep a sorted array sorted.
+    A row's key is its mixed-radix rank over the ranges in uint64 words: a
+    word takes the next column while the spans multiply to at most 2**64.
+    One word is a uint64 key; more are one void scalar of big-endian words.
+    Either way keys order rows lexicographically by their entries, so keys
+    made again under wider ranges (`rekey`) keep a sorted array sorted.
     """
 
     def __init__(self, dtype: np.dtype, lo: np.ndarray, hi: np.ndarray):
         self.dtype, self.lo, self.hi = np.dtype(dtype), lo, hi
-        spans = [h - l + 1 for l, h in zip(lo.tolist(), hi.tolist())]
-        self.packed = math.prod(spans) <= 1 << 64
-        self.radix = [(c, s) for c, s in enumerate(spans) if s > 1]  # most significant first
-        self.unsigned = np.dtype(f"u{self.dtype.itemsize}")
-        self.offset = self.unsigned.type(self.dtype.kind == "i") << (8 * self.dtype.itemsize - 1)
+        self.words = [[]]  # each word's (column, span), most significant first
+        for c, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
+            if h > l:
+                if math.prod(s for _c, s in self.words[-1]) * (h - l + 1) > 1 << 64:
+                    self.words.append([])
+                self.words[-1].append((c, h - l + 1))
 
     def widened(self, rows: np.ndarray) -> _Keys | None:
         """Keys whose ranges also cover `rows`, or None if these do."""
@@ -220,39 +221,38 @@ class _Keys:
         if (lo == self.lo).all() and (hi == self.hi).all():
             return None
         # Widen as far again, so that a level widens a few times rather than
-        # once a block, unless only the exact ranges still rank in uint64.
+        # once a block, unless that takes more words than the exact ranges.
         # (Where 2 * lo - self.lo wraps round int64, the exact bound stays.)
+        exact = _Keys(self.dtype, lo, hi)
         loose = _Keys(self.dtype, np.minimum(lo, 2 * lo - self.lo), np.maximum(hi, 2 * hi - self.hi))
-        return loose if loose.packed else _Keys(self.dtype, lo, hi)
+        return loose if len(loose.words) <= len(exact.words) else exact
 
     def of(self, rows: np.ndarray) -> np.ndarray:
         """The key of each row, which must lie in the ranges."""
-        if not self.packed:
-            cols = np.ascontiguousarray(rows, self.dtype).view(self.unsigned) ^ self.offset
-            cols = cols.astype(self.unsigned.newbyteorder(">"))
-            return cols.view(f"V{cols.shape[1] * cols.itemsize}").ravel()
-        key = np.zeros(len(rows), np.uint64)
-        for c, span in self.radix:  # key is 0 at the first, whose span may be 2**64
-            key *= np.uint64(span % (1 << 64))
-            key += rows[:, c].astype(np.int64).view(np.uint64) - np.uint64(int(self.lo[c]) % (1 << 64))
-        return key
+        words = np.zeros((len(self.words), len(rows)), np.uint64)
+        for key, radix in zip(words, self.words):
+            for c, span in radix:  # key is 0 at the first, whose span may be 2**64
+                key *= np.uint64(span % (1 << 64))
+                key += rows[:, c].astype(np.int64).view(np.uint64) - np.uint64(int(self.lo[c]) % (1 << 64))
+        if len(words) == 1:
+            return words[0]
+        return np.ascontiguousarray(words.T, ">u8").view(f"V{8 * len(words)}").ravel()
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """The rows of the given keys."""
-        if not self.packed:
-            cols = keys.view(self.unsigned.newbyteorder(">")).reshape(len(keys), len(self.lo))
-            return (cols.astype(self.unsigned) ^ self.offset).view(self.dtype)
+        words = [keys] if len(self.words) == 1 else keys.view(">u8").reshape(-1, len(self.words)).T.astype(np.uint64)
         rows = np.repeat(self.lo[None, :], len(keys), axis=0)
-        for c, span in self.radix[:0:-1]:
-            keys, digit = np.divmod(keys, np.uint64(span))
-            rows[:, c] += digit.view(np.int64)
-        for c, _span in self.radix[:1]:  # the most significant digit is what is left
-            rows[:, c] += keys.view(np.int64)
+        for key, radix in zip(words, self.words):
+            for c, span in radix[:0:-1]:
+                key, digit = np.divmod(key, np.uint64(span))
+                rows[:, c] += digit.view(np.int64)
+            for c, _span in radix[:1]:  # the most significant digit is what is left
+                rows[:, c] += key.view(np.int64)
         return rows.astype(self.dtype, copy=False)
 
     def rekey(self, keys: np.ndarray, old: _Keys) -> np.ndarray:
         """`keys` made under `old`, made again under these wider ranges."""
-        return self.of(old.rows(keys)) if old.packed else keys  # bytes ignore the ranges
+        return self.of(old.rows(keys))
 
 
 def _distinct(keys: np.ndarray, kind: str | None = None) -> np.ndarray:

@@ -60,10 +60,6 @@ class MilnorChain:
     def generating_set(self) -> tuple[int, ...]:
         return self.levels[self.k]
 
-    @property
-    def syntactic_bound(self) -> int:
-        return self.seed_length + 2 * self.k
-
 
 def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
     """Build the full conjugate chain for seeds Y, with verified stabilization."""

@@ -704,13 +704,6 @@ class QuotientGroup:
                 gens.append(c)
         return Subgroup(self.table, tuple(members), tuple(gens))
 
-    def preimage(self, H: Subgroup) -> Subgroup:
-        """Preimage in the parent of a quotient subgroup."""
-        mem = frozenset(H.members)
-        members = tuple(g for g in range(self.parent.n) if self.coset_of[g] in mem)
-        gens = tuple(self.reps[h] for h in H.generators) + tuple(self.normal.generators)
-        return Subgroup(self.parent, members, gens)
-
 
 def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:
     """Quotient of T by a normal subgroup N."""

@@ -204,29 +204,38 @@ def merged_key_kinds(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name,radius", [("sanov", 12), ("z2", 40), ("heisenberg", 10), ("lamplighter", 12)]
+    "name,radius",
+    [
+        ("sanov", 12),
+        ("z2", 40),
+        ("heisenberg", 10),
+        ("lamplighter", 12),
+        # the radii of perfbench's growth jobs
+        ("lamplighter", 20),
+        ("z2", 200),
+        ("heisenberg", 24),
+    ],
 )
 def test_catalog_balls_rank_into_uint64(name, radius, merged_key_kinds):
-    # every level merges at least once; none may fall back to byte keys
+    # every level merges at least once; none may need a second key word
     assert growth_table(catalog(name), radius).radius == radius
     assert len(merged_key_kinds) >= radius
     assert all(kinds == {np.dtype(np.uint64)} for kinds in merged_key_kinds)
 
 
-def test_keys_turn_to_bytes_partway(monkeypatch, merged_key_kinds, dict_path_runs):
+def test_keys_widen_to_two_words_partway(monkeypatch, merged_key_kinds, dict_path_runs):
     # the entries' spans pass 2**64 at radius 9; with small blocks the switch
     # comes in the middle of a level, with waiting blocks to convert too
     monkeypatch.setattr(solgrow.growth, "_BLOCK", 64)
     gens = GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])])
     _check_against_oracle(gens, 9)
     assert not dict_path_runs
-    seen = set().union(*merged_key_kinds)
-    assert np.dtype(np.uint64) in seen and any(k.kind == "V" for k in seen)
+    assert set().union(*merged_key_kinds) == {np.dtype(np.uint64), np.dtype("V16")}
     switched = []
     rekey = solgrow.growth._Keys.rekey
 
     def spy(self, keys, old):
-        if old.packed and not self.packed:
+        if len(old.words) == 1 and len(self.words) == 2:
             switched.append(len(keys))
         return rekey(self, keys, old)
 
@@ -234,6 +243,13 @@ def test_keys_turn_to_bytes_partway(monkeypatch, merged_key_kinds, dict_path_run
     assert growth_table(gens, 9).counts == _oracle_ball(gens, 9)
     # both held spheres (S_7 and S_8), the empty new sphere, waiting blocks
     assert switched[:3] == [2506, 7030, 0] and len(switched) > 3
+
+
+def test_free_group_past_one_key_word():
+    # Sanov's generators generate a free group of rank 2, so gamma(r) =
+    # 2 * 3**r - 1; radius 13 needs two key words
+    tbl = growth_table(catalog("sanov"), 13, max_elements=3_200_000)
+    assert tbl.counts == [2 * 3**r - 1 for r in range(14)]
 
 
 def test_matz_overflow_falls_back_to_encodings(dict_path_runs):

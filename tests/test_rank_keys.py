@@ -81,26 +81,27 @@ def test_keys_made_again_under_wider_ranges_stay_sorted(case, data):
     assert (wider.rows(again) == old.rows(held)).all()
 
 
-# Column spans whose product is exactly 2**64 (ranked in uint64), and
-# 2**64 + 1 = 274177 * 67280421310721 (kept as bytes).
+# Column spans whose product is exactly 2**64 (one word), 2**64 + 1 =
+# 274177 * 67280421310721 (two words), and five full int64 columns.
 EXACT = [(1 << 64,), (1 << 32, 1 << 32), (1 << 16,) * 4, (2, 1 << 63), (1 << 63, 1, 2)]
 OVER = [(274177, 67280421310721), (67280421310721, 1, 274177)]
+FULL = (1 << 64,) * 5
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([(s, True) for s in EXACT] + [(s, False) for s in OVER]), st.data())
-def test_span_product_of_two_to_the_64_is_the_last_ranked(spans_packed, data):
-    spans, packed = spans_packed
+@given(st.sampled_from([(s, 1) for s in EXACT] + [(s, 2) for s in OVER] + [(FULL, 5)]), st.data())
+def test_span_product_of_two_to_the_64_is_the_last_ranked(spans_words, data):
+    spans, words = spans_words
     lo = [data.draw(st.integers(INT64[0], INT64[1] - s + 1)) for s in spans]
     hi = [a + s - 1 for a, s in zip(lo, spans)]
     keys = _keys("int64", lo, hi)
-    assert keys.packed == packed
     inner = [[data.draw(st.integers(a, b)) for a, b in zip(lo, hi)] for _ in range(5)]
     rows = np.array([lo, hi] + inner, dtype=np.int64)
     got = keys.of(rows)
-    assert got.dtype == (np.uint64 if packed else np.dtype(f"V{8 * len(spans)}"))
-    if packed:
-        assert got[0] == 0 and got[1] == (1 << 64) - 1
+    assert got.dtype == (np.uint64 if words == 1 else np.dtype(f"V{8 * words}"))
+    assert got[:1].tobytes() == bytes(8 * words)  # the least row ranks 0 in every word
+    if spans not in OVER:  # each word's spans multiply to 2**64: the greatest ranks 2**64 - 1
+        assert got[1:2].tobytes() == b"\xff" * 8 * words
     assert (keys.rows(got) == rows).all()
     assert rows[np.argsort(got, kind="stable")].tolist() == sorted(rows.tolist())
 
@@ -110,7 +111,7 @@ def test_widening_keeps_exact_ranges_when_only_they_rank_in_uint64():
     # spans (3 * 2**31 + 1) * (2**31 + 1) < 2**64; widening as far again
     # would give (5 * 2**31 + 1) * (2**31 + 1) > 2**64
     wider = keys.widened(np.array([[3 << 31, 0]]))
-    assert wider.packed and wider.hi.tolist() == [3 << 31, 1 << 31]
+    assert len(wider.words) == 1 and wider.hi.tolist() == [3 << 31, 1 << 31]
     # with room to spare, the range widens as far again
     roomy = _keys("int64", [0, 0], [1 << 20, 1 << 20]).widened(np.array([[1 << 21, 0]]))
-    assert roomy.packed and roomy.hi.tolist() == [3 << 20, 1 << 20]
+    assert len(roomy.words) == 1 and roomy.hi.tolist() == [3 << 20, 1 << 20]
