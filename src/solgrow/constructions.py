@@ -16,8 +16,6 @@ from .errors import NotTransitive, ParseError
 from .fields import _idx_of, _vec_of, vector_actions
 from .table import FiniteGroupTable
 
-DEFAULT_WREATH_NOTE = "base copies of A's generators in block 0, then top generators of B"
-
 
 def sym_gens(n: int) -> GenSet:
     """Standard generators of Sym(n) on n points."""

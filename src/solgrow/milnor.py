@@ -34,6 +34,7 @@ from .mu import ABELIAN, ModifiedSeries, MuValue, mu_fast
 from .table import (
     FiniteGroupTable,
     Subgroup,
+    _Closure,
     commutator_subgroup,
     normal_closure,
     subgroup_generated,
@@ -62,25 +63,30 @@ class MilnorChain:
 
 
 def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
-    """Build the full conjugate chain for seeds Y, with verified stabilization."""
+    """Build the full conjugate chain for seeds Y, with verified stabilization.
+
+    Y_{i-1} lies in Y_i, so one closure grows in place along the chain:
+    H_i is H_{i-1} with the new conjugates in Y_i adjoined.
+    """
     seeds = list(dict.fromkeys(Y))
     wl = T.word_length
     by_len = T.elements_by_length()
     conj = T.conjugates(seeds)
     level = sorted(seeds)
-    levels = [tuple(level)]
-    subgroups = [subgroup_generated(T, level)]
-    k = None
-    i = 0
-    while k is None:
-        i += 1
-        new = set(levels[-1])
-        if i < len(by_len):
-            new.update(conj[:, by_len[i]].ravel().tolist())
-        levels.append(tuple(sorted(new)))
-        subgroups.append(subgroup_generated(T, list(levels[-1])))
-        if subgroups[-1].order == subgroups[-2].order:
-            k = i - 1
+    levels: list[tuple[int, ...]] = []
+    subgroups: list[Subgroup] = []
+    C = _Closure(T)
+    while True:
+        order = len(C.members)
+        for y in level:
+            C.add(y)
+        levels.append(tuple(level))
+        subgroups.append(C.subgroup(y for y in level if y))
+        if len(levels) > 1 and len(C.members) == order:
+            break
+        if len(levels) < len(by_len):
+            level = sorted(set(level).union(conj[:, by_len[len(levels)]].ravel().tolist()))
+    k = len(levels) - 2
     closure = normal_closure(T, seeds)
     if subgroups[k].member_set != closure.member_set:
         raise InvariantViolated("chain missed the closure")

@@ -162,6 +162,39 @@ class ModifiedSeries:
                 raise InvariantViolated("class-2 step factor is not class exactly 2")
 
 
+def _least_cost_series(
+    T: FiniteGroupTable, H0: Subgroup, steps
+) -> tuple[MuValue, ModifiedSeries]:
+    """Least-cost modified series from H0, memoized on member sets.
+
+    `steps(H)` yields the candidate first steps (K, kind) from a nontrivial
+    H; the first strictly cheaper candidate wins ties.
+    """
+    if not is_soluble(T, H0):
+        raise NotSoluble("modified derived length requires a soluble group")
+    memo: dict[frozenset[int], tuple[MuValue, list[Subgroup], list[str]]] = {}
+
+    def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:
+        if H.is_trivial():
+            return MU_ZERO, [H], []
+        key = H.member_set
+        best = memo.get(key)
+        if best is not None:
+            return best
+        for K, kind in steps(H):
+            sub_cost, sub_chain, sub_kinds = rec(K)
+            cost = (MU_ABELIAN_STEP if kind == ABELIAN else MU_CLASS2_STEP) + sub_cost
+            if best is None or cost < best[0]:
+                best = (cost, [H] + sub_chain, [kind] + sub_kinds)
+        if best is None:
+            raise InvariantViolated("soluble head admits no modified step")
+        memo[key] = best
+        return best
+
+    cost, chain, kinds = rec(H0)
+    return cost, ModifiedSeries(chain, kinds)
+
+
 def mu_bruteforce(
     T: FiniteGroupTable,
     start: Subgroup | None = None,
@@ -172,44 +205,21 @@ def mu_bruteforce(
     mu(1) = 0 and mu(H) minimizes step-cost + mu(K) over proper normal
     subgroups K of H whose factor H/K is abelian or of class exactly 2
     (equivalently K contains gamma_3(H); abelian iff K contains H').
-    Memoized on the member set; the witness series is reconstructed from
-    the argmin choices.
     """
     from .soluble import normal_subgroups_within
 
     H0 = start if start is not None else whole_group(T)
     if H0.order > cap:
         raise CapExceeded(f"order {H0.order} exceeds brute-force cap {cap}")
-    if not is_soluble(T, H0):
-        raise NotSoluble("modified derived length requires a soluble group")
-    memo: dict[frozenset[int], tuple[MuValue, list[Subgroup], list[str]]] = {}
 
-    def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:
-        if H.is_trivial():
-            return MU_ZERO, [H], []
-        key = H.member_set
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def steps(H: Subgroup):
         derived = commutator_subgroup(T, H, H)
         g3 = commutator_subgroup(T, derived, H)
-        best: tuple[MuValue, list[Subgroup], list[str]] | None = None
         for K in normal_subgroups_within(T, H):
-            if K.order == H.order or not K.contains_set(g3):
-                continue
-            kind = ABELIAN if K.contains_set(derived) else CLASS2
-            step = MU_ABELIAN_STEP if kind == ABELIAN else MU_CLASS2_STEP
-            sub_cost, sub_chain, sub_kinds = rec(K)
-            cand = (step + sub_cost, [H] + sub_chain, [kind] + sub_kinds)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        if best is None:
-            raise InvariantViolated("soluble head admits no modified step")
-        memo[key] = best
-        return best
+            if K.order < H.order and K.contains_set(g3):
+                yield K, ABELIAN if K.contains_set(derived) else CLASS2
 
-    cost, chain, kinds = rec(H0)
-    return cost, ModifiedSeries(chain, kinds)
+    return _least_cost_series(T, H0, steps)
 
 
 def mu_fast(
@@ -223,32 +233,15 @@ def mu_fast(
     candidates only makes this scale far beyond the brute-force search.
     Equality with mu_bruteforce is property-tested over the corpus.
     """
-    H0 = start if start is not None else whole_group(T)
-    if not is_soluble(T, H0):
-        raise NotSoluble("modified derived length requires a soluble group")
-    memo: dict[frozenset[int], tuple[MuValue, list[Subgroup], list[str]]] = {}
 
-    def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:
-        if H.is_trivial():
-            return MU_ZERO, [H], []
-        key = H.member_set
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def steps(H: Subgroup):
         derived = commutator_subgroup(T, H, H)
-        da, dc, dk = rec(derived)
-        best = (MU_ABELIAN_STEP + da, [H] + dc, [ABELIAN] + dk)
+        yield derived, ABELIAN
         g3 = commutator_subgroup(T, derived, H)
         if g3.order < derived.order:
-            ga, gc, gk = rec(g3)
-            cand = (MU_CLASS2_STEP + ga, [H] + gc, [CLASS2] + gk)
-            if cand[0] < best[0]:
-                best = cand
-        memo[key] = best
-        return best
+            yield g3, CLASS2
 
-    cost, chain, kinds = rec(H0)
-    return cost, ModifiedSeries(chain, kinds)
+    return _least_cost_series(T, start if start is not None else whole_group(T), steps)
 
 
 def mu_properties_check(

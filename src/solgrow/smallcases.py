@@ -36,7 +36,6 @@ from .mu import mu_fast
 from .soluble import soluble_subgroups
 from .table import FiniteGroupTable, Subgroup, _orbit, derived_length, enumerate_group
 
-DEFAULT_EXHAUSTIVE_LINEAR = ("gl2(2)", "gl2(3)", "gl3(2)")
 DEFAULT_EXHAUSTIVE_SYM = (2, 3, 4, 5, 6)
 
 
@@ -235,19 +234,10 @@ _CASES: list[dict] = [
     },
 ]
 
-_AMBIENT_DEGREES = {
-    "gl1(3)": (1, 3),
-    "gl1(5)": (1, 5),
-    "gl1(7)": (1, 7),
-    "gl2(2)": (2, 2),
-    "gl2(3)": (2, 3),
-    "gl3(2)": (3, 2),
-}
-
 
 def _check_exhaustive_linear(ambient: str, mu_claim, delta_claim) -> dict:
     T, reps = irreducible_soluble_reps(ambient)
-    n, p = _AMBIENT_DEGREES[ambient]
+    n, p = T.elements[0].n, T.elements[0].p
     entry = {"ambient": ambient, "n": n, "p": p, "groups_checked": len(reps),
              "mode": "exhaustive"}
     ok = True

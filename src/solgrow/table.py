@@ -27,9 +27,11 @@ each element object on access.
 
 Orbits under index maps (subgroup closure, conjugacy classes, and the
 orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
-breadth-first walk, `_orbit`. Conjugates of a few elements by the whole
-group (normalizers, centralizers, the self-centralizing test and conjugate
-chains) come from one walk down the BFS levels, `conjugates`.
+breadth-first walk, `_orbit`. Closures grow in place (`_Closure`): each
+generator adjoined walks only the points it newly reaches, so no subgroup
+is rebuilt from the identity. Conjugates of a few elements by the whole
+group (normalizers, centralizers, the self-centralizing test and
+conjugate chains) come from one walk down the BFS levels, `conjugates`.
 
 Tables are immutable after construction; all queries are pure reads (dense
 rows and the step conjugation maps are built on first use).
@@ -367,21 +369,43 @@ def _orbit(maps: Sequence[Sequence[int]], seeds: Iterable[int], seen: bytearray)
     return out
 
 
-def _close_indices(T: FiniteGroupTable, gens: Sequence[int]) -> list[int]:
-    """Members of <gens>: the orbit of the identity under right multiplication.
+class _Closure:
+    """A subgroup of T grown in place: its members in discovery order,
+    marked in `seen`, and the generators that enlarged it (`gens`), with
+    their right actions (`maps`)."""
 
-    In a finite group the subsemigroup containing the identity and closed
-    under right multiplication by the seeds is already a subgroup.
-    """
-    maps = [memoryview(T.right_action(g)) for g in gens if g]
-    return _orbit(maps, (0,), bytearray(T.n))
+    def __init__(self, T: FiniteGroupTable):
+        self.T = T
+        self.seen = bytearray(T.n)
+        self.seen[0] = 1
+        self.members = [0]
+        self.gens: list[int] = []
+        self.maps: list[memoryview] = []
+
+    def add(self, g: int) -> bool:
+        """Adjoin g; False, changing nothing, if g is already a member.
+
+        A word leaves the old closure first through g, so walking the new
+        points from every old member times g reaches all of <old, g>."""
+        if self.seen[g]:
+            return False
+        m = memoryview(self.T.right_action(g))
+        self.gens.append(g)
+        self.maps.append(m)
+        self.members += _orbit(self.maps, [m[x] for x in self.members], self.seen)
+        return True
+
+    def subgroup(self, gens: Iterable[int]) -> Subgroup:
+        return Subgroup(self.T, tuple(sorted(self.members)), tuple(gens))
 
 
 def subgroup_generated(T: FiniteGroupTable, seeds: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed indices."""
     gens = list(dict.fromkeys(s for s in seeds if s != 0))
-    members = _close_indices(T, gens)
-    return Subgroup(T, tuple(sorted(members)), tuple(gens))
+    C = _Closure(T)
+    for g in gens:
+        C.add(g)
+    return C.subgroup(gens)
 
 
 def _normal_closure_under(
@@ -389,24 +413,16 @@ def _normal_closure_under(
 ) -> Subgroup:
     """Smallest subgroup containing seeds, normalized by <conjugators>.
 
-    Closure under conjugation by the conjugator generators suffices: the
-    resulting finite subgroup maps into itself under each, hence onto.
+    One worklist: a seed or conjugate that enlarges the closure is kept and
+    queues its conjugates, so the finite result maps into itself under
+    each conjugator, hence onto.
     """
-    gens = list(dict.fromkeys(s for s in seeds if s != 0))
-    seen = set(gens)
-    H = subgroup_generated(T, gens)
-    while True:
-        new = []
-        for x in gens:
-            for g in conjugators:
-                y = T.conj(x, g)
-                if y not in H.member_set and y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        if not new:
-            return Subgroup(T, H.members, tuple(gens))
-        gens.extend(new)
-        H = subgroup_generated(T, gens)
+    C = _Closure(T)
+    work = list(seeds)
+    for x in work:  # work grows while it is walked
+        if C.add(x):
+            work.extend(T.conj(x, g) for g in conjugators)
+    return C.subgroup(C.gens)
 
 
 def normal_closure(T: FiniteGroupTable, seeds: Iterable[int]) -> Subgroup:
@@ -416,16 +432,12 @@ def normal_closure(T: FiniteGroupTable, seeds: Iterable[int]) -> Subgroup:
 
 def reduce_generators(T: FiniteGroupTable, H: Subgroup) -> Subgroup:
     """Replace the generator list by a short one (greedy, by index order)."""
-    gens: list[int] = []
-    closed = {0}
+    C = _Closure(T)
     for x in H.members:
-        if x in closed:
-            continue
-        gens.append(x)
-        closed = set(_close_indices(T, gens))
-        if len(closed) == H.order:
+        if len(C.members) == H.order:
             break
-    return Subgroup(T, H.members, tuple(gens), H.member_set)
+        C.add(x)
+    return Subgroup(T, H.members, tuple(C.gens), H.member_set)
 
 
 def commutator_subgroup(T: FiniteGroupTable, A: Subgroup, B: Subgroup) -> Subgroup:

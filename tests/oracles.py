@@ -10,7 +10,7 @@ from itertools import product as cartesian
 from typing import Sequence
 
 from solgrow.elements import GenSet, MatFp
-from solgrow.table import FiniteGroupTable, Subgroup
+from solgrow.table import FiniteGroupTable, Subgroup, subgroup_generated
 
 
 def word_ball_lengths(gens: GenSet, radius: int) -> dict[bytes, int]:
@@ -120,6 +120,72 @@ def naive_subgroup(T: FiniteGroupTable, seeds: list[int]) -> frozenset[int]:
         if new <= S:
             return frozenset(S)
         S |= new
+
+
+def closure_from_identity(T: FiniteGroupTable, gens: Sequence[int]) -> list[int]:
+    """Members of <gens> rebuilt from scratch: breadth-first from the
+    identity under right multiplication by every generator."""
+    maps = [T.right_action(g).tolist() for g in gens]
+    members, seen = [0], {0}
+    for x in members:
+        for m in maps:
+            if m[x] not in seen:
+                seen.add(m[x])
+                members.append(m[x])
+    return members
+
+
+def reduce_generators_reclosing(T: FiniteGroupTable, members: Sequence[int]) -> tuple[int, ...]:
+    """Greedy generators by index order, re-closing from the identity after
+    each generator kept."""
+    gens: list[int] = []
+    closed = {0}
+    for x in members:
+        if len(closed) == len(members):
+            break
+        if x not in closed:
+            gens.append(x)
+            closed = set(closure_from_identity(T, gens))
+    return tuple(gens)
+
+
+def normal_closure_by_rounds(
+    T: FiniteGroupTable, seeds: Sequence[int], conjugators: Sequence[int]
+) -> frozenset[int]:
+    """Rounds of conjugates by the conjugators, each round re-closed from
+    the identity, until a round finds nothing new."""
+    gens = list(dict.fromkeys(s for s in seeds if s != 0))
+    while True:
+        H = set(closure_from_identity(T, gens))
+        new = {T.conj(x, g) for x in gens for g in conjugators} - H
+        if not new:
+            return frozenset(H)
+        gens += sorted(new)
+
+
+def milnor_chain_from_scratch(T: FiniteGroupTable, seeds: Sequence[int]) -> dict:
+    """The conjugate chain with every H_i = <Y_i> built by
+    `subgroup_generated` on its own, Y_i grown one word length at a time
+    by `T.conj`."""
+    by_len: dict[int, list[int]] = {}
+    for g, d in enumerate(T.word_length):
+        by_len.setdefault(d, []).append(g)
+    level = set(seeds)
+    levels = [tuple(sorted(level))]
+    subgroups = [subgroup_generated(T, levels[0])]
+    while True:
+        i = len(levels)
+        level |= {T.conj(y, g) for y in seeds for g in by_len.get(i, [])}
+        levels.append(tuple(sorted(level)))
+        subgroups.append(subgroup_generated(T, levels[-1]))
+        if subgroups[-1].order == subgroups[-2].order:
+            break
+    k = len(levels) - 2
+    witnesses = tuple(
+        next(y for y in levels[j] if y not in subgroups[j - 1].member_set)
+        for j in range(1, k + 1)
+    )
+    return {"levels": levels, "subgroups": subgroups, "k": k, "witnesses": witnesses}
 
 
 def naive_normal_closure(T: FiniteGroupTable, seeds: list[int]) -> frozenset[int]:

@@ -102,6 +102,17 @@ def test_mu_q8():
     fast_series.validate(T)
 
 
+def test_bruteforce_keeps_the_first_of_equally_cheap_steps():
+    # GammaL_1(27) has two cheapest first steps, to normal subgroups of
+    # orders 13 and 26; the lattice lists 13 first and the later tie does
+    # not replace it.
+    T = table_of("gammal1(27)")
+    cost, series = mu_bruteforce(T)
+    assert cost == MuValue(2, 0)
+    assert [S.order for S in series.chain] == [78, 13, 1]
+    assert [S.order for S in mu_fast(T)[1].chain] == [78, 13, 1]
+
+
 def test_validate_raises_on_each_bad_series():
     # raised rather than asserted, so that python -O keeps the checks
     T = table_of("s3")

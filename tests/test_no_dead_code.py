@@ -1,10 +1,12 @@
-"""Every function, class and method in `src/solgrow` is used somewhere.
+"""Every function, class, method and module-level name in `src/solgrow`
+is used somewhere.
 
 A definition counts as used when its name is read (as a name, an
 attribute or an import) anywhere in `src/`, `tests/` or `perfbench/`.
-Its own `def` or `class` line is not a read, and neither is its entry in
-the lazy-export table of `solgrow/__init__.py`, which holds names as
-strings. Dunders are called by Python itself.
+Its own `def` or `class` line or assignment is not a read (no store is),
+and neither is its entry in the lazy-export table of
+`solgrow/__init__.py`, which holds names as strings. Dunders are called
+by Python itself.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ def _trees():
 def _read(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
@@ -47,6 +49,16 @@ def test_every_definition_in_src_is_read_somewhere():
             for node in ast.walk(tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            for node in tree.body:  # module-level assignments
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, f"{path.name}:{node.lineno}")
     unread = {
         name: where
         for name, where in defined.items()
