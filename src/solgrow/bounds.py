@@ -128,7 +128,7 @@ def _echelon_insert(basis: list[list[int]], vec: Sequence[int], p: int) -> bool:
     return False
 
 
-def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
+def is_irreducible(gens: Sequence[MatFp]) -> bool:
     """No proper nonzero invariant subspace of F_p^n under the generators.
 
     Splits the nonzero vectors into orbits of <gens> and takes the rank of
@@ -140,9 +140,7 @@ def is_irreducible(gens: Sequence[MatFp], n: int | None = None) -> bool:
     """
     if not gens:
         raise ValueError("empty generator list")
-    g0 = gens[0]
-    n = g0.n if n is None else n
-    p = g0.p
+    n, p = gens[0].n, gens[0].p
     if p**n > SPIN_CAP:
         raise CapExceeded(f"p^n = {p**n} exceeds spin cap {SPIN_CAP}")
     if n == 1:

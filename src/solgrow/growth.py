@@ -35,6 +35,7 @@ from .elements import GenSet, GroupElement, RowCodec, TreeAuto
 from .errors import CapExceeded, DegenerateWindow
 from .specio import spec_digest
 from .table import (
+    DEFAULT_CAP,
     commutator_subgroup,
     element_bfs,
     enumerate_group,
@@ -42,7 +43,6 @@ from .table import (
     whole_group,
 )
 
-DEFAULT_MAX_ELEMENTS = 2_000_000
 _BLOCK = 1 << 16  # products formed and deduplicated at once on the sphere path
 
 
@@ -93,7 +93,7 @@ class GrowthTable:
 
 
 def growth_table(
-    X: GenSet, R: int, max_elements: int = DEFAULT_MAX_ELEMENTS
+    X: GenSet, R: int, max_elements: int = DEFAULT_CAP
 ) -> GrowthTable:
     """Exact gamma(0..R) for <X>, stopping early only at the element cap.
 

@@ -27,6 +27,8 @@ from .table import (
 )
 
 BRUTE_CAP = 2048
+SUBGROUP_LAW_CAP = 600  # largest group whose whole subgroup list mu_properties_check walks
+WREATH_CAP = 200_000
 
 ABELIAN = "abelian"
 CLASS2 = "class2"
@@ -198,7 +200,6 @@ def _least_cost_series(
 def mu_bruteforce(
     T: FiniteGroupTable,
     start: Subgroup | None = None,
-    cap: int = BRUTE_CAP,
 ) -> tuple[MuValue, ModifiedSeries]:
     """Global minimum cost over all modified soluble series, by recursion.
 
@@ -209,13 +210,13 @@ def mu_bruteforce(
     from .soluble import normal_subgroups_within
 
     H0 = start if start is not None else whole_group(T)
-    if H0.order > cap:
-        raise CapExceeded(f"order {H0.order} exceeds brute-force cap {cap}")
+    if H0.order > BRUTE_CAP:
+        raise CapExceeded(f"order {H0.order} exceeds brute-force cap {BRUTE_CAP}")
 
     def steps(H: Subgroup):
         derived = commutator_subgroup(T, H, H)
         g3 = commutator_subgroup(T, derived, H)
-        for K in normal_subgroups_within(T, H):
+        for K in normal_subgroups_within(T, H).subgroups:
             if K.order < H.order and K.contains_set(g3):
                 yield K, ABELIAN if K.contains_set(derived) else CLASS2
 
@@ -246,7 +247,6 @@ def mu_fast(
 
 def mu_properties_check(
     tables: list[FiniteGroupTable],
-    subgroup_order_cap: int = 600,
     power_tables: list[FiniteGroupTable] | None = None,
 ) -> dict:
     """Verify monotonicity, quotient, extension and power laws on a corpus.
@@ -261,7 +261,7 @@ def mu_properties_check(
     pairs = 0
     for G in tables:
         mu_g, _ = mu_fast(G)
-        if G.n <= subgroup_order_cap:
+        if G.n <= SUBGROUP_LAW_CAP:
             for H in soluble_subgroups(G):
                 mu_h, _ = mu_fast(G, start=H)
                 pairs += 1
@@ -330,11 +330,11 @@ def product_counterexample_check(use_oracle: bool = False) -> dict:
     }
 
 
-def mu_of_wreath_check(A: FiniteGroupTable, B: FiniteGroupTable, cap: int = 200_000) -> dict:
+def mu_of_wreath_check(A: FiniteGroupTable, B: FiniteGroupTable) -> dict:
     """Whether mu(A wr B) <= mu(A) + mu(B) for permutation tables A, B."""
     from .constructions import wreath_product
 
-    W = enumerate_group(wreath_product(A, B), cap=cap)
+    W = enumerate_group(wreath_product(A, B), cap=WREATH_CAP)
     mu_w, _ = mu_fast(W)
     mu_a, _ = mu_fast(A)
     mu_b, _ = mu_fast(B)

@@ -311,14 +311,13 @@ def verify_mu_theorem(
     kind: str,
     n: int,
     p: int | None = None,
-    matrix_gens: Sequence[MatFp] | None = None,
     subgroup: Subgroup | None = None,
 ) -> bool:
     """Exact check of the cost bound for one group in one context.
 
     kind="transitive": T must be permutation-backed and transitive on n
     points; bound 3*log4(n). kind="irreducible": the group's matrices
-    (T's elements or matrix_gens) must act irreducibly on F_p^n; bound
+    (T's elements) must act irreducibly on F_p^n; bound
     3*log4(n) + K. Raises ContextViolated if the precondition fails.
     """
     if kind == "transitive":
@@ -333,12 +332,10 @@ def verify_mu_theorem(
                 raise ContextViolated("group is not transitive")
         c_num, c_den, r, s = MU_TRANSITIVE_BOUND
     elif kind == "irreducible":
-        mats = list(matrix_gens) if matrix_gens is not None else None
-        if mats is None:
-            if T.elements is None or not isinstance(T.elements[0], MatFp):
-                raise ContextViolated("group is not a matrix group")
-            src = subgroup.generators if subgroup is not None else T.generators
-            mats = [T.elements[g] for g in src]
+        if T.elements is None or not isinstance(T.elements[0], MatFp):
+            raise ContextViolated("group is not a matrix group")
+        src = subgroup.generators if subgroup is not None else T.generators
+        mats = [T.elements[g] for g in src]
         if not (mats and mats[0].n == n and (p is None or mats[0].p == p)):
             raise ContextViolated(f"matrices are not in GL_{n}({p or 'p'})")
         if not is_irreducible(mats):

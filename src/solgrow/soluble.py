@@ -6,17 +6,22 @@ minimal normal subgroups of each quotient. This deliberately
 over-approximates "all chief factors up to equivalence": every chief
 factor arises in some quotient, so the maximum self-centralizing rank is
 found without implementing the equivalence relation on chief factors.
+Only quotients with one minimal normal subgroup are tested: another one
+K/N beside a self-centralizing M/N would meet it in N, so [K, M] <= N and
+K/N would lie in C(M/N) = M/N.
 
 The normal lattice is computed on sets of conjugacy classes, since a
 normal subgroup is a union of classes. Every normal subgroup is the join
 of the atoms (normal closures) of the classes it contains, so joining
 each lattice member with each atom it does not contain yields the
 complete lattice. An atom, and the join of a member with an atom, is one
-walk over the classes of its result (`_grow_classes`).
+walk over the classes of its result (`_grow_classes`). The lattice keeps
+each member's joins, among which lie all of its covers.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +32,13 @@ from .fields import _prime_power
 from .table import (
     FiniteGroupTable,
     Subgroup,
+    _Closure,
     conjugacy_classes,
     derived_series,
     is_soluble,
     lower_central_series,
     nilpotency_class,
     reduce_generators,
-    subgroup_generated,
     trivial_subgroup,
     whole_group,
 )
@@ -62,85 +67,92 @@ class ChiefFactorRecord:
 
 @dataclass
 class NormalLattice:
-    """All normal subgroups of a table, sorted by (order, members)."""
+    """All normal subgroups of a group, sorted by (order, members); `above[i]`
+    holds the ascending indices of member i's joins with the atoms outside it."""
 
-    table: FiniteGroupTable
     subgroups: list[Subgroup]
+    above: list[tuple[int, ...]]
 
-    def minimal_over(self, N: Subgroup) -> list[Subgroup]:
-        """Minimal members strictly containing N (minimal normals of G/N)."""
-        overs = [
-            K
-            for K in self.subgroups
-            if K.order > N.order and K.member_set > N.member_set
-        ]
-        out = []
-        for K in overs:
-            if not any(
-                J.order < K.order and K.member_set > J.member_set for J in overs
-            ):
-                out.append(K)
+    def covers(self, i: int) -> list[int]:
+        """Ascending indices of the minimal members strictly above member i.
+
+        A cover is member i's join with any atom in it outside i, so it is
+        in `above[i]`, ahead of every join above it."""
+        subs = self.subgroups
+        out: list[int] = []
+        for j in self.above[i]:
+            S = subs[j].member_set
+            if not any(subs[k].member_set < S for k in out):
+                out.append(j)
         return out
 
     def __len__(self) -> int:
         return len(self.subgroups)
 
 
-def normal_subgroups(T: FiniteGroupTable, cap: int = LATTICE_CAP) -> NormalLattice:
+def normal_subgroups(T: FiniteGroupTable) -> NormalLattice:
     """Complete normal lattice, computed on conjugacy-class sets."""
-    if T.n > cap:
-        raise CapExceeded(f"group order {T.n} exceeds lattice cap {cap}")
-    return NormalLattice(T, normal_subgroups_within(T, whole_group(T)))
+    if T.n > LATTICE_CAP:
+        raise CapExceeded(f"group order {T.n} exceeds lattice cap {LATTICE_CAP}")
+    return normal_subgroups_within(T, whole_group(T))
 
 
-def minimal_normal_subgroups(
-    T: FiniteGroupTable, lattice: NormalLattice | None = None
-) -> list[Subgroup]:
+def minimal_normal_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
     """Minimal nontrivial normal subgroups."""
-    lat = lattice if lattice is not None else normal_subgroups(T)
-    return lat.minimal_over(trivial_subgroup(T))
+    lat = normal_subgroups(T)
+    return [lat.subgroups[j] for j in lat.covers(0)]
 
 
-def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> list[Subgroup]:
-    """All subgroups of H normal in H, in parent-table indices.
+def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
+    """The lattice of subgroups of H normal in H, in parent-table indices.
 
     Works on sets of H-classes, each held as a mask of one byte per class.
     The atom of a class C is the normal closure <C>: {1} grown under right
     multiplication by C. The join of a member A with the atom <C> is A
     grown the same way. Starting from the atoms, each new member is joined
     with every atom it does not contain; every normal subgroup is a join of
-    atoms, so this reaches all of them. Member tuples and short generators
-    (`reduce_generators`) are built once per distinct class set. Returned
-    sorted by (order, members).
+    atoms, so this reaches all of them, and each member keeps its joins.
+    Member tuples and short generators (`reduce_generators`) are built once
+    per distinct class set.
     """
     classes = conjugacy_classes(T, H)
     class_of = [-1] * T.n
     for k, cls in enumerate(classes):
         for x in cls:
             class_of[x] = k
-    found: set[bytes] = set()
-    queue: list[tuple[bytes, list[int]]] = []  # new members: (class mask, its classes)
+    found = {bytes([1]) + bytes(len(classes) - 1): 0}  # class mask -> discovery number
+    joins = [array("i")]  # discovery number -> discovery numbers of its joins
+    queue: list[tuple[bytes, list[int], array]] = []  # (class mask, its classes, its joins)
+
+    def number(mask: bytes, inside: list[int]) -> int:
+        """The discovery number of a member, queued when new."""
+        j = found.setdefault(mask, len(joins))
+        if j == len(joins):
+            joins.append(array("i"))
+            queue.append((mask, inside, joins[j]))
+        return j
+
     atoms: list[tuple[int, memoryview]] = []  # (class, right action of its least member)
     for k in range(1, len(classes)):
         row = memoryview(T.right_action(classes[k][0]))
-        mask, atom = _grow_classes(classes, class_of, [0], row)
-        if mask not in found:
-            found.add(mask)
-            queue.append((mask, atom))
+        new = len(joins)
+        if number(*_grow_classes(classes, class_of, [0], row)) == new:
             atoms.append((k, row))
+            joins[0].append(new)
     while queue:
-        A, seeds = queue.pop()
+        A, seeds, up = queue.pop()
         for k, row in atoms:
             if not A[k]:
-                mask, join = _grow_classes(classes, class_of, seeds, row)
-                if mask not in found:
-                    found.add(mask)
-                    queue.append((mask, join))
-    subs = [trivial_subgroup(T)]
+                up.append(number(*_grow_classes(classes, class_of, seeds, row)))
+    subs = []
     for S in found:
         members = tuple(sorted(x for cls, inside in zip(classes, S) if inside for x in cls))
         subs.append(reduce_generators(T, Subgroup(T, members, ())))
-    return sorted(subs, key=lambda S: (S.order, S.members))
+    order = sorted(range(len(subs)), key=lambda j: (subs[j].order, subs[j].members))
+    rank = {j: i for i, j in enumerate(order)}
+    return NormalLattice(
+        [subs[j] for j in order], [tuple(sorted({rank[x] for x in joins[j]})) for j in order]
+    )
 
 
 def _grow_classes(
@@ -235,35 +247,37 @@ def chief_series(
     if not (is_soluble(T) if soluble is None else soluble):
         raise NotSoluble("chief series factor data requires a soluble group")
     lat = lattice if lattice is not None else normal_subgroups(T)
-    chain = [trivial_subgroup(T)]
+    pick = max if reverse_tiebreak else min
+    subs = lat.subgroups
+    i = 0
     records = []
-    while chain[-1].order < T.n:
-        cands = lat.minimal_over(chain[-1])
-        cands.sort(key=lambda S: (S.order, S.members), reverse=reverse_tiebreak)
-        nxt = cands[0]
-        p, r = _factor_rank(T, chain[-1], nxt)
+    while subs[i].order < T.n:
+        j = pick(lat.covers(i))
+        N, M = subs[i], subs[j]
+        p, r = _factor_rank(T, N, M)
         records.append(
             ChiefFactorRecord(
-                below=chain[-1],
-                above=nxt,
+                below=N,
+                above=M,
                 p=p,
                 rank=r,
-                self_centralizing=_is_self_centralizing(T, chain[-1], nxt),
+                self_centralizing=_is_self_centralizing(T, N, M),
             )
         )
-        chain.append(nxt)
+        i = j
     return records
 
 
-def _selfc_factors(T: FiniteGroupTable, lattice: NormalLattice | None):
-    """Self-centralizing chief factors (N, M) of every proper quotient G/N."""
-    lat = lattice if lattice is not None else normal_subgroups(T)
-    for N in lat.subgroups:
-        if N.order == T.n:
-            continue
-        for M in lat.minimal_over(N):
-            if _is_self_centralizing(T, N, M):
-                yield N, M
+def _selfc_factors(T: FiniteGroupTable, lat: NormalLattice):
+    """Self-centralizing chief factors (N, M) of every proper quotient G/N.
+
+    Only an N with a single cover can have one (see the module docstring).
+    """
+    subs = lat.subgroups
+    for i, N in enumerate(subs):
+        covers = lat.covers(i)
+        if len(covers) == 1 and _is_self_centralizing(T, N, subs[covers[0]]):
+            yield N, subs[covers[0]]
 
 
 def sc_chief_rank(
@@ -280,19 +294,16 @@ def sc_chief_rank(
         raise TrivialGroup("self-centralizing chief rank needs a nontrivial group")
     if not (is_soluble(T) if soluble is None else soluble):
         raise NotSoluble("self-centralizing chief rank requires a soluble group")
-    best = max(
-        (_factor_rank(T, N, M)[1] for N, M in _selfc_factors(T, lattice)), default=0
-    )
+    lat = lattice if lattice is not None else normal_subgroups(T)
+    best = max((_factor_rank(T, N, M)[1] for N, M in _selfc_factors(T, lat)), default=0)
     if best < 1:
         raise InvariantViolated("soluble group has no self-centralizing chief factor")
     return best
 
 
-def chief_factor_orders_selfc(
-    T: FiniteGroupTable, lattice: NormalLattice | None = None
-) -> set[int]:
+def chief_factor_orders_selfc(T: FiniteGroupTable) -> set[int]:
     """Orders p^r of self-centralizing chief factors over all quotients."""
-    return {M.order // N.order for N, M in _selfc_factors(T, lattice)}
+    return {M.order // N.order for N, M in _selfc_factors(T, normal_subgroups(T))}
 
 
 def is_supersoluble(
@@ -363,9 +374,7 @@ def _conjugation_blocks(T: FiniteGroupTable, frontier: list[Subgroup]):
         yield run, pos, T.conjugates(list(pos))
 
 
-def soluble_subgroups(
-    T: FiniteGroupTable, cap: int = SUBGROUP_ENUM_CAP
-) -> list[Subgroup]:
+def soluble_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
     """All soluble subgroups of T, by prime cyclic extensions.
 
     Every soluble subgroup has a subnormal series with prime cyclic
@@ -384,8 +393,8 @@ def soluble_subgroups(
     so each K is first reached from the same (H, g) as one coset at a time
     would reach it, and keeps the same generators.
     """
-    if T.n > cap:
-        raise CapExceeded(f"group order {T.n} exceeds subgroup enumeration cap {cap}")
+    if T.n > SUBGROUP_ENUM_CAP:
+        raise CapExceeded(f"group order {T.n} exceeds subgroup enumeration cap {SUBGROUP_ENUM_CAP}")
     triv = trivial_subgroup(T)
     found: dict[frozenset[int], Subgroup] = {triv.member_set: triv}
     frontier = [triv]
@@ -401,7 +410,9 @@ def soluble_subgroups(
                     if seen[g]:
                         continue
                     # g normalizes H, so <H, g> / H is cyclic of order |gH|.
-                    K = subgroup_generated(T, H.generators + (g,))
+                    C = _Closure(T, H)
+                    C.add(g)
+                    K = C.subgroup(C.gens)
                     pr = _prime_power(K.order // H.order)
                     if pr is None or pr[1] != 1:
                         seen[T.right_action(g)[list(H.members)]] = True  # the coset Hg
@@ -414,10 +425,10 @@ def soluble_subgroups(
     return sorted(found.values(), key=lambda S: (S.order, S.members))
 
 
-def maximal_subgroups(T: FiniteGroupTable, cap: int = MAXIMAL_CHECK_CAP) -> list[Subgroup]:
+def maximal_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
     """Maximal proper subgroups of a soluble group (full enumeration)."""
-    if T.n > cap:
-        raise CapExceeded(f"group order {T.n} exceeds maximal-subgroup cap {cap}")
+    if T.n > MAXIMAL_CHECK_CAP:
+        raise CapExceeded(f"group order {T.n} exceeds maximal-subgroup cap {MAXIMAL_CHECK_CAP}")
     if not is_soluble(T):
         raise NotSoluble("maximal subgroup enumeration implemented for soluble groups")
     subs = [S for S in soluble_subgroups(T) if S.order < T.n]

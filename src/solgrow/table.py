@@ -108,9 +108,6 @@ class FiniteGroupTable:
             row = self._build_row(j)
         return row[i]
 
-    def inv(self, i: int) -> int:
-        return self.inv_idx[i]
-
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
         return self.mul(self.mul(self.inv_idx[g], x), g)
@@ -372,15 +369,18 @@ def _orbit(maps: Sequence[Sequence[int]], seeds: Iterable[int], seen: bytearray)
 class _Closure:
     """A subgroup of T grown in place: its members in discovery order,
     marked in `seen`, and the generators that enlarged it (`gens`), with
-    their right actions (`maps`)."""
+    their right actions (`maps`). It starts from H (default: the trivial
+    subgroup), seeded with H's members and generators."""
 
-    def __init__(self, T: FiniteGroupTable):
+    def __init__(self, T: FiniteGroupTable, H: Subgroup | None = None):
+        H = H if H is not None else trivial_subgroup(T)
         self.T = T
         self.seen = bytearray(T.n)
-        self.seen[0] = 1
-        self.members = [0]
-        self.gens: list[int] = []
-        self.maps: list[memoryview] = []
+        self.members = list(H.members)
+        for x in self.members:
+            self.seen[x] = 1
+        self.gens = list(H.generators)
+        self.maps = [memoryview(T.right_action(g)) for g in self.gens]
 
     def add(self, g: int) -> bool:
         """Adjoin g; False, changing nothing, if g is already a member.
@@ -497,9 +497,9 @@ def lower_central_series(
     return series
 
 
-def nilpotency_class(T: FiniteGroupTable, start: Subgroup | None = None) -> int | None:
+def nilpotency_class(T: FiniteGroupTable) -> int | None:
     """Nilpotency class, or None if not nilpotent."""
-    series = lower_central_series(T, start)
+    series = lower_central_series(T)
     if series[-1].is_trivial():
         return len(series) - 1
     return None
@@ -705,16 +705,6 @@ class QuotientGroup:
             gens, lambda c: coset[parent.right_action(reps[c])[rep_index]]
         )
         self.table = FiniteGroupTable(gens, steps)
-
-    def image(self, H: Subgroup) -> Subgroup:
-        """Image of a parent subgroup in the quotient."""
-        members = sorted({self.coset_of[x] for x in H.members})
-        gens = []
-        for g in H.generators:
-            c = self.coset_of[g]
-            if c != 0 and c not in gens:
-                gens.append(c)
-        return Subgroup(self.table, tuple(members), tuple(gens))
 
 
 def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:

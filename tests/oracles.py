@@ -263,6 +263,17 @@ def naive_self_centralizing(T: FiniteGroupTable, N: Subgroup, M: Subgroup) -> bo
     return pre == M.member_set
 
 
+def minimal_over(subgroups: Sequence[Subgroup], N: Subgroup) -> list[Subgroup]:
+    """Minimal members of a normal lattice strictly containing N, scanning
+    the whole lattice pairwise."""
+    overs = [K for K in subgroups if K.order > N.order and K.member_set > N.member_set]
+    return [
+        K
+        for K in overs
+        if not any(J.order < K.order and K.member_set > J.member_set for J in overs)
+    ]
+
+
 def naive_is_normal(
     T: FiniteGroupTable, members: frozenset[int], within: Sequence[int] | None = None
 ) -> bool:

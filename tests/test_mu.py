@@ -137,7 +137,11 @@ def test_bruteforce_raises_when_no_modified_step(monkeypatch):
     # an empty normal lattice must raise, not pass silently under python -O
     import solgrow.soluble
 
-    monkeypatch.setattr(solgrow.soluble, "normal_subgroups_within", lambda T, H: [H])
+    monkeypatch.setattr(
+        solgrow.soluble,
+        "normal_subgroups_within",
+        lambda T, H: solgrow.soluble.NormalLattice([H], [()]),
+    )
     with pytest.raises(InvariantViolated, match="no modified step"):
         mu_bruteforce(table_of("s3"))
 

@@ -2,8 +2,10 @@
 is used somewhere.
 
 A definition counts as used when its name is read (as a name, an
-attribute or an import) anywhere in `src/`, `tests/` or `perfbench/`.
-Its own `def` or `class` line or assignment is not a read (no store is),
+attribute or an import) anywhere in `src/`, `tests/` or `perfbench/`; a
+method counts only when it is read as an attribute, since a bare name of
+the same spelling (a local, say) cannot reach it. Its own `def` or
+`class` line or assignment is not a read (no store is),
 and neither is its entry in the lazy-export table of
 `solgrow/__init__.py`, which holds names as strings. Dunders are called
 by Python itself.
@@ -29,26 +31,41 @@ def _trees():
             yield path, ast.parse(path.read_text())
 
 
-def _read(tree: ast.AST) -> set[str]:
-    names = set()
+def _read(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Names read bare or imported, and names read as attributes."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
-    return names
+    return names, attributes
 
 
 def test_every_definition_in_src_is_read_somewhere():
-    defined, read = {}, set()
+    # name -> where, for methods and for every other definition
+    methods: dict[str, str] = {}
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    read_as_attribute: set[str] = set()
     for path, tree in _trees():
-        read |= _read(tree)
+        names, attributes = _read(tree)
+        read |= names | attributes
+        read_as_attribute |= attributes
         if path.parent == SRC:
+            in_class = {
+                id(f)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
             for node in ast.walk(tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                    kind = methods if id(node) in in_class else defined
+                    kind.setdefault(node.name, f"{path.name}:{node.lineno}")
             for node in tree.body:  # module-level assignments
                 if isinstance(node, ast.Assign):
                     targets = node.targets
@@ -61,7 +78,8 @@ def test_every_definition_in_src_is_read_somewhere():
                         defined.setdefault(target.id, f"{path.name}:{node.lineno}")
     unread = {
         name: where
-        for name, where in defined.items()
-        if name not in read | REFLECTED and not (name.startswith("__") and name.endswith("__"))
+        for kind, seen in ((defined, read), (methods, read_as_attribute))
+        for name, where in kind.items()
+        if name not in seen | REFLECTED and not (name.startswith("__") and name.endswith("__"))
     }
     assert unread == {}

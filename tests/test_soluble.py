@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CORPUS_SOLUBLE, square_of, table_of
 from oracles import (
+    minimal_over,
     naive_is_normal,
     naive_self_centralizing,
     subgroup_family_is_extension_closed,
@@ -64,7 +65,7 @@ def test_normal_lattice_complete(name):
     for H in subs:
         inside = [S.member_set for S in subs if S.member_set <= H.member_set]
         normals = {S for S in inside if naive_is_normal(T, S, H.members)}
-        assert {S.member_set for S in normal_subgroups_within(T, H)} == normals
+        assert {S.member_set for S in normal_subgroups_within(T, H).subgroups} == normals
 
 
 @pytest.mark.parametrize("name", ["c6", "s3", "q8", "s4", "sl2(3)", "q8"])
@@ -126,7 +127,7 @@ def test_normal_lattice_and_generators_pinned(name):
 
 def test_normal_lattices_within_derived_terms_pinned():
     T = table_of("s4wrs2")
-    digests = [_digest(normal_subgroups_within(T, D)) for D in derived_series(T)]
+    digests = [_digest(normal_subgroups_within(T, D).subgroups) for D in derived_series(T)]
     assert digests == _PINNED_S4WRS2_DERIVED_DIGESTS
 
 
@@ -334,6 +335,64 @@ def test_is_self_centralizing_matches_definition(name):
     else:
         T = table_of(name)
     lat = normal_subgroups(T)
-    for N in lat.subgroups:
-        for M in lat.minimal_over(N):
+    for i, N in enumerate(lat.subgroups):
+        for j in lat.covers(i):
+            M = lat.subgroups[j]
             assert _is_self_centralizing(T, N, M) == naive_self_centralizing(T, N, M)
+
+
+def _c2_power(k: int) -> FiniteGroupTable:
+    T = table_of("c2")
+    for _ in range(k - 1):
+        T = direct_product(T, table_of("c2"))
+    return T
+
+
+def _assert_covers_match_pairwise_scan(lat) -> None:
+    for i, N in enumerate(lat.subgroups):
+        assert [lat.subgroups[j] for j in lat.covers(i)] == minimal_over(lat.subgroups, N)
+
+
+@pytest.mark.parametrize("name", LATTICE_CORPUS + ["c2^5"])
+def test_covers_match_pairwise_scan(name):
+    T = _c2_power(5) if name == "c2^5" else table_of(name)
+    _assert_covers_match_pairwise_scan(normal_subgroups(T))
+
+
+def test_covers_within_derived_terms_match_pairwise_scan():
+    T = table_of("s4wrs2")
+    for D in derived_series(T):
+        _assert_covers_match_pairwise_scan(normal_subgroups_within(T, D))
+
+
+@pytest.mark.parametrize("name", LATTICE_CORPUS)
+def test_self_centralizing_factors_have_a_single_cover(name):
+    # testing members with one cover only finds every self-centralizing
+    # minimal normal subgroup of every quotient
+    T = table_of(name)
+    lat = normal_subgroups(T)
+    subs = lat.subgroups
+    naive = {
+        (i, j)
+        for i, N in enumerate(subs)
+        for j in lat.covers(i)
+        if naive_self_centralizing(T, N, subs[j])
+    }
+    assert all(len(lat.covers(i)) == 1 for i, _ in naive)
+    found = {(subs.index(N), subs.index(M)) for N, M in soluble._selfc_factors(T, lat)}
+    assert found == naive
+
+
+def test_sc_chief_rank_tests_single_covers_only(monkeypatch):
+    calls = []
+    test = soluble._is_self_centralizing
+
+    def counted(T, N, M):
+        calls.append(N.order)
+        return test(T, N, M)
+
+    monkeypatch.setattr(soluble, "_is_self_centralizing", counted)
+    assert sc_chief_rank(_c2_power(5)) == 1
+    # of the 374 subspaces of F_2^5, only the 31 hyperplanes have a single
+    # cover; testing every cover of every member makes 2,077 calls
+    assert calls == [16] * 31
