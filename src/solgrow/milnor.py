@@ -88,12 +88,11 @@ def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
             level = sorted(set(level).union(conj[:, by_len[len(levels)]].ravel().tolist()))
     k = len(levels) - 2
     closure = normal_closure(T, seeds)
-    if subgroups[k].member_set != closure.member_set:
+    if subgroups[k].mask != closure.mask:
         raise InvariantViolated("chain missed the closure")
     witnesses = []
     for j in range(1, k + 1):
-        prev = subgroups[j - 1].member_set
-        y_j = next(y for y in levels[j] if y not in prev)
+        y_j = next(y for y in levels[j] if y not in subgroups[j - 1])
         witnesses.append(y_j)
     L = max((wl[y] for y in seeds), default=0)
     lZ = max((wl[z] for z in levels[k]), default=0)
@@ -129,7 +128,7 @@ def distinct_products_check(chain: MilnorChain) -> tuple[bool, dict]:
     """
     T = chain.table
     for j, y in enumerate(chain.witnesses):
-        if y in chain.subgroups[j].member_set:
+        if y in chain.subgroups[j]:
             raise WitnessDegenerate(f"witness {j + 1} lies in H_{j}")
     prods = subset_products(T, list(chain.witnesses))
     distinct = len(set(prods)) == len(prods)
@@ -230,7 +229,7 @@ def derived_generators(T: FiniteGroupTable, k_max: int) -> dict:
             break
         chain = milnor_chain(T, Y)
         expected = commutator_subgroup(T, current, current)
-        if chain.subgroups[chain.k].member_set != expected.member_set:
+        if chain.subgroups[chain.k].mask != expected.mask:
             raise InvariantViolated("chain closure differs from the derived subgroup")
         X = chain.generating_set
         current = chain.subgroups[chain.k]
@@ -359,7 +358,7 @@ def canonical_modified_chain(
     if not _is_self_centralizing(Gbar, trivial_subgroup(Gbar), V):
         raise NotSelfCentralizing("V is not self-centralizing in the quotient")
     cost, series = mu_fast(Gbar)
-    if series.chain[-2].member_set != V.member_set:
+    if series.chain[-2].mask != V.mask:
         raise SeriesMismatch(
             "canonical series does not end at the self-centralizing socle"
         )
@@ -395,14 +394,12 @@ def certify_growth_lower_bound(
         lift = Q
         n_order = N.order
 
-    candidates = [
-        M
-        for M in minimal_normal_subgroups(Gbar)
-        if _is_self_centralizing(Gbar, trivial_subgroup(Gbar), M)
-    ]
-    if not candidates:
+    # A self-centralizing minimal normal subgroup is the only one (see
+    # `solgrow.soluble`), so only a single minimal normal V is tested.
+    minimal = minimal_normal_subgroups(Gbar)
+    if len(minimal) != 1 or not _is_self_centralizing(Gbar, trivial_subgroup(Gbar), minimal[0]):
         raise NotSelfCentralizing("no self-centralizing minimal normal subgroup")
-    V = candidates[0]
+    V = minimal[0]
     pr = _prime_power(V.order)
     if pr is None:
         raise InvariantViolated("socle is not a p-group")
@@ -421,7 +418,7 @@ def certify_growth_lower_bound(
             else _triple_commutators(Gbar, X)
         )
         chain = milnor_chain(Gbar, seeds)
-        if chain.subgroups[chain.k].member_set != series.chain[i].member_set:
+        if chain.subgroups[chain.k].mask != series.chain[i].mask:
             raise SeriesMismatch(f"step {i} closure differs from the canonical term")
         X = chain.generating_set
         step_lengths.append(chain.closure_length)

@@ -147,11 +147,11 @@ class ModifiedSeries:
             raise InvariantViolated("series needs one kind per step")
         for i in range(1, len(self.chain)):
             head, sub = self.chain[i - 1], self.chain[i]
-            if not head.member_set > sub.member_set:
+            if head.mask == sub.mask or not head.contains_set(sub):
                 raise InvariantViolated("chain is not strictly descending")
             for x in sub.generators:
                 for g in head.generators:
-                    if T.conj(x, g) not in sub.member_set:
+                    if T.conj(x, g) not in sub:
                         raise InvariantViolated("step is not normal")
             derived = commutator_subgroup(T, head, head)
             g3 = commutator_subgroup(T, derived, head)
@@ -167,19 +167,19 @@ class ModifiedSeries:
 def _least_cost_series(
     T: FiniteGroupTable, H0: Subgroup, steps
 ) -> tuple[MuValue, ModifiedSeries]:
-    """Least-cost modified series from H0, memoized on member sets.
+    """Least-cost modified series from H0, memoized on member masks.
 
     `steps(H)` yields the candidate first steps (K, kind) from a nontrivial
     H; the first strictly cheaper candidate wins ties.
     """
     if not is_soluble(T, H0):
         raise NotSoluble("modified derived length requires a soluble group")
-    memo: dict[frozenset[int], tuple[MuValue, list[Subgroup], list[str]]] = {}
+    memo: dict[bytes, tuple[MuValue, list[Subgroup], list[str]]] = {}
 
     def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:
         if H.is_trivial():
             return MU_ZERO, [H], []
-        key = H.member_set
+        key = H.mask
         best = memo.get(key)
         if best is not None:
             return best

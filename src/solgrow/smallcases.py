@@ -19,7 +19,7 @@ vectors.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import (
     MU_IRREDUCIBLE_BOUND,
@@ -43,13 +43,14 @@ def _conjugacy_reps(T: FiniteGroupTable, subs: list[Subgroup]) -> list[Subgroup]
     """One representative per conjugacy class of subgroups, in list order.
 
     `subs` must be closed under conjugation in T: each generator of T
-    conjugates the list onto itself, a map on list positions.
+    conjugates the list onto itself, a map on list positions. The mask of
+    S^g = g^-1 S g holds y exactly when g y g^-1 is in S.
     """
-    position = {S.member_set: i for i, S in enumerate(subs)}
+    position = {S.mask: i for i, S in enumerate(subs)}
     maps = []
     for g in T.generators:
-        conj = T.conjugation_action(g).tolist()
-        maps.append([position[frozenset([conj[x] for x in S.members])] for S in subs])
+        conj = T.conjugation_action(T.inv_idx[g])
+        maps.append([position[S.flags[conj].tobytes()] for S in subs])
     seen = bytearray(len(subs))
     return [S for i, S in enumerate(subs) if _orbit(maps, (i,), seen)]
 
@@ -61,27 +62,11 @@ def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
     return [T.elements[g] for g in S.generators]
 
 
-def irreducible_soluble_reps(ambient_name: str) -> tuple[FiniteGroupTable, list[Subgroup]]:
-    """Conjugacy representatives of soluble irreducible subgroups."""
-    T = enumerate_group(catalog(ambient_name))
-    subs = soluble_subgroups(T)
-    irr = []
-    for S in subs:
-        if not S.generators:
-            continue
-        if is_irreducible(_subgroup_gens(T, S)):
-            irr.append(S)
-    return T, _conjugacy_reps(T, irr)
-
-
-def transitive_soluble_reps(degree: int) -> tuple[FiniteGroupTable, list[Subgroup]]:
-    """Conjugacy representatives of soluble transitive subgroups of Sym(n)."""
-    T = enumerate_group(sym_gens(degree))
-    subs = soluble_subgroups(T)
-    tra = [
-        S for S in subs if S.generators and is_transitive_on(_subgroup_gens(T, S), degree)
-    ]
-    return T, _conjugacy_reps(T, tra)
+def _soluble_reps(T: FiniteGroupTable, keep: Callable[[list], bool]) -> list[Subgroup]:
+    """Conjugacy representatives of the nontrivial soluble subgroups of T
+    whose generator elements pass `keep` (a conjugation-invariant test)."""
+    subs = [S for S in soluble_subgroups(T) if S.generators and keep(_subgroup_gens(T, S))]
+    return _conjugacy_reps(T, subs)
 
 
 # -- witness handling ---------------------------------------------------------
@@ -236,7 +221,8 @@ _CASES: list[dict] = [
 
 
 def _check_exhaustive_linear(ambient: str, mu_claim, delta_claim) -> dict:
-    T, reps = irreducible_soluble_reps(ambient)
+    T = enumerate_group(catalog(ambient))
+    reps = _soluble_reps(T, is_irreducible)
     n, p = T.elements[0].n, T.elements[0].p
     entry = {"ambient": ambient, "n": n, "p": p, "groups_checked": len(reps),
              "mode": "exhaustive"}
@@ -352,7 +338,8 @@ def verify_transitive_exhaustive(degrees: Sequence[int] = DEFAULT_EXHAUSTIVE_SYM
     entries = []
     ok_all = True
     for n in degrees:
-        T, reps = transitive_soluble_reps(n)
+        T = enumerate_group(sym_gens(n))
+        reps = _soluble_reps(T, lambda gens: is_transitive_on(gens, n))
         ok = all(
             verify_mu_theorem(T, "transitive", n, subgroup=S) for S in reps
         )

@@ -77,14 +77,13 @@ class NormalLattice:
         """Ascending indices of the minimal members strictly above member i.
 
         A cover is member i's join with any atom in it outside i, so it is
-        in `above[i]`, ahead of every join above it."""
-        subs = self.subgroups
-        out: list[int] = []
-        for j in self.above[i]:
-            S = subs[j].member_set
-            if not any(subs[k].member_set < S for k in out):
-                out.append(j)
-        return out
+        in `above[i]`. Containment among the joins is read from the index
+        alone: for joins k != j of i, k < j exactly when j is in `above[k]`,
+        since j = i v <C> with <C> not in k gives j = k v <C>. So the covers
+        are the joins of i that are no join of another."""
+        above = self.above
+        higher = set().union(*(above[k] for k in above[i]))
+        return [j for j in above[i] if j not in higher]
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -112,11 +111,11 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
     grown the same way. Starting from the atoms, each new member is joined
     with every atom it does not contain; every normal subgroup is a join of
     atoms, so this reaches all of them, and each member keeps its joins.
-    Member tuples and short generators (`reduce_generators`) are built once
-    per distinct class set.
+    Member masks (each class mask gathered through `class_of`) and short
+    generators (`reduce_generators`) are built once per distinct class set.
     """
     classes = conjugacy_classes(T, H)
-    class_of = [-1] * T.n
+    class_of = [len(classes)] * T.n  # outside H: the 0 byte after a class mask
     for k, cls in enumerate(classes):
         for x in cls:
             class_of[x] = k
@@ -144,11 +143,12 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
         for k, row in atoms:
             if not A[k]:
                 up.append(number(*_grow_classes(classes, class_of, seeds, row)))
-    subs = []
-    for S in found:
-        members = tuple(sorted(x for cls, inside in zip(classes, S) if inside for x in cls))
-        subs.append(reduce_generators(T, Subgroup(T, members, ())))
-    order = sorted(range(len(subs)), key=lambda j: (subs[j].order, subs[j].members))
+    gather = np.array(class_of)
+    subs = [
+        reduce_generators(T, Subgroup(np.frombuffer(S + b"\0", np.uint8)[gather].tobytes(), ()))
+        for S in found
+    ]
+    order = sorted(range(len(subs)), key=lambda j: (-subs[j].order, subs[j].mask), reverse=True)
     rank = {j: i for i, j in enumerate(order)}
     return NormalLattice(
         [subs[j] for j in order], [tuple(sorted({rank[x] for x in joins[j]})) for j in order]
@@ -186,13 +186,12 @@ def _factor_rank(T: FiniteGroupTable, below: Subgroup, above: Subgroup) -> tuple
     if pr is None:
         raise NotSoluble(f"chief factor of non-prime-power order {m}")
     p, r = pr
-    bset = below.member_set
     gens = above.generators
     for i, a in enumerate(gens):
-        if pow_in(T, a, p) not in bset:
+        if pow_in(T, a, p) not in below:
             raise InvariantViolated("chief factor is not elementary abelian (exponent)")
         for b in gens[i + 1 :]:
-            if T.comm(a, b) not in bset:
+            if T.comm(a, b) not in below:
                 raise InvariantViolated("chief factor is not abelian")
     return p, r
 
@@ -202,13 +201,6 @@ def pow_in(T: FiniteGroupTable, g: int, e: int) -> int:
     for _ in range(e):
         x = T.mul(x, g)
     return x
-
-
-def _mask(T: FiniteGroupTable, H: Subgroup) -> np.ndarray:
-    """Boolean membership mask of H over the indices of T."""
-    mask = np.zeros(T.n, dtype=bool)
-    mask[list(H.members)] = True
-    return mask
 
 
 def _is_self_centralizing(
@@ -221,13 +213,13 @@ def _is_self_centralizing(
     Row i of the conjugates of the inverse generators holds (m^-1)^g, and
     [g, m] = (m^-1)^g * m.
     """
-    nmask = _mask(T, below)
+    nmask = below.flags
     gens = above.generators
     conj = T.conjugates([T.inv_idx[m] for m in gens])
     pre = np.ones(T.n, dtype=bool)
     for m, row in zip(gens, conj):
         pre &= nmask[T.right_action(m)[row]]
-    return np.array_equal(pre, _mask(T, above))
+    return np.array_equal(pre, above.flags)
 
 
 def chief_series(
@@ -396,13 +388,13 @@ def soluble_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
     if T.n > SUBGROUP_ENUM_CAP:
         raise CapExceeded(f"group order {T.n} exceeds subgroup enumeration cap {SUBGROUP_ENUM_CAP}")
     triv = trivial_subgroup(T)
-    found: dict[frozenset[int], Subgroup] = {triv.member_set: triv}
+    found: dict[bytes, Subgroup] = {triv.mask: triv}
     frontier = [triv]
     while frontier:
         nxt = []
         for run, pos, conj in _conjugation_blocks(T, frontier):
             for H in run:
-                hmask = _mask(T, H)
+                hmask = H.flags
                 # g normalizes H iff it conjugates each generator of H into H.
                 normalizer = hmask[conj[[pos[x] for x in H.generators]]].all(axis=0)
                 seen = hmask.copy()
@@ -415,14 +407,14 @@ def soluble_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
                     K = C.subgroup(C.gens)
                     pr = _prime_power(K.order // H.order)
                     if pr is None or pr[1] != 1:
-                        seen[T.right_action(g)[list(H.members)]] = True  # the coset Hg
+                        seen[T.right_action(g)[hmask]] = True  # the coset Hg
                         continue
-                    seen[list(K.members)] = True
-                    if K.member_set not in found:
-                        found[K.member_set] = K
+                    seen |= K.flags
+                    if K.mask not in found:
+                        found[K.mask] = K
                         nxt.append(K)
         frontier = nxt
-    return sorted(found.values(), key=lambda S: (S.order, S.members))
+    return sorted(found.values(), key=lambda S: (-S.order, S.mask), reverse=True)
 
 
 def maximal_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
@@ -435,7 +427,7 @@ def maximal_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
     out = []
     for H in subs:
         if not any(
-            K.order > H.order and K.order % H.order == 0 and K.member_set > H.member_set
+            K.order > H.order and K.order % H.order == 0 and K.contains_set(H)
             for K in subs
         ):
             out.append(H)

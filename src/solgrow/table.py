@@ -25,13 +25,20 @@ table holds no encoding -> index dict: its order n is the length of its
 step actions. Perm and matfp tables keep their elements as rows and build
 each element object on access.
 
+A Subgroup is one member mask, a byte per element of its table, with a
+generator list. Masks of equal member count sort in the reverse order of
+their ascending member tuples (the set holding the first index where two
+masks differ has the smaller tuple), so subgroups sort by (order, members)
+without building member tuples.
+
 Orbits under index maps (subgroup closure, conjugacy classes, and the
 orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
-breadth-first walk, `_orbit`. Closures grow in place (`_Closure`): each
-generator adjoined walks only the points it newly reaches, so no subgroup
-is rebuilt from the identity. Conjugates of a few elements by the whole
-group (normalizers, centralizers, the self-centralizing test and
-conjugate chains) come from one walk down the BFS levels, `conjugates`.
+breadth-first walk, `_orbit`. Closures grow in place (`_Closure`) on a
+member mask: each generator adjoined walks only the points it newly
+reaches, so no subgroup is rebuilt from the identity. Conjugates of a few
+elements by the whole group (normalizers, centralizers, the
+self-centralizing test and conjugate chains) come from one walk down the
+BFS levels, `conjugates`.
 
 Tables are immutable after construction; all queries are pure reads (dense
 rows and the step conjugation maps are built on first use).
@@ -40,7 +47,7 @@ rows and the step conjugation maps are built on first use).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -308,40 +315,51 @@ def _inverse_indices(
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Member index set of a subgroup, with a generating index list."""
+    """A subgroup as a member mask over its table, with a generating index list.
 
-    table: FiniteGroupTable
-    members: tuple[int, ...]
+    `mask` holds one byte per element of the table, 1 for a member; `flags`
+    is the same bytes as a read-only numpy bool array. Subgroups sort by
+    the key (-order, mask) with reverse=True, which orders equal orders by
+    ascending member tuples without building them: at the first index
+    where two masks of equal count differ, the set holding that index has
+    the larger mask and the smaller member tuple.
+    """
+
+    mask: bytes
     generators: tuple[int, ...]
-    member_set: frozenset[int] = field(repr=False, default=frozenset())
-
-    def __post_init__(self):
-        if not self.member_set:
-            object.__setattr__(self, "member_set", frozenset(self.members))
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.mask.count(1)
+
+    @property
+    def flags(self) -> np.ndarray:
+        return np.frombuffer(self.mask, dtype=bool)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """Member indices in ascending order."""
+        return tuple(np.flatnonzero(self.flags).tolist())
 
     def __contains__(self, i: int) -> bool:
-        return i in self.member_set
+        return self.mask[i] == 1
 
     def contains_set(self, other: "Subgroup") -> bool:
-        return self.member_set >= other.member_set
+        return not (other.flags > self.flags).any()
 
     def is_trivial(self) -> bool:
-        return len(self.members) == 1
+        return self.order == 1
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order})"
 
 
 def whole_group(T: FiniteGroupTable) -> Subgroup:
-    return Subgroup(T, tuple(range(T.n)), tuple(T.generators))
+    return Subgroup(b"\x01" * T.n, tuple(T.generators))
 
 
 def trivial_subgroup(T: FiniteGroupTable) -> Subgroup:
-    return Subgroup(T, (0,), ())
+    return Subgroup(b"\x01" + bytes(T.n - 1), ())
 
 
 def _orbit(maps: Sequence[Sequence[int]], seeds: Iterable[int], seen: bytearray) -> list[int]:
@@ -370,15 +388,14 @@ class _Closure:
     """A subgroup of T grown in place: its members in discovery order,
     marked in `seen`, and the generators that enlarged it (`gens`), with
     their right actions (`maps`). It starts from H (default: the trivial
-    subgroup), seeded with H's members and generators."""
+    subgroup), seeded with H's mask, members and generators. `seen` is the
+    member mask itself, so the subgroup is read off it with no sort."""
 
     def __init__(self, T: FiniteGroupTable, H: Subgroup | None = None):
         H = H if H is not None else trivial_subgroup(T)
         self.T = T
-        self.seen = bytearray(T.n)
+        self.seen = bytearray(H.mask)
         self.members = list(H.members)
-        for x in self.members:
-            self.seen[x] = 1
         self.gens = list(H.generators)
         self.maps = [memoryview(T.right_action(g)) for g in self.gens]
 
@@ -396,7 +413,7 @@ class _Closure:
         return True
 
     def subgroup(self, gens: Iterable[int]) -> Subgroup:
-        return Subgroup(self.T, tuple(sorted(self.members)), tuple(gens))
+        return Subgroup(bytes(self.seen), tuple(gens))
 
 
 def subgroup_generated(T: FiniteGroupTable, seeds: Iterable[int]) -> Subgroup:
@@ -433,11 +450,12 @@ def normal_closure(T: FiniteGroupTable, seeds: Iterable[int]) -> Subgroup:
 def reduce_generators(T: FiniteGroupTable, H: Subgroup) -> Subgroup:
     """Replace the generator list by a short one (greedy, by index order)."""
     C = _Closure(T)
+    order = H.order
     for x in H.members:
-        if len(C.members) == H.order:
+        if len(C.members) == order:
             break
         C.add(x)
-    return Subgroup(T, H.members, tuple(C.gens), H.member_set)
+    return Subgroup(H.mask, tuple(C.gens))
 
 
 def commutator_subgroup(T: FiniteGroupTable, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -522,8 +540,7 @@ def centralizer(T: FiniteGroupTable, S: Subgroup) -> Subgroup:
     """Elements commuting with every member of S (generators suffice)."""
     gens = np.array(S.generators, dtype=np.int32)
     fixed = (T.conjugates(gens) == gens[:, None]).all(axis=0)
-    H = Subgroup(T, tuple(np.flatnonzero(fixed).tolist()), ())
-    return reduce_generators(T, H)
+    return reduce_generators(T, Subgroup(fixed.tobytes(), ()))
 
 
 def center(T: FiniteGroupTable) -> Subgroup:
@@ -531,7 +548,7 @@ def center(T: FiniteGroupTable) -> Subgroup:
 
 
 def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
-    return all(T.conj(x, g) in H.member_set for x in H.generators for g in T.generators)
+    return all(T.conj(x, g) in H for x in H.generators for g in T.generators)
 
 
 # -- enumeration ------------------------------------------------------------

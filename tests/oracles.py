@@ -182,7 +182,7 @@ def milnor_chain_from_scratch(T: FiniteGroupTable, seeds: Sequence[int]) -> dict
             break
     k = len(levels) - 2
     witnesses = tuple(
-        next(y for y in levels[j] if y not in subgroups[j - 1].member_set)
+        next(y for y in levels[j] if y not in frozenset(subgroups[j - 1].members))
         for j in range(1, k + 1)
     )
     return {"levels": levels, "subgroups": subgroups, "k": k, "witnesses": witnesses}
@@ -257,21 +257,18 @@ def naive_centralizer(T: FiniteGroupTable, members: frozenset[int]) -> frozenset
 
 def naive_self_centralizing(T: FiniteGroupTable, N: Subgroup, M: Subgroup) -> bool:
     """Whether {g : [g, m] in N for every m in M} is exactly M."""
-    pre = frozenset(
-        g for g in range(T.n) if all(T.comm(g, m) in N.member_set for m in M.members)
-    )
-    return pre == M.member_set
+    below = frozenset(N.members)
+    pre = frozenset(g for g in range(T.n) if all(T.comm(g, m) in below for m in M.members))
+    return pre == frozenset(M.members)
 
 
 def minimal_over(subgroups: Sequence[Subgroup], N: Subgroup) -> list[Subgroup]:
     """Minimal members of a normal lattice strictly containing N, scanning
     the whole lattice pairwise."""
-    overs = [K for K in subgroups if K.order > N.order and K.member_set > N.member_set]
-    return [
-        K
-        for K in overs
-        if not any(J.order < K.order and K.member_set > J.member_set for J in overs)
-    ]
+    below = frozenset(N.members)
+    sets = {id(K): frozenset(K.members) for K in subgroups}
+    overs = [K for K in subgroups if sets[id(K)] > below]
+    return [K for K in overs if not any(sets[id(K)] > sets[id(J)] for J in overs)]
 
 
 def naive_is_normal(
@@ -311,7 +308,7 @@ def subgroup_family_is_extension_closed(
 ) -> bool:
     """Completeness oracle: a family containing the trivial subgroup and
     closed under single-element extensions contains every subgroup."""
-    keys = {S.member_set for S in family}
+    keys = {frozenset(S.members) for S in family}
     if frozenset({0}) not in keys:
         return False
     for S in family:

@@ -89,14 +89,14 @@ def test_commutator_subgroup_and_normal_closure_match_rounds(name):
         joint = list(dict.fromkeys(g for g in A.generators + B.generators if g != 0))
         seeds = [T.comm(a, b) for a in A.generators for b in B.generators]
         want = normal_closure_by_rounds(T, seeds, joint)
-        assert commutator_subgroup(T, A, B).member_set == want
+        assert frozenset(commutator_subgroup(T, A, B).members) == want
     for seeds in _seed_sets(T):
         N = normal_closure(T, seeds)
-        assert N.member_set == normal_closure_by_rounds(T, seeds, T.generators)
+        assert frozenset(N.members) == normal_closure_by_rounds(T, seeds, T.generators)
         # Only the seeds and conjugates that enlarged the closure are kept,
         # and they generate it.
         assert len(set(N.generators)) == len(N.generators)
-        assert subgroup_generated(T, N.generators).member_set == N.member_set
+        assert frozenset(subgroup_generated(T, N.generators).members) == frozenset(N.members)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -60,12 +60,13 @@ def test_normal_lattice_complete(name):
     # is a single element
     T = square_of("c4") if name == "c4xc4" else table_of(name)
     subs = soluble_subgroups(T)
-    normals = {S.member_set for S in subs if naive_is_normal(T, S.member_set)}
-    assert {S.member_set for S in normal_subgroups(T).subgroups} == normals
-    for H in subs:
-        inside = [S.member_set for S in subs if S.member_set <= H.member_set]
+    sets = [frozenset(S.members) for S in subs]
+    normals = {S for S in sets if naive_is_normal(T, S)}
+    assert {frozenset(S.members) for S in normal_subgroups(T).subgroups} == normals
+    for H, whole in zip(subs, sets):
+        inside = [S for S in sets if S <= whole]
         normals = {S for S in inside if naive_is_normal(T, S, H.members)}
-        assert {S.member_set for S in normal_subgroups_within(T, H).subgroups} == normals
+        assert {frozenset(S.members) for S in normal_subgroups_within(T, H).subgroups} == normals
 
 
 @pytest.mark.parametrize("name", ["c6", "s3", "q8", "s4", "sl2(3)", "q8"])
@@ -312,7 +313,7 @@ def test_non_frattini_property():
             maxes = maximal_subgroups(Q.table)
             frattini = set(range(Q.table.n))
             for M in maxes:
-                frattini &= M.member_set
+                frattini &= frozenset(M.members)
             image = {Q.coset_of[x] for x in rec.above.members}
             assert not image <= frattini
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import tracemalloc
 
-from conftest import table_of
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS_SMALL, table_of
 from oracles import (
     naive_all_subgroups_tiny,
     naive_centralizer,
@@ -30,6 +34,7 @@ from solgrow.table import (
     nilpotency_class,
     normal_closure,
     quotient,
+    Subgroup,
     subgroup_generated,
     whole_group,
 )
@@ -49,7 +54,7 @@ def test_subgroup_generated_examples():
     sl = table_of("sl2(3)")
     order4 = [i for i in range(sl.n) if sl.order_of(i) == 4]
     a = order4[0]
-    b = next(x for x in order4 if x not in subgroup_generated(sl, [a]).member_set)
+    b = next(x for x in order4 if x not in frozenset(subgroup_generated(sl, [a]).members))
     S = subgroup_generated(sl, [a, b])
     assert S.order == 8
 
@@ -60,8 +65,8 @@ def test_subgroup_generated_idempotent_monotone():
     b = _perm_index(T, [1, 2, 3, 0])
     S1 = subgroup_generated(T, [a])
     S2 = subgroup_generated(T, [a, b])
-    assert subgroup_generated(T, list(S1.members)).member_set == S1.member_set
-    assert S2.member_set >= S1.member_set
+    assert frozenset(subgroup_generated(T, list(S1.members)).members) == frozenset(S1.members)
+    assert frozenset(S2.members) >= frozenset(S1.members)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -69,7 +74,7 @@ def test_subgroup_matches_naive(name):
     T = table_of(name)
     seeds_sets = [[], [1], [1, 2], [min(3, T.n - 1)]]
     for seeds in seeds_sets:
-        assert subgroup_generated(T, seeds).member_set == naive_subgroup(T, seeds)
+        assert frozenset(subgroup_generated(T, seeds).members) == naive_subgroup(T, seeds)
 
 
 def test_normal_closure_examples():
@@ -86,7 +91,7 @@ def test_normal_closure_examples():
 def test_normal_closure_matches_naive(name):
     T = table_of(name)
     for seed in range(1, min(T.n, 6)):
-        assert normal_closure(T, [seed]).member_set == naive_normal_closure(T, [seed])
+        assert frozenset(normal_closure(T, [seed]).members) == naive_normal_closure(T, [seed])
 
 
 def test_normal_closure_contains_subgroup():
@@ -94,10 +99,10 @@ def test_normal_closure_contains_subgroup():
     for seed in range(1, 10):
         S = subgroup_generated(T, [seed])
         N = normal_closure(T, [seed])
-        assert N.member_set >= S.member_set
+        assert frozenset(N.members) >= frozenset(S.members)
         from solgrow.table import is_normal
 
-        assert (N.member_set == S.member_set) == is_normal(T, S)
+        assert (frozenset(N.members) == frozenset(S.members)) == is_normal(T, S)
 
 
 def test_commutator_examples():
@@ -112,9 +117,9 @@ def test_commutator_examples():
 @pytest.mark.parametrize("name", SMALL)
 def test_derived_and_lcs_match_naive(name):
     T = table_of(name)
-    ds = [S.member_set for S in derived_series(T)]
+    ds = [frozenset(S.members) for S in derived_series(T)]
     assert ds == naive_derived_series(T)
-    lcs = [S.member_set for S in lower_central_series(T)]
+    lcs = [frozenset(S.members) for S in lower_central_series(T)]
     assert lcs == naive_lower_central_series(T)
 
 
@@ -202,7 +207,7 @@ def test_centralizer_examples():
     i_gen = subgroup_generated(q8, [q8.generators[0]])
     C = centralizer(q8, i_gen)
     assert C.order == 4
-    assert C.member_set == naive_centralizer(q8, frozenset(i_gen.members))
+    assert frozenset(C.members) == naive_centralizer(q8, frozenset(i_gen.members))
     c6 = table_of("c6")
     assert centralizer(c6, whole_group(c6)).order == 6
 
@@ -210,7 +215,7 @@ def test_centralizer_examples():
 def test_tiny_subgroup_enumeration_complete():
     for name in ["c6", "q8", "c2wrc2"]:
         T = table_of(name)
-        found = {S.member_set for S in soluble_subgroups(T)}
+        found = {frozenset(S.members) for S in soluble_subgroups(T)}
         assert found == naive_all_subgroups_tiny(T)
 
 
@@ -219,7 +224,7 @@ def test_normality_matches_naive():
     from solgrow.table import is_normal
 
     for S in soluble_subgroups(T):
-        assert is_normal(T, S) == naive_is_normal(T, S.member_set)
+        assert is_normal(T, S) == naive_is_normal(T, frozenset(S.members))
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -229,5 +234,45 @@ def test_commutator_matches_naive_definition(name):
     picks = [subs[0], subs[len(subs) // 2], subs[-1]]
     for A in picks:
         for B in picks:
-            got = commutator_subgroup(T, A, B).member_set
-            assert got == naive_commutator_subgroup(T, A.member_set, B.member_set)
+            got = frozenset(commutator_subgroup(T, A, B).members)
+            assert got == naive_commutator_subgroup(T, frozenset(A.members), frozenset(B.members))
+
+
+@st.composite
+def equal_size_masks(draw):
+    """Distinct member masks over range(n), all with the same member count."""
+    n = draw(st.integers(1, 40))
+    size = draw(st.integers(1, n))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size, max_size=size), max_size=12))
+    return list({bytes(x in S for x in range(n)) for S in sets})
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_masks())
+def test_mask_key_orders_like_member_tuples(masks):
+    subs = [Subgroup(m, ()) for m in masks]
+    by_key = sorted(subs, key=lambda S: (-S.order, S.mask), reverse=True)
+    assert by_key == sorted(subs, key=lambda S: (S.order, S.members))
+
+
+@pytest.mark.parametrize("name", CORPUS_SMALL)
+def test_membership_and_containment_match_sets(name):
+    T = table_of(name)
+    subs = soluble_subgroups(T)
+    sets = [frozenset(S.members) for S in subs]
+    for S, members in zip(subs, sets):
+        assert [x in S for x in range(T.n)] == [x in members for x in range(T.n)]
+        assert [S.contains_set(K) for K in subs] == [members >= other for other in sets]
+
+
+def test_whole_group_holds_one_byte_per_element():
+    T = table_of("agl1(64)")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = whole_group(T)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert G.order == T.n == 4032
+    assert held < 2 * T.n

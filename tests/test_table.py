@@ -139,7 +139,7 @@ def test_quotient_by_a_non_subgroup_rejected():
     # no subgroup: its translates cover the group with overlaps
     T = table_of("c3")
     g = T.generators[0]
-    fake = Subgroup(T, (0, g), (g,))
+    fake = Subgroup(bytes(x in (0, g) for x in range(T.n)), (g,))
     with pytest.raises(InvariantViolated, match="do not partition"):
         quotient(T, fake)
 
