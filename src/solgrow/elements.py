@@ -8,18 +8,17 @@ double as hash keys for BFS deduplication.
 
 The two matrix variants share one body (`_Matrix`: product, identity, rows,
 each subclass fixing its ring in `_like`), one entry parser and one
-Gauss-Jordan elimination (`_gauss_jordan`), which gives both the determinant
-checked at construction and the inverse: over F_p, and over Q for integer
-matrices, whose inverse must come out integral or raises InvariantViolated.
+Gauss-Jordan elimination (`_gauss_jordan`): the determinant alone is
+checked at construction, and the full elimination gives the inverse: over
+F_p, and over Q for integer matrices, whose inverse must come out integral
+or raises InvariantViolated.
 
 Permutations and F_p matrices also have a row codec (PermRows, MatFpRows,
 next to their classes): the element's data as a fixed-width numpy row, a
-batched product over many rows at once, and row -> element. A row's
-encoding is the codec's prefix plus the row's bytes, the same bytes the
-element's own `encode` gives. Integer matrices and lamplighter elements
+batched product over many rows at once (a gather, or one float64 matrix
+product), and row -> element. Integer matrices and lamplighter elements
 have row codecs for counting Cayley balls only (MatZRows, LamplighterRows,
-from `GenSet.ball_codec`): their rows are not their encodings, and they
-give only rows, products and the encodings' total length.
+from `GenSet.ball_codec`), which give only rows and products.
 
 Composition convention: permutations and tree automorphisms act on the
 left, (g*h)(x) = g(h(x)), matching matrix action on column vectors.
@@ -100,14 +99,12 @@ class RowCodec:
 
     A row is an element's data as a 1-D array of `width` entries of
     `dtype`. `products` forms x * s for every frontier row x and every step
-    row s at once, x-major. For perm and matfp the element's encoding is
-    `prefix` followed by the row's bytes (`encodings`, `decode`,
-    `element`). The matz and lamplighter codecs serve growth only: their
-    row bytes are not the encoding. `make_room` readies a codec for a
+    row s at once, x-major. For perm and matfp, distinct elements have
+    distinct rows and `element` builds the element of a row. The matz and
+    lamplighter codecs serve growth only. `make_room` readies a codec for a
     level's products; only the lamplighter codec ever widens its rows.
     """
 
-    prefix: bytes
     dtype: np.dtype
     width: int
 
@@ -132,21 +129,6 @@ class RowCodec:
         """
         return None
 
-    def encodings(self, rows: np.ndarray) -> list[bytes]:
-        """Encoding of each row, cut from one prefixed byte matrix."""
-        head = len(self.prefix)
-        out = np.empty((len(rows), head + self.width * self.dtype.itemsize), np.uint8)
-        out[:, :head] = np.frombuffer(self.prefix, np.uint8)
-        out[:, head:] = np.ascontiguousarray(rows, self.dtype).view(np.uint8)
-        return out.view(f"V{out.shape[1]}").ravel().tolist()
-
-    def decode(self, encodings: Sequence[bytes]) -> np.ndarray:
-        """Rows of the given encodings, in order."""
-        head = len(self.prefix)
-        buf = np.frombuffer(b"".join(encodings), np.uint8)
-        buf = buf.reshape(len(encodings), head + self.width * self.dtype.itemsize)
-        return np.ascontiguousarray(buf[:, head:]).view(self.dtype)
-
 
 class RowElements(SequenceABC):
     """Read-only sequence of elements kept as codec rows, built on access."""
@@ -160,10 +142,6 @@ class RowElements(SequenceABC):
 
     def __getitem__(self, i: int) -> "GroupElement":
         return self.codec.element(self.rows[operator.index(i)])
-
-
-def _perm_prefix(degree: int) -> bytes:
-    return b"P" + struct.pack("<H", degree)
 
 
 class Perm(GroupElement):
@@ -208,9 +186,8 @@ class Perm(GroupElement):
 
     def encode(self) -> bytes:
         if self._enc is None:
-            self._enc = _perm_prefix(len(self.images)) + struct.pack(
-                f"<{len(self.images)}H", *self.images
-            )
+            m = len(self.images)
+            self._enc = b"P" + struct.pack(f"<H{m}H", m, *self.images)
         return self._enc
 
     def row_codec(self) -> "PermRows":
@@ -254,15 +231,15 @@ class PermRows(RowCodec):
     dtype = np.dtype("<u2")
 
     def __init__(self, degree: int):
-        self.prefix = _perm_prefix(degree)
         self.width = degree
 
     def rows(self, perms: Sequence[Perm]) -> np.ndarray:
         return np.array([g.images for g in perms], dtype=self.dtype)
 
     def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        # (x * s).images = x.images[s.images], gathered for all x and s at once
-        return frontier[:, steps].reshape(-1, frontier.shape[1])
+        # (x * s).images = x.images[s.images], gathered for all x and s at
+        # once; `take` gathers along a row several times faster than indexing
+        return np.take(frontier, steps, axis=1).reshape(-1, frontier.shape[1])
 
     def element(self, row: np.ndarray) -> Perm:
         return Perm._of(tuple(row.tolist()))
@@ -278,15 +255,20 @@ def _flat_entries(n: int, entries: Sequence[Sequence[int]] | Sequence[int]) -> l
     return flat
 
 
-def _gauss_jordan(n: int, entries: Sequence, inv: Callable, reduce: Callable) -> tuple[object, list | None]:
+def _gauss_jordan(
+    n: int, entries: Sequence, inv: Callable, reduce: Callable, inverse: bool = True
+) -> tuple[object, list | None]:
     """Determinant and row-major inverse of row-major `entries` over a field.
 
     `reduce` gives a value's normal form, falsy for zero (x mod p over F_p,
     a Fraction over Q); `inv` inverts a nonzero normal form. A singular
-    matrix gives (0, None).
+    matrix gives (0, None). With `inverse` false only the determinant is
+    found: no identity half is carried and only the rows below each pivot
+    are cleared, and the inverse returned is None.
     """
     m = [
-        [reduce(x) for x in entries[i * n : (i + 1) * n]] + [reduce(int(i == j)) for j in range(n)]
+        [reduce(x) for x in entries[i * n : (i + 1) * n]]
+        + ([reduce(int(i == j)) for j in range(n)] if inverse else [])
         for i in range(n)
     ]
     det = reduce(1)
@@ -300,11 +282,11 @@ def _gauss_jordan(n: int, entries: Sequence, inv: Callable, reduce: Callable) ->
         det = reduce(det * m[col][col])
         f = inv(m[col][col])
         m[col] = [reduce(x * f) for x in m[col]]
-        for r in range(n):
+        for r in range(n) if inverse else range(col + 1, n):
             f = m[r][col]
             if r != col and f:
                 m[r] = [reduce(x - f * y) for x, y in zip(m[r], m[col])]
-    return det, [x for row in m for x in row[n:]]
+    return det, [x for row in m for x in row[n:]] if inverse else None
 
 
 class _Matrix(GroupElement):
@@ -339,10 +321,6 @@ class _Matrix(GroupElement):
         return [self.entries[i * n : (i + 1) * n] for i in range(n)]
 
 
-def _matfp_prefix(n: int, p: int) -> bytes:
-    return b"F" + struct.pack("<BI", n, p)
-
-
 class MatFp(_Matrix):
     """Invertible n x n matrix over F_p, entries reduced mod p."""
 
@@ -357,7 +335,7 @@ class MatFp(_Matrix):
         self.p = p
         self.entries = tuple(x % p for x in _flat_entries(n, entries))
         self._enc: bytes | None = None
-        if self._eliminate()[0] == 0:
+        if self._eliminate(inverse=False)[0] == 0:
             raise ParseError("matrix is singular over F_p")
 
     @staticmethod
@@ -370,9 +348,11 @@ class MatFp(_Matrix):
         p = self.p
         return MatFp._of(self.n, p, tuple(x % p for x in entries))
 
-    def _eliminate(self) -> tuple[object, list | None]:
+    def _eliminate(self, inverse: bool = True) -> tuple[object, list | None]:
         p = self.p
-        return _gauss_jordan(self.n, self.entries, lambda x: pow(x, p - 2, p), lambda x: x % p)
+        return _gauss_jordan(
+            self.n, self.entries, lambda x: pow(x, p - 2, p), lambda x: x % p, inverse
+        )
 
     def inverse(self) -> "MatFp":
         return self._like(self._eliminate()[1])  # type: ignore[arg-type]
@@ -386,14 +366,15 @@ class MatFp(_Matrix):
 
     def encode(self) -> bytes:
         if self._enc is None:
-            self._enc = _matfp_prefix(self.n, self.p) + struct.pack(
-                f"<{self.n * self.n}I", *self.entries
+            self._enc = b"F" + struct.pack(
+                f"<BI{self.n * self.n}I", self.n, self.p, *self.entries
             )
         return self._enc
 
     def row_codec(self) -> "MatFpRows | None":
-        # A product entry sums n terms below p^2 before reduction.
-        if self.n * (self.p - 1) ** 2 > np.iinfo(MatFpRows.work).max:
+        # A product entry sums n terms of at most (p - 1)^2 before reduction,
+        # which float64 holds exactly below 2^53.
+        if self.n * (self.p - 1) ** 2 >= 1 << 53:
             return None
         return MatFpRows(self.n, self.p)
 
@@ -401,14 +382,15 @@ class MatFp(_Matrix):
         return f"MatFp({self.n}, {self.p}, {self.rows()})"
 
 
+_GEMM_ENTRIES = 1 << 15  # product entries formed at once by MatFpRows
+
+
 class MatFpRows(RowCodec):
     """n x n matrices over F_p as rows of entries, row-major."""
 
     dtype = np.dtype("<u4")
-    work = np.int64  # products are formed in this type, then reduced mod p
 
     def __init__(self, n: int, p: int):
-        self.prefix = _matfp_prefix(n, p)
         self.width = n * n
         self.n = n
         self.p = p
@@ -417,10 +399,25 @@ class MatFpRows(RowCodec):
         return np.array([g.entries for g in mats], dtype=self.dtype)
 
     def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        n = self.n
-        x = frontier.astype(self.work).reshape(-1, 1, n, n)
-        s = steps.astype(self.work).reshape(1, -1, n, n)
-        return ((x @ s) % self.p).astype(self.dtype).reshape(-1, n * n)
+        # A float64 GEMM: the frontier's matrix rows stacked, times the steps
+        # side by side, so entry ((x, i), (s, j)) is (x * s)[i, j]. Exact
+        # while n * (p - 1)^2 < 2^53 (`MatFp.row_codec`), and so is
+        # y - floor(y / p) * p, much faster than np.fmod. The frontier goes
+        # through in chunks of about _GEMM_ENTRIES products' entries, whose
+        # float arrays stay in cache.
+        n, k, p = self.n, len(steps), self.p
+        s = steps.reshape(k, n, n).transpose(1, 0, 2).reshape(n, k * n).astype(np.float64)
+        out = np.empty((len(frontier), k, n, n), self.dtype)
+        per = max(1, _GEMM_ENTRIES // (k * n * n))
+        for lo in range(0, len(frontier), per):
+            x = frontier[lo : lo + per]
+            y = x.reshape(-1, n).astype(np.float64) @ s
+            q = y / p
+            np.floor(q, out=q)
+            q *= p
+            y -= q
+            out[lo : lo + per] = y.reshape(len(x), n, k, n).transpose(0, 2, 1, 3)
+        return out.reshape(-1, n * n)
 
     def element(self, row: np.ndarray) -> MatFp:
         return MatFp._of(self.n, self.p, tuple(row.tolist()))
@@ -437,7 +434,7 @@ class MatZ(_Matrix):
         self.n = n
         self.entries = tuple(_flat_entries(n, entries))
         self._enc: bytes | None = None
-        d = self._eliminate()[0]
+        d = self._eliminate(inverse=False)[0]
         if d not in (1, -1):
             raise ParseError(f"determinant {d} is not +-1")
 
@@ -446,8 +443,8 @@ class MatZ(_Matrix):
         m.n, m.entries, m._enc = self.n, tuple(entries), None
         return m
 
-    def _eliminate(self) -> tuple[object, list | None]:
-        return _gauss_jordan(self.n, self.entries, lambda x: 1 / x, Fraction)
+    def _eliminate(self, inverse: bool = True) -> tuple[object, list | None]:
+        return _gauss_jordan(self.n, self.entries, lambda x: 1 / x, Fraction, inverse)
 
     def inverse(self) -> "MatZ":
         # Over Q; integral whenever det = +-1, which the constructor checked.

@@ -13,7 +13,8 @@ nothing older than S_{r-1} is held. Blocks are merged once they could
 pass the element cap, so the cap also bounds the keys held and stops a
 level early. Every other set (no codec, steps not inverse-closed,
 integer matrices whose entries could pass int64) is counted from the level
-sizes of `table.element_bfs`, the BFS that enumerates finite groups; an
+sizes of `table.element_bfs`, the BFS that enumerates finite groups (on
+hashed row keys for perm and matfp, on encodings for the rest); an
 integer-matrix run that could overflow starts again from radius 0 on that
 path.
 
@@ -36,6 +37,7 @@ from .errors import CapExceeded, DegenerateWindow
 from .specio import spec_digest
 from .table import (
     DEFAULT_CAP,
+    _inverse_closed,
     commutator_subgroup,
     element_bfs,
     enumerate_group,
@@ -139,7 +141,7 @@ def _tally(levels: Iterator[int], R: int) -> tuple[list[int], str | None]:
 
 
 def _encoded_levels(X: GenSet, cap: int) -> Iterator[int]:
-    """Sphere sizes from the element BFS, deduplicated by encoding in one dict."""
+    """Sphere sizes from the element BFS of `solgrow.table`."""
     for new, _ in islice(element_bfs(X, cap, products=False), 1, None):
         yield len(new)
 
@@ -187,7 +189,8 @@ def _sphere_levels(
             unmerged += len(parts[-1])
             last = lo + per >= len(sphere)
             if last or unmerged > max(cap - total - len(new), len(new) + reread):
-                new, parts, unmerged = _merge([new, *parts], [before, sphere]), [], 0
+                found, new, parts, unmerged = [new, *parts], None, [], 0
+                new = _merge(found, [before, sphere])
                 if total + len(new) > cap:
                     raise CapExceeded(f"ball exceeds cap of {cap} elements", total)
         total += len(new)
@@ -216,8 +219,8 @@ class _Keys:
 
     def widened(self, rows: np.ndarray) -> _Keys | None:
         """Keys whose ranges also cover `rows`, or None if these do."""
-        lo = np.minimum(self.lo, rows.min(axis=0))
-        hi = np.maximum(self.hi, rows.max(axis=0))
+        lo, hi = _column_bounds(rows)
+        lo, hi = np.minimum(self.lo, lo), np.maximum(self.hi, hi)
         if (lo == self.lo).all() and (hi == self.hi).all():
             return None
         # Widen as far again, so that a level widens a few times rather than
@@ -255,6 +258,23 @@ class _Keys:
         return self.of(old.rows(keys))
 
 
+def _column_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's least and greatest entry over the rows.
+
+    numpy reduces a tall, narrow array along its rows many times slower than
+    a wide one, so whole groups of 256 rows are first read as one wide row
+    and reduced to 256 rows, and those are then reduced with the rest.
+    """
+    width = rows.shape[1]
+    cut = len(rows) - len(rows) % 256
+    lo, hi = [rows[cut:]], [rows[cut:]]
+    if cut:
+        wide = rows[:cut].reshape(-1, 256 * width)
+        lo.append(wide.min(axis=0).reshape(256, width))
+        hi.append(wide.max(axis=0).reshape(256, width))
+    return np.concatenate(lo).min(axis=0), np.concatenate(hi).max(axis=0)
+
+
 def _distinct(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
     """The distinct keys, sorted; sorts `keys` in place."""
     # Not np.unique: it hashes integer keys, many times slower than a sort.
@@ -267,18 +287,17 @@ def _merge(found: list[np.ndarray], held: list[np.ndarray]) -> np.ndarray:
 
     Every array is sorted and distinct, so a stable sort of `found` merges
     its runs; each (smaller) held sphere is then searched in the result.
+    `found` is emptied once joined, so that its arrays are freed before the
+    sort (the caller holds no other reference to them).
     """
-    keys = _distinct(np.concatenate(found), kind="stable")
+    keys = np.concatenate(found)
+    found.clear()
+    keys = _distinct(keys, kind="stable")
     keep = np.ones(len(keys), dtype=bool)
     for sphere in held:
         at = np.minimum(np.searchsorted(keys, sphere), len(keys) - 1)
         keep[at[keys[at] == sphere]] = False
     return keys[keep]
-
-
-def _inverse_closed(steps: list[GroupElement]) -> bool:
-    encodings = {s.encode() for s in steps}
-    return all(s.inverse().encode() in encodings for s in steps)
 
 
 def gap_hypothesis_check(tbl: GrowthTable, theta: float, C: float) -> bool:

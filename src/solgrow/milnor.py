@@ -357,6 +357,13 @@ def canonical_modified_chain(
 
     if not _is_self_centralizing(Gbar, trivial_subgroup(Gbar), V):
         raise NotSelfCentralizing("V is not self-centralizing in the quotient")
+    return _modified_chain(Gbar, V)
+
+
+def _modified_chain(
+    Gbar: FiniteGroupTable, V: Subgroup
+) -> tuple[ModifiedSeries, list[int]]:
+    """`canonical_modified_chain` for a V already known to be self-centralizing."""
     cost, series = mu_fast(Gbar)
     if series.chain[-2].mask != V.mask:
         raise SeriesMismatch(
@@ -405,7 +412,7 @@ def certify_growth_lower_bound(
         raise InvariantViolated("socle is not a p-group")
     p, rank = pr
 
-    series, cost_word = canonical_modified_chain(Gbar, V)
+    series, cost_word = _modified_chain(Gbar, V)
     k = len(series.kinds)
 
     # Length-tracked generating sets X_0 .. X_{k-1} along the series.

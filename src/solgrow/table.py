@@ -2,12 +2,14 @@
 
 One level-synchronous element BFS, `element_bfs`, serves enumeration here
 and the growth tables of `solgrow.growth` that cannot be counted sphere by
-sphere on rows. It deduplicates by encoding in a dict of its own and
-checks the element cap as it goes: a new element that would take the
-count past the cap raises CapExceeded, carrying the size of the last
-complete ball. Permutation and F_p-matrix levels are expanded as numpy row
-arrays through the variant's row codec (`solgrow.elements`); other
-variants stream element objects.
+sphere on rows. It checks the element cap as it goes: a new element that
+would take the count past the cap raises CapExceeded, carrying the size of
+the last complete ball. Permutation and F_p-matrix levels are expanded as
+numpy row arrays through the variant's row codec (`solgrow.elements`) and
+deduplicated on one uint64 key per row, sorted: a hash of the row's bytes,
+checked against the row itself, with the row's bytes as the key should two
+rows ever share a hash. Other variants stream element objects through an
+encoding -> index dict.
 
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
@@ -46,18 +48,19 @@ rows and the step conjugation maps are built on first use).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .elements import GenSet, GroupElement, RowElements
+from .elements import GenSet, GroupElement, RowCodec, RowElements
 from .errors import CapExceeded, InvariantViolated, NotNormal
 
 DEFAULT_CAP = 2_000_000
 DENSE_LIMIT = 4096
-_ROW_BLOCK = 1024  # frontier rows expanded at once by a row codec
+_ROW_BLOCK = 1024  # frontier rows expanded at once on the row path
 
 
 class FiniteGroupTable:
@@ -556,70 +559,215 @@ def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
 
 def element_bfs(
     X: GenSet, cap: int, products: bool = True
-) -> Iterator[tuple[Sequence, list[int] | None]]:
+) -> Iterator[tuple[Sequence, np.ndarray | None]]:
     """Level-synchronous BFS over the elements of <X>, one level per yield.
 
     Elements are indexed in discovery order, expanding each level by the
     steps of `X.bfs_steps()` in order. Radius r yields (new, products): the
     elements first reached at r, in discovery order, and the index of x * s
-    for each element x of radius r-1 and each step s, x-major (None when
-    `products` is false). Radius 0 yields the identity level and []; the
-    level that finds nothing new is yielded too, so the products of the
-    last level are complete.
+    for each element x of radius r-1 and each step s, x-major, as an int32
+    array (None when `products` is false). Radius 0 yields the identity
+    level and no products; the level that finds nothing new is yielded
+    too, so the products of the last level are complete.
 
     Variants with a row codec (perm, matfp) carry each level as one row
-    array, `new` included, and form its products a block of rows at a time
-    in numpy; the others stream one element object at a time. Both are
-    deduplicated by encoding in the same loop, through an encoding -> index
-    dict that lives only as long as the BFS.
+    array, `new` included, and are deduplicated on sorted row keys a block
+    of frontier rows at a time (`_row_levels`). The others stream one
+    element object at a time through an encoding -> index dict.
 
     Raises CapExceeded as soon as a new element would take the count past
     `cap`; its `last_completed` is the size of the last complete ball. The
     identity is never counted against the cap.
     """
-    e = X.identity()
     steps = [s for s, _ref in X.bfs_steps()]
     codec = X.row_codec()
-    index = {e.encode(): 0}
     if codec is None:
-        frontier: Sequence = [e]
+        yield from _object_levels(X.identity(), steps, cap, products)
+        return
+    done = 0  # levels yielded so far
+    try:
+        for new, found in _row_levels(codec, X.identity(), steps, cap, _row_hash):
+            done += 1
+            yield new, found if products else None
+        return
+    except _HashCollision:
+        pass  # two distinct rows met under one hashed key: run again on exact keys
+    exact = _row_levels(codec, X.identity(), steps, cap, _row_bytes)
+    for new, found in islice(exact, done, None):
+        yield new, found if products else None
 
-        def expand(frontier):
-            # Candidates stream, so a level never holds more than its new elements.
-            for x in frontier:
-                for s in steps:
-                    y = x * s
-                    yield y, y.encode()
 
-    else:
-        step_rows = codec.rows(steps)
-        frontier = codec.rows([e])
+def _object_levels(
+    e: GroupElement, steps: list[GroupElement], cap: int, products: bool
+) -> Iterator[tuple[list[GroupElement], np.ndarray | None]]:
+    """`element_bfs` over element objects, deduplicated by encoding in a dict.
 
-        def expand(frontier):
-            # Blocks of frontier rows bound the candidates held at once; a
-            # new element is kept as its encoding, which holds its row.
-            for lo in range(0, len(frontier), _ROW_BLOCK):
-                rows = codec.products(frontier[lo : lo + _ROW_BLOCK], step_rows)
-                encodings = codec.encodings(rows)
-                yield from zip(encodings, encodings)
-
-    yield frontier, []
-    while len(frontier):
+    Candidates stream, so a level never holds more than its new elements.
+    """
+    index = {e.encode(): 0}
+    frontier = [e]
+    yield frontier, np.zeros(0, np.int32)
+    while frontier:
         complete = len(index)
-        new: list = []
+        new: list[GroupElement] = []
         found: list[int] = []
-        for item, enc in expand(frontier):
-            j = index.get(enc)
-            if j is None:
-                j = len(index)
-                if j >= cap:
+        for x in frontier:
+            for s in steps:
+                y = x * s
+                enc = y.encode()
+                j = index.get(enc)
+                if j is None:
+                    j = len(index)
+                    if j >= cap:
+                        raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
+                    index[enc] = j
+                    new.append(y)
+                if products:
+                    found.append(j)
+        frontier = new
+        yield new, np.array(found, np.int32) if products else None
+
+
+class _HashCollision(Exception):
+    """Two distinct rows met under one hashed key in `_row_levels`."""
+
+
+def _row_words(rows: np.ndarray) -> np.ndarray:
+    """Each row's bytes as uint64 words, the last one padded with zeros."""
+    size = rows.shape[1] * rows.itemsize
+    words = np.zeros((len(rows), -(-size // 8)), np.uint64)
+    words.view(np.uint8)[:, :size] = np.ascontiguousarray(rows).view(np.uint8)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _multipliers(count: int) -> np.ndarray:
+    """`count` fixed odd uint64 constants (the splitmix64 sequence, made odd)."""
+    out, x, mask = [], 0, (1 << 64) - 1
+    for _ in range(count):
+        x = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31) | 1)
+    constants = np.array(out, np.uint64)
+    constants.flags.writeable = False  # shared by every caller through the cache
+    return constants
+
+
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """One uint64 key per row: its words times fixed odd constants, summed mod 2**64."""
+    return words @ _multipliers(words.shape[1])
+
+
+def _row_bytes(words: np.ndarray) -> np.ndarray:
+    """The exact key of each row: its words as one void scalar."""
+    return words.view(f"V{words.itemsize * words.shape[1]}")[:, 0]
+
+
+def _row_levels(
+    codec: RowCodec,
+    e: GroupElement,
+    steps: list[GroupElement],
+    cap: int,
+    key: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`element_bfs` on codec rows, deduplicated by `key` of each row's words.
+
+    The levels a product can land in are held by key: sorted keys, with the
+    index and words of each row. With inverse-closed steps that is the
+    frontier and the level before it, otherwise every level so far; the
+    level being built is held the same way, in parts of halving size. A
+    block of `_ROW_BLOCK` frontier rows is expanded at once. Its products
+    are sorted by key, and the first product of each distinct key stands
+    for the others, which must have its row; the distinct keys are looked
+    up with `searchsorted`, and those found nowhere are new rows, which
+    take the next indices in product order. Every product is compared with
+    the row of the index it is given, so a hashed key that meets two
+    distinct rows raises _HashCollision.
+    """
+    step_rows = codec.rows(steps)
+    frontier = codec.rows([e])
+    words = _row_words(frontier)
+    held = [(key(words), np.zeros(1, np.int32), words)]
+    inverse_closed = _inverse_closed(steps)
+    count, start = 1, 0  # elements found; index of the frontier's first row
+    yield frontier, np.zeros(0, np.int32)
+    while len(frontier):
+        complete = count
+        new: list[np.ndarray] = []
+        found: list[np.ndarray] = []
+        parts: list[tuple] = []  # the level being built
+        for lo in range(0, len(frontier), _ROW_BLOCK):
+            rows = codec.products(frontier[lo : lo + _ROW_BLOCK], step_rows)
+            words = _row_words(rows)
+            keys = key(words)
+            order = keys.argsort()
+            ordered = keys[order]
+            first = np.empty(len(keys), bool)
+            first[0] = True
+            first[1:] = ordered[1:] != ordered[:-1]
+            starts = first.nonzero()[0]
+            reps = np.minimum.reduceat(order, starts)  # first product of each key
+            slot = np.empty_like(order)  # each product's distinct key
+            slot[order] = first.cumsum() - 1
+            if not (words == words[reps[slot]]).all():
+                raise _HashCollision
+            distinct, rep_words = ordered[starts], words[reps]
+            index = np.full(len(distinct), -1, np.int32)
+            miss = np.arange(len(distinct))
+            for part in (*held, *parts):
+                index[miss] = _find(part, distinct[miss], rep_words[miss])
+                miss = miss[index[miss] < 0]
+            if len(miss):
+                if count + len(miss) > cap:
                     raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
-                index[enc] = j
-                new.append(item)
-            if products:
-                found.append(j)
-        frontier = new if codec is None else codec.decode(new)
-        yield frontier, found if products else None
+                by_product = miss[reps[miss].argsort()]
+                index[by_product] = np.arange(count, count + len(miss), dtype=np.int32)
+                new.append(rows[reps[by_product]])
+                count += len(miss)
+                _push(parts, (distinct[miss], index[miss], rep_words[miss]))
+            found.append(index[slot])
+        if inverse_closed:  # hold the frontier and the new level, in one part
+            keep = (held[0][1] >= start).nonzero()[0]
+            held = [_merged(tuple(a[keep] for a in held[0]), *parts)]
+        else:
+            for part in parts:
+                _push(held, part)
+        start = complete
+        frontier = np.concatenate(new) if new else rows[:0]
+        yield frontier, np.concatenate(found)
+
+
+def _find(held: tuple, keys: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Index of each sorted key's row in `held` (sorted keys, indices,
+    words), -1 if absent; raises _HashCollision where a key's row differs."""
+    h_keys, h_index, h_words = held
+    at = h_keys.searchsorted(keys)
+    np.minimum(at, len(h_keys) - 1, out=at)
+    hit = h_keys[at] == keys
+    if not (words[hit] == h_words[at[hit]]).all():
+        raise _HashCollision
+    return np.where(hit, h_index[at], -1).astype(np.int32, copy=False)
+
+
+def _merged(*held: tuple) -> tuple:
+    """Held sets of (sorted keys, indices, words) as one."""
+    joined = [np.concatenate(column) for column in zip(*held)]
+    order = joined[0].argsort()  # the keys are distinct, so any sort will do
+    return tuple(x[order] for x in joined)
+
+
+def _push(parts: list[tuple], part: tuple) -> None:
+    """Append a held set to `parts`, each part merged with those after it
+    until it is twice their size, so that n rows are held in O(log n) parts."""
+    parts.append(part)
+    while len(parts) > 1 and len(parts[-2][0]) < 2 * len(parts[-1][0]):
+        parts[-2:] = [_merged(*parts[-2:])]
+
+
+def _inverse_closed(steps: list[GroupElement]) -> bool:
+    encodings = {s.encode() for s in steps}
+    return all(s.inverse().encode() in encodings for s in steps)
 
 
 def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
@@ -633,15 +781,15 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     if cap < 1:
         raise CapExceeded("cap must be >= 1", 0)
     refs = [ref for _s, ref in X.bfs_steps()]
-    k = len(refs)
-    # Levels are expanded in increasing index order, so every k-th product
-    # from position s on extends the right action of step s.
-    actions = [array("i") for _ in refs]
     levels: list[Sequence] = []
-    for new, products in element_bfs(X, cap):
+    products: list[np.ndarray] = []
+    for new, found in element_bfs(X, cap):
         levels.append(new)
-        for s, action in enumerate(actions):
-            action.extend(products[s::k])
+        products.append(found)
+    # Levels are expanded in increasing index order, so the products read
+    # as one (n, k) array hold the right action of step s in column s.
+    n = sum(len(level) for level in levels)
+    actions = np.concatenate(products).reshape(n, len(refs)).T.copy()
 
     codec = X.row_codec()
     if codec is None:
@@ -650,8 +798,8 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
         elements = RowElements(codec, np.concatenate(levels))
     # Generator k is the identity times step k, reached at radius 1.
     return FiniteGroupTable(
-        [action[0] for action in actions[: len(X)]],
-        [(ref, np.frombuffer(a, dtype=np.int32)) for ref, a in zip(refs, actions)],
+        actions[: len(X), 0].tolist(),
+        list(zip(refs, actions)),
         elements=elements,
         gen_set=X,
     )

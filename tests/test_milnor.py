@@ -10,6 +10,7 @@ import pytest
 from conftest import table_of
 
 import solgrow.milnor as milnor
+import solgrow.soluble as soluble
 from solgrow.catalog import catalog
 from solgrow.elements import Perm
 from solgrow.errors import (
@@ -366,6 +367,24 @@ def test_certificate_longer_canonical_chain():
     assert cert.cost_word == [4, 4, 10, 4]
     assert cert.rank == 2 and cert.p == 3
     assert cert.checks["datapoint"] and cert.checks["distinct_products"]
+
+
+@pytest.mark.parametrize("name", ["s4", "f3^2:q8", "agl2(3)"])
+def test_certificate_tests_the_socle_once(name, monkeypatch):
+    # certify tests its single minimal normal V, then walks the chain to V
+    # without testing V again
+    T = table_of(name)
+    (V,) = minimal_normal_subgroups(T)
+    tested = []
+    test = soluble._is_self_centralizing
+
+    def counted(T, N, M):
+        tested.append(M.mask)
+        return test(T, N, M)
+
+    monkeypatch.setattr(soluble, "_is_self_centralizing", counted)
+    certify_growth_lower_bound(T)
+    assert tested.count(V.mask) == 1
 
 
 def test_certificate_requires_noncentral_socle():

@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from solgrow.growth import _Keys
+from solgrow.growth import _Keys, _column_bounds
 
 INT64 = (-(1 << 63), (1 << 63) - 1)
 DTYPES = {"int64": INT64, "uint16": (0, (1 << 16) - 1), "uint32": (0, (1 << 32) - 1)}
@@ -115,3 +115,13 @@ def test_widening_keeps_exact_ranges_when_only_they_rank_in_uint64():
     # with room to spare, the range widens as far again
     roomy = _keys("int64", [0, 0], [1 << 20, 1 << 20]).widened(np.array([[1 << 21, 0]]))
     assert len(roomy.words) == 1 and roomy.hi.tolist() == [3 << 20, 1 << 20]
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 3 * 256 + 17])
+@pytest.mark.parametrize("dtype", sorted(DTYPES))
+def test_column_bounds_match_row_reductions(count, dtype):
+    least, most = DTYPES[dtype]
+    rows = np.random.default_rng(count).integers(least, most, (count, 3), dtype=dtype, endpoint=True)
+    lo, hi = _column_bounds(rows)
+    assert lo.dtype == hi.dtype == rows.dtype
+    assert np.array_equal(lo, rows.min(axis=0)) and np.array_equal(hi, rows.max(axis=0))

@@ -114,3 +114,22 @@ def test_growth_run_loads_only_what_it_uses(tmp_path):
     }
     assert unused.isdisjoint(report["loaded"]), report["loaded"]
     assert (tmp_path / "g.csv").read_text().splitlines()[-1] == "3,53"
+
+
+@pytest.mark.parametrize("job", ["verify-cases", "analyze"])
+def test_jobs_never_load_numpy_random(job, tmp_path):
+    # numpy.random costs about 6 MiB of RSS and 15 ms to import
+    out = str(tmp_path / "out.json")
+    if job == "verify-cases":
+        argv = ["verify-cases", "--quick", "-o", out]
+    else:
+        spec = tmp_path / "s4wrs2.json"
+        dump_genset(catalog("s4wrs2"), str(spec))
+        argv = ["analyze", str(spec), "-o", out]
+    report = _child(
+        "import json, sys\n"
+        "from solgrow.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(json.dumps({'rc': rc, 'random': 'numpy.random' in sys.modules}))"
+    )
+    assert report == {"rc": 0, "random": False}

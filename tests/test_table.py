@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from oracles import object_enumeration, word_ball_lengths, word_ball_sizes
 from conftest import table_of
 
+import solgrow.table as table
 from solgrow.catalog import catalog
-from solgrow.elements import GenSet, MatFp, Perm
+from solgrow.elements import GenSet, MatFp, Perm, RowElements
 from solgrow.errors import CapExceeded, InvariantViolated
+from solgrow.smallcases import witness_group
 from solgrow.table import (
     DENSE_LIMIT,
     FiniteGroupTable,
@@ -84,6 +87,8 @@ _ODD_GENSETS = {
     "repeated": lambda: GenSet([_SWAP, _CYCLE, _SWAP]),
     "identity": lambda: GenSet([_CYCLE, Perm([0, 1, 2, 3]), _SWAP], allow_identity=True),
     "asymmetric": lambda: GenSet([_CYCLE, _CYCLE_INV, _SWAP], symmetric=False),
+    # not inverse-closed: every level found so far is held for lookups
+    "one-way": lambda: GenSet([_CYCLE, _SWAP], symmetric=False),
 }
 
 
@@ -106,10 +111,60 @@ def test_row_table_matches_object_loop(name):
     assert all(T.elements[i] == ref["elements"][i] for i in (0, T.n // 2, -1))
 
 
+_WEAK_HASHES = {
+    # every row alike: the first level's products already collide
+    "constant": lambda words: np.zeros(len(words), np.uint64),
+    # 31 keys: the first collision comes a few levels in (radius 4 for
+    # c2wrc2, 3 for one-way), after some levels have been yielded
+    "31 keys": lambda words: (words * np.uint64(0x9E3779B97F4A7C15)).sum(axis=1) % np.uint64(31),
+}
+
+
+@pytest.mark.parametrize("weak", list(_WEAK_HASHES))
+@pytest.mark.parametrize("name", ["gl2(3)", "c2wrc2", "one-way"])
+def test_hash_collision_falls_back_to_exact_keys(name, weak, monkeypatch):
+    exact_runs = []
+    row_bytes = table._row_bytes
+    monkeypatch.setattr(table, "_row_hash", _WEAK_HASHES[weak])
+    monkeypatch.setattr(table, "_row_bytes", lambda words: exact_runs.append(1) or row_bytes(words))
+    X = _ODD_GENSETS[name]() if name in _ODD_GENSETS else catalog(name)
+    T = enumerate_group(X)
+    assert exact_runs
+    _assert_matches_object_loop(X, T)
+
+
+def _dihedral_mod(p):
+    # the dihedral group of order 8 over F_p, conjugated so that its entries
+    # are large: before reduction, product entries reach 1.5 * (p - 1)^2
+    A = MatFp(2, p, [[1, (p - 1) // 2], [0, 1]])
+    gens = [MatFp(2, p, [[0, 1], [p - 1, 0]]), MatFp(2, p, [[p - 1, 0], [0, 1]])]
+    return GenSet([A * g * A.inverse() for g in gens])
+
+
+def _assert_matches_object_loop(X, T):
+    ref = object_enumeration(X)
+    assert [g.encode() for g in T.elements] == ref["encodings"]
+    assert [a.tolist() for a in T._actions] == ref["actions"]
+    assert T.word_length == ref["word_length"]
+    assert T.inv_idx == ref["inv_idx"]
+
+
+def test_matfp_below_the_float_bound_runs_on_rows():
+    # the largest prime with 2 * (p - 1)^2 < 2^53: float64 products are exact
+    p = 67108859
+    X = _dihedral_mod(p)
+    assert X.row_codec() is not None
+    assert 2 * (p - 1) ** 2 < 2**53 <= 2 * 67108878**2  # 67108879 is the next prime
+    T = enumerate_group(X)
+    assert T.n == 8 and isinstance(T.elements, RowElements)
+    _assert_matches_object_loop(X, T)
+
+
 def test_matfp_overflow_takes_object_path():
-    # 2 * (p - 1)^2 passes every numpy integer type, so products stay objects
-    p = 4294967291
-    X = GenSet([MatFp(2, p, [[0, 1], [p - 1, 0]]), MatFp(2, p, [[p - 1, 0], [0, 1]])])
+    # 2 * (p - 1)^2 reaches 2^53, past which float64 products are not exact,
+    # so products stay objects
+    p = 67108879
+    X = _dihedral_mod(p)
     assert X.row_codec() is None
     T = enumerate_group(X)
     assert T.n == 8 and isinstance(T.elements, list)
@@ -118,6 +173,28 @@ def test_matfp_overflow_takes_object_path():
     assert T.inv_idx == ref["inv_idx"]
     product = _element_product(T)
     assert all(T.mul(i, j) == product(i, j) for i in range(T.n) for j in range(T.n))
+
+
+# sha256 of each witness model's step actions (int32) and then its element
+# rows, recorded when enumeration still deduplicated by encoding in a dict.
+# These groups are too large for the object loop; the digests pin their
+# index order.
+_WITNESS_DIGESTS = {
+    "gammal1(8)wrs3": "c6852f69685ee531dfe7dea89eab2d4f058af04cde6feb635bc33a93ad44b4b8",
+    "gammal1(32)wrs2": "663928606bdfe0814b92e89e9175b5db1cf59123a0e44f56ad33ac074de94739",
+    "gl2(2)wrs4": "2257ae96ba026a8183c3366f34f0762211a73dae9dc4317df9b8a5ca09d664a9",
+    "gammal1(1024)": "3465af8d73ceb329d022dd37b2d40f0539a4ffe10e69ec8028e5f9716d8b7371",
+}
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_DIGESTS))
+def test_witness_tables_pinned(name):
+    _gens, T = witness_group(name)
+    digest = hashlib.sha256()
+    for action in T._actions:
+        digest.update(np.ascontiguousarray(action, "<i4").tobytes())
+    digest.update(np.ascontiguousarray(T.elements.rows).tobytes())
+    assert digest.hexdigest() == _WITNESS_DIGESTS[name]
 
 
 def test_uneven_step_actions_rejected():
