@@ -174,27 +174,31 @@ def _least_cost_series(
     """
     if not is_soluble(T, H0):
         raise NotSoluble("modified derived length requires a soluble group")
-    memo: dict[bytes, tuple[MuValue, list[Subgroup], list[str]]] = {}
-
-    def rec(H: Subgroup) -> tuple[MuValue, list[Subgroup], list[str]]:
-        if H.is_trivial():
-            return MU_ZERO, [H], []
-        key = H.mask
-        best = memo.get(key)
-        if best is not None:
-            return best
-        for K, kind in steps(H):
-            sub_cost, sub_chain, sub_kinds = rec(K)
-            cost = (MU_ABELIAN_STEP if kind == ABELIAN else MU_CLASS2_STEP) + sub_cost
-            if best is None or cost < best[0]:
-                best = (cost, [H] + sub_chain, [kind] + sub_kinds)
-        if best is None:
-            raise InvariantViolated("soluble head admits no modified step")
-        memo[key] = best
-        return best
-
-    cost, chain, kinds = rec(H0)
+    cost, chain, kinds = _least_cost(H0, steps, {})
     return cost, ModifiedSeries(chain, kinds)
+
+
+def _least_cost(
+    H: Subgroup, steps, memo: dict[bytes, tuple[MuValue, list[Subgroup], list[str]]]
+) -> tuple[MuValue, list[Subgroup], list[str]]:
+    """The recursion of `_least_cost_series`. Not a closure that calls
+    itself: that is a reference cycle, which would keep the table `steps`
+    reads alive until the cyclic collector next ran."""
+    if H.is_trivial():
+        return MU_ZERO, [H], []
+    key = H.mask
+    best = memo.get(key)
+    if best is not None:
+        return best
+    for K, kind in steps(H):
+        sub_cost, sub_chain, sub_kinds = _least_cost(K, steps, memo)
+        cost = (MU_ABELIAN_STEP if kind == ABELIAN else MU_CLASS2_STEP) + sub_cost
+        if best is None or cost < best[0]:
+            best = (cost, [H] + sub_chain, [kind] + sub_kinds)
+    if best is None:
+        raise InvariantViolated("soluble head admits no modified step")
+    memo[key] = best
+    return best
 
 
 def mu_bruteforce(

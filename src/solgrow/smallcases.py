@@ -2,8 +2,11 @@
 
 Two modes, reported per case:
   exhaustive: every soluble irreducible (resp. transitive) subgroup of an
-      ambient group of order <= 10^4 is enumerated up to conjugacy and
-      checked against the claimed bound;
+      ambient group of order <= 10^4 is checked against the claimed bound,
+      one per conjugacy class: the classes of soluble subgroups are
+      enumerated by prime cyclic extension of one representative each
+      (`soluble_subgroup_classes`), and the structural test, the derived
+      length and mu are all invariant under conjugation;
   witness: for degrees whose ambient general linear group is out of desk
       reach, the claim is checked on named catalog witnesses only. The
       report never claims more than was checked.
@@ -11,14 +14,16 @@ Two modes, reported per case:
 Every group entering a check is first checked to satisfy its structural
 precondition (irreducible as a matrix group / transitive as a permutation
 group); a failure raises ContextViolated, and an insoluble group raises
-NotSoluble. Derived lengths of large block-monomial witnesses are computed
-on the isomorphic permutation wreath model; irreducibility is checked on the
-matrix model, by the rank of each orbit of the generators on the nonzero
-vectors.
+NotSoluble. A group named in several cases is enumerated, and its
+representatives found, once per `verify_small_cases` call. Derived lengths
+of large block-monomial witnesses are computed on the isomorphic
+permutation wreath model; irreducibility is checked on the matrix model, by
+the rank of each orbit of the generators on the nonzero vectors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Sequence
 
 from .bounds import (
@@ -33,26 +38,10 @@ from .constructions import matrix_to_perm_gens, sym_gens, wreath_product
 from .elements import GenSet, MatFp, Perm
 from .errors import ContextViolated, NotSoluble
 from .mu import mu_fast
-from .soluble import soluble_subgroups
-from .table import FiniteGroupTable, Subgroup, _orbit, derived_length, enumerate_group
+from .soluble import soluble_subgroup_classes
+from .table import FiniteGroupTable, Subgroup, derived_length, enumerate_group
 
 DEFAULT_EXHAUSTIVE_SYM = (2, 3, 4, 5, 6)
-
-
-def _conjugacy_reps(T: FiniteGroupTable, subs: list[Subgroup]) -> list[Subgroup]:
-    """One representative per conjugacy class of subgroups, in list order.
-
-    `subs` must be closed under conjugation in T: each generator of T
-    conjugates the list onto itself, a map on list positions. The mask of
-    S^g = g^-1 S g holds y exactly when g y g^-1 is in S.
-    """
-    position = {S.mask: i for i, S in enumerate(subs)}
-    maps = []
-    for g in T.generators:
-        conj = T.conjugation_action(T.inv_idx[g])
-        maps.append([position[S.flags[conj].tobytes()] for S in subs])
-    seen = bytearray(len(subs))
-    return [S for i, S in enumerate(subs) if _orbit(maps, (i,), seen)]
 
 
 def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
@@ -65,8 +54,9 @@ def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
 def _soluble_reps(T: FiniteGroupTable, keep: Callable[[list], bool]) -> list[Subgroup]:
     """Conjugacy representatives of the nontrivial soluble subgroups of T
     whose generator elements pass `keep` (a conjugation-invariant test)."""
-    subs = [S for S in soluble_subgroups(T) if S.generators and keep(_subgroup_gens(T, S))]
-    return _conjugacy_reps(T, subs)
+    return [
+        S for S in soluble_subgroup_classes(T) if S.generators and keep(_subgroup_gens(T, S))
+    ]
 
 
 # -- witness handling ---------------------------------------------------------
@@ -98,7 +88,14 @@ def check_irreducible_witness(
     delta_claim: int | None,
 ) -> dict:
     """Check claimed bounds on one named irreducible witness."""
-    gens, model = witness_group(name)
+    return _check_witness(name, *witness_group(name), n, p, mu_claim, delta_claim)
+
+
+def _check_witness(
+    name: str, gens: GenSet, model: FiniteGroupTable, n: int, p: int,
+    mu_claim: tuple[int, int, int] | None, delta_claim: int | None,
+) -> dict:
+    """`check_irreducible_witness` on the witness's generators and model."""
     first = gens.elements[0]
     if not (isinstance(first, MatFp) and first.n == n and first.p == p):
         raise ContextViolated(f"witness {name} is not in GL_{n}({p})")
@@ -220,9 +217,15 @@ _CASES: list[dict] = [
 ]
 
 
-def _check_exhaustive_linear(ambient: str, mu_claim, delta_claim) -> dict:
+def _irreducible_reps(ambient: str) -> tuple[FiniteGroupTable, list[Subgroup]]:
+    """An ambient's table and its soluble irreducible class representatives."""
     T = enumerate_group(catalog(ambient))
-    reps = _soluble_reps(T, is_irreducible)
+    return T, _soluble_reps(T, is_irreducible)
+
+
+def _check_exhaustive_linear(
+    ambient: str, T: FiniteGroupTable, reps: list[Subgroup], mu_claim, delta_claim
+) -> dict:
     n, p = T.elements[0].n, T.elements[0].p
     entry = {"ambient": ambient, "n": n, "p": p, "groups_checked": len(reps),
              "mode": "exhaustive"}
@@ -249,19 +252,39 @@ def verify_small_cases(quick: bool = False) -> dict:
     """
     cases = []
     all_ok = True
+    # A group named in several cases is built once per call (by
+    # `_irreducible_reps` or `witness_group`) and dropped after its last
+    # case, so that no witness model is held past its checks.
+    left = Counter(
+        [(_irreducible_reps, name) for case in _CASES for name in case["exhaustive"]]
+        + [(witness_group, w[0]) for case in _CASES for w in case["witnesses"]]
+    )
+    built: dict = {}
+
+    def group(build: Callable[[str], tuple], name: str) -> tuple:
+        key = (build, name)
+        if key not in built:
+            built[key] = build(name)
+        left[key] -= 1
+        return built[key] if left[key] else built.pop(key)
+
     for case in _CASES:
         entries = []
         for ambient in case["exhaustive"]:
             entries.append(
-                _check_exhaustive_linear(ambient, case["mu_claim"], case["delta_claim"])
+                _check_exhaustive_linear(
+                    ambient, *group(_irreducible_reps, ambient),
+                    case["mu_claim"], case["delta_claim"],
+                )
             )
         for name, n, p in case["witnesses"]:
             if quick and _witness_is_big(name):
                 entries.append({"name": name, "mode": "skipped-quick", "pass": True})
                 continue
             entries.append(
-                check_irreducible_witness(
-                    name, n, p, case["mu_claim"], case["delta_claim"]
+                _check_witness(
+                    name, *group(witness_group, name), n, p,
+                    case["mu_claim"], case["delta_claim"],
                 )
             )
         case_ok = all(e["pass"] for e in entries)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .table import (
 LATTICE_CAP = 20_000
 SUBGROUP_ENUM_CAP = 10_000
 MAXIMAL_CHECK_CAP = 500
-# int32 entries in one soluble_subgroups conjugation walk (16 MiB)
+# int32 entries in one prime-extension conjugation walk (16 MiB)
 CONJ_BLOCK_ENTRIES = 1 << 22
 
 
@@ -107,10 +108,12 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
 
     Works on sets of H-classes, each held as a mask of one byte per class.
     The atom of a class C is the normal closure <C>: {1} grown under right
-    multiplication by C. The join of a member A with the atom <C> is A
-    grown the same way. Starting from the atoms, each new member is joined
-    with every atom it does not contain; every normal subgroup is a join of
-    atoms, so this reaches all of them, and each member keeps its joins.
+    multiplication by C, walked once per power class (the classes of the
+    generators of one cyclic <x>). The join of a member A with the atom <C>
+    is A grown the same way. Starting from the atoms, each new member is
+    joined with every atom it does not contain; every normal subgroup is a
+    join of atoms, so this reaches all of them, and each member keeps its
+    joins.
     Member masks (each class mask gathered through `class_of`) and short
     generators (`reduce_generators`) are built once per distinct class set.
     """
@@ -132,8 +135,20 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
         return j
 
     atoms: list[tuple[int, memoryview]] = []  # (class, right action of its least member)
+    walked = bytearray(len(classes))  # classes whose atom is already known
     for k in range(1, len(classes)):
-        row = memoryview(T.right_action(classes[k][0]))
+        if walked[k]:
+            continue
+        x = classes[k][0]
+        row = memoryview(T.right_action(x))
+        # x^e for e prime to the order of x generates <x>, so its class has
+        # the same atom: walk one class per power class.
+        powers = [x]
+        while (y := row[powers[-1]]) != 0:
+            powers.append(y)
+        for e, y in enumerate(powers, 1):
+            if gcd(e, len(powers) + 1) == 1:
+                walked[class_of[y]] = 1
         new = len(joins)
         if number(*_grow_classes(classes, class_of, [0], row)) == new:
             atoms.append((k, row))
@@ -366,13 +381,8 @@ def _conjugation_blocks(T: FiniteGroupTable, frontier: list[Subgroup]):
         yield run, pos, T.conjugates(list(pos))
 
 
-def soluble_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
-    """All soluble subgroups of T, by prime cyclic extensions.
-
-    Every soluble subgroup has a subnormal series with prime cyclic
-    factors, so repeatedly extending each known subgroup H by elements g of
-    its normalizer whose coset gH has prime order finds them all. For a
-    soluble T this is the complete subgroup list.
+def _prime_extensions(T: FiniteGroupTable, frontier: list[Subgroup]):
+    """The subgroups <H, g> of prime index over H, for each H of the frontier.
 
     Each round conjugates the distinct generators of the whole frontier in
     one walk (blocks of at most CONJ_BLOCK_ENTRIES entries) and reads every
@@ -383,38 +393,97 @@ def soluble_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
     only the coset Hg is, since the prime-index subgroups between H and K
     must still be found. Elements are visited in index order either way,
     so each K is first reached from the same (H, g) as one coset at a time
-    would reach it, and keeps the same generators.
+    would reach it, and keeps the same generators. Yields each K once per
+    H that reaches it, frontier by frontier.
     """
+    for run, pos, conj in _conjugation_blocks(T, frontier):
+        for H in run:
+            hmask = H.flags
+            # g normalizes H iff it conjugates each generator of H into H.
+            normalizer = hmask[conj[[pos[x] for x in H.generators]]].all(axis=0)
+            seen = hmask.copy()
+            for g in np.flatnonzero(normalizer).tolist():
+                if seen[g]:
+                    continue
+                # g normalizes H, so <H, g> / H is cyclic of order |gH|.
+                C = _Closure(T, H)
+                C.add(g)
+                K = C.subgroup(C.gens)
+                pr = _prime_power(K.order // H.order)
+                if pr is None or pr[1] != 1:
+                    seen[T.right_action(g)[hmask]] = True  # the coset Hg
+                    continue
+                seen |= K.flags
+                yield K
+
+
+def _check_enum_cap(T: FiniteGroupTable) -> None:
     if T.n > SUBGROUP_ENUM_CAP:
         raise CapExceeded(f"group order {T.n} exceeds subgroup enumeration cap {SUBGROUP_ENUM_CAP}")
+
+
+def _by_order(subs) -> list[Subgroup]:
+    return sorted(subs, key=lambda S: (-S.order, S.mask), reverse=True)
+
+
+def soluble_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
+    """All soluble subgroups of T, by prime cyclic extensions.
+
+    Every soluble subgroup has a subnormal series with prime cyclic
+    factors, so repeatedly extending each known subgroup H by elements g of
+    its normalizer whose coset gH has prime order finds them all
+    (`_prime_extensions`). For a soluble T this is the complete subgroup
+    list.
+    """
+    _check_enum_cap(T)
     triv = trivial_subgroup(T)
     found: dict[bytes, Subgroup] = {triv.mask: triv}
     frontier = [triv]
     while frontier:
         nxt = []
-        for run, pos, conj in _conjugation_blocks(T, frontier):
-            for H in run:
-                hmask = H.flags
-                # g normalizes H iff it conjugates each generator of H into H.
-                normalizer = hmask[conj[[pos[x] for x in H.generators]]].all(axis=0)
-                seen = hmask.copy()
-                for g in np.flatnonzero(normalizer).tolist():
-                    if seen[g]:
-                        continue
-                    # g normalizes H, so <H, g> / H is cyclic of order |gH|.
-                    C = _Closure(T, H)
-                    C.add(g)
-                    K = C.subgroup(C.gens)
-                    pr = _prime_power(K.order // H.order)
-                    if pr is None or pr[1] != 1:
-                        seen[T.right_action(g)[hmask]] = True  # the coset Hg
-                        continue
-                    seen |= K.flags
-                    if K.mask not in found:
-                        found[K.mask] = K
-                        nxt.append(K)
+        for K in _prime_extensions(T, frontier):
+            if K.mask not in found:
+                found[K.mask] = K
+                nxt.append(K)
         frontier = nxt
-    return sorted(found.values(), key=lambda S: (-S.order, S.mask), reverse=True)
+    return _by_order(found.values())
+
+
+def soluble_subgroup_classes(T: FiniteGroupTable) -> list[Subgroup]:
+    """One representative per conjugacy class of soluble subgroups of T.
+
+    Prime cyclic extension of representatives only (Neubueser 1960; Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, 4.6).
+    Each new K is the first of its class reached; its class is walked at
+    once as masks under conjugation by T's generators, so no conjugate of
+    K is ever extended. Complete: if K' has prime index in K and K'^x is
+    the representative H, then K^x = <H, g^x> for any g in K \\ K', with
+    g^x in the normalizer of H, and K^x lies in K's class. Representatives
+    are sorted as `soluble_subgroups` sorts its list.
+    """
+    _check_enum_cap(T)
+    # the mask of S^g holds y exactly when g y g^-1 is in S
+    maps = [T.conjugation_action(T.inv_idx[g]) for g in T.generators]
+    triv = trivial_subgroup(T)
+    known = {triv.mask}  # every mask of every class reached
+    reps: list[Subgroup] = []
+    frontier = [triv]
+    while frontier:
+        reps += frontier
+        nxt = []
+        for K in _prime_extensions(T, frontier):
+            if K.mask not in known:
+                known.add(K.mask)
+                walk = [K.flags]
+                for S in walk:  # walk grows while it is read
+                    for m in maps:
+                        mask = S[m].tobytes()
+                        if mask not in known:
+                            known.add(mask)
+                            walk.append(np.frombuffer(mask, dtype=bool))
+                nxt.append(K)
+        frontier = nxt
+    return _by_order(reps)
 
 
 def maximal_subgroups(T: FiniteGroupTable) -> list[Subgroup]:

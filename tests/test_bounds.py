@@ -11,6 +11,7 @@ from mpmath import mp, mpf, log as mplog
 from conftest import table_of
 from oracles import naive_is_irreducible
 
+import solgrow.smallcases as smallcases
 from solgrow.bounds import (
     bound_decimal,
     is_irreducible,
@@ -225,6 +226,28 @@ def test_exhaustive_groups_checked():
     assert [(e["degree"], e["groups_checked"]) for e in transitive] == [
         (2, 1), (3, 2), (4, 5), (5, 3), (6, 12)
     ]
+
+
+def test_repeated_groups_built_once_per_run(monkeypatch):
+    # gl2(2) and gl3(2) are ambients of two cases each, gl2(2)wrs2 and
+    # gammal1(16) witnesses of two; each is enumerated once per call
+    built: list[str] = []
+    for fn in ("_irreducible_reps", "witness_group"):
+        original = getattr(smallcases, fn)
+
+        def counted(name, original=original):
+            built.append(name)
+            return original(name)
+
+        monkeypatch.setattr(smallcases, fn, counted)
+    rep = verify_small_cases(quick=True)
+    assert rep["pass"] is True
+    named = [
+        e.get("ambient", e.get("name")) for c in rep["cases"] for e in c["entries"]
+        if e["mode"] != "skipped-quick"
+    ]
+    assert len(named) > len(set(named))
+    assert sorted(built) == sorted(set(named))
 
 
 def test_insoluble_witness_raises_not_soluble():

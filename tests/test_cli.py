@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -371,10 +372,25 @@ def test_plain_argv_reads_the_cap_from_the_environment(monkeypatch):
     assert _plain_args(["analyze", "g.json"]).max_elements == 7
 
 
+# sha256 of the verify-cases output bytes; the full one is also the
+# benchmark's reference (perfbench/reference.json)
+_VERIFY_CASES_SHA256 = {
+    "full": "a8140de272e862559e8132d9a2b8cab425ddb3a006117c335fa1e1e5b388521a",
+    "quick": "5e2f6a5ad1bc8d706d4c361dada3fd15ce9ca2158fb6c70c5a2d0de3f68be637",
+}
+
+
+def test_verify_cases_full_pinned(tmp_path):
+    out = tmp_path / "cases.json"
+    assert _run(["verify-cases", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_CASES_SHA256["full"]
+
+
 def test_verify_cases_quick(tmp_path):
     out = tmp_path / "cases.json"
     rc = _run(["verify-cases", "--quick", "-o", str(out)])
     assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_CASES_SHA256["quick"]
     rec = json.loads(out.read_text())
     jsonschema.validate(rec, _schema("verify_cases"))
     assert rec["pass"] is True

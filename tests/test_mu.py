@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from mpmath import mp, mpf, log as mplog
 
 from conftest import table_of, square_of
 
+from solgrow.catalog import catalog
 from solgrow.errors import InvariantViolated, NotSoluble
 from solgrow.mu import (
     ABELIAN,
@@ -24,6 +27,7 @@ from solgrow.mu import (
 from solgrow.table import (
     derived_length,
     direct_product,
+    enumerate_group,
     subgroup_generated,
     trivial_subgroup,
     whole_group,
@@ -191,6 +195,23 @@ def test_mu_gl23():
     brute, _ = mu_bruteforce(T)
     assert brute == MuValue(2, 1)
     assert mu_fast(T)[0] == MuValue(2, 1)
+
+
+@pytest.mark.parametrize("search", [mu_fast, mu_bruteforce])
+def test_search_leaves_no_cycle_holding_the_table(search):
+    # the table is freed by reference counting once the caller drops it,
+    # not only when the cyclic collector next runs
+    T = enumerate_group(catalog("s4"))
+    held = weakref.ref(T)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        search(T)
+        del T
+        assert held() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mu_not_soluble():

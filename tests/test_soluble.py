@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from conftest import CORPUS_SOLUBLE, square_of, table_of
@@ -17,7 +18,7 @@ from oracles import (
 import solgrow.soluble as soluble
 from solgrow.catalog import catalog
 from solgrow.cli import main
-from solgrow.errors import InvariantViolated, NotSoluble, TrivialGroup
+from solgrow.errors import CapExceeded, InvariantViolated, NotSoluble, TrivialGroup
 from solgrow.soluble import (
     _is_self_centralizing,
     analyze_record,
@@ -30,6 +31,7 @@ from solgrow.soluble import (
     normal_subgroups_within,
     sc_chief_rank,
     sc_iff_maximal_index_check,
+    soluble_subgroup_classes,
     soluble_subgroups,
 )
 from solgrow.specio import dump_genset
@@ -39,6 +41,7 @@ from solgrow.table import (
     derived_series,
     direct_product,
     quotient,
+    subgroup_generated,
     whole_group,
 )
 
@@ -75,12 +78,14 @@ def test_subgroup_enumeration_extension_closed(name):
     assert subgroup_family_is_extension_closed(T, soluble_subgroups(T))
 
 
+# classical subgroup totals less the insoluble subgroups: Sym(5) has 156
+# subgroups (less A5, S5), Sym(6) 1,455 (less 12 A5, 12 S5, A6, S6),
+# GL_3(2) 179 (less itself); S4, SL_2(3) and GL_2(3) are soluble
+_FULL_COUNTS = {"s4": 30, "sl2(3)": 15, "gl2(3)": 55, "s5": 154, "gl3(2)": 178, "s6": 1429}
+
+
 def test_known_subgroup_counts():
-    # classical subgroup totals less the insoluble subgroups: Sym(5) has 156
-    # subgroups (less A5, S5), Sym(6) 1,455 (less 12 A5, 12 S5, A6, S6),
-    # GL_3(2) 179 (less itself); S4, SL_2(3) and GL_2(3) are soluble
-    expected = {"s4": 30, "sl2(3)": 15, "gl2(3)": 55, "s5": 154, "gl3(2)": 178, "s6": 1429}
-    for name, count in expected.items():
+    for name, count in _FULL_COUNTS.items():
         assert len(soluble_subgroups(table_of(name))) == count, name
 
 
@@ -172,6 +177,54 @@ def test_small_conjugation_blocks_give_the_same_list(monkeypatch):
     subs = soluble_subgroups(T)
     assert max(calls) <= 4 and len(calls) > 5
     assert _digest(subs) == _PINNED_DIGESTS["s5"]
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_COUNTS))
+def test_subgroup_classes_partition_the_full_list(name):
+    # the classes of the representatives, each taken as the conjugates by
+    # every element, are disjoint and cover the full list exactly
+    T = table_of(name)
+    full = {S.mask for S in soluble_subgroups(T)}
+    reps = soluble_subgroup_classes(T)
+    assert reps == sorted(reps, key=lambda S: (S.order, S.members))
+    by_generator = [T.conjugation_action(g) for g in T.generators]
+    every = np.array([T.conjugation_action(g) for g in range(T.n)])
+    union: set[bytes] = set()
+    for S in reps:
+        assert subgroup_generated(T, S.generators).mask == S.mask
+        cls = {row.tobytes() for row in S.flags[every]}
+        assert all(np.frombuffer(m, bool)[c].tobytes() in cls for m in cls for c in by_generator)
+        assert union.isdisjoint(cls)
+        union |= cls
+    assert union == full and len(full) == _FULL_COUNTS[name]
+
+
+def test_subgroup_classes_share_the_enumeration_cap(monkeypatch):
+    T = table_of("s4")
+    monkeypatch.setattr(soluble, "SUBGROUP_ENUM_CAP", T.n - 1)
+    messages = []
+    for enumerate_subgroups in (soluble_subgroups, soluble_subgroup_classes):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_subgroups(T)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_one_atom_walk_per_power_class(monkeypatch):
+    # c2048 has 2,047 nontrivial classes but one power class per nontrivial
+    # subgroup, so 11 atoms are walked
+    T = table_of("c2048")
+    starts: list[list[int]] = []
+    walk = soluble._grow_classes
+
+    def counted(classes, class_of, start, row):
+        starts.append(list(start))
+        return walk(classes, class_of, start, row)
+
+    monkeypatch.setattr(soluble, "_grow_classes", counted)
+    lattice = normal_subgroups(T)
+    assert [S.order for S in lattice.subgroups] == [2**i for i in range(12)]
+    assert sum(start == [0] for start in starts) <= 11
 
 
 def test_minimal_normal_subgroups():
