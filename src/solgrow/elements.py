@@ -26,6 +26,7 @@ left, (g*h)(x) = g(h(x)), matching matrix action on column vectors.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from collections.abc import Sequence as SequenceABC
@@ -38,14 +39,7 @@ from .errors import InvariantViolated, MixedVariants, ParseError
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(map(p.__mod__, range(2, math.isqrt(p) + 1)))
 
 
 class GroupElement:
@@ -98,11 +92,13 @@ class RowCodec:
     """Elements of one variant and degree as fixed-width rows.
 
     A row is an element's data as a 1-D array of `width` entries of
-    `dtype`. `products` forms x * s for every frontier row x and every step
-    row s at once, x-major. For perm and matfp, distinct elements have
-    distinct rows and `element` builds the element of a row. The matz and
-    lamplighter codecs serve growth only. `make_room` readies a codec for a
-    level's products; only the lamplighter codec ever widens its rows.
+    `dtype`, which each codec instance sets: perm and matfp rows take the
+    narrowest unsigned dtype that holds their entries. `products` forms
+    x * s for every frontier row x and every step row s at once, x-major.
+    For perm and matfp, distinct elements have distinct rows and `element`
+    builds the element of a row. The matz and lamplighter codecs serve
+    growth only. `make_room` readies a codec for a level's products; only
+    the lamplighter codec ever widens its rows.
     """
 
     dtype: np.dtype
@@ -142,6 +138,16 @@ class RowElements(SequenceABC):
 
     def __getitem__(self, i: int) -> "GroupElement":
         return self.codec.element(self.rows[operator.index(i)])
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        """Position of the first element equal to `value`, by one comparison
+        of its row with every row, not an element object per position."""
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        if len(self) and type(value) is type(self[0]) and value.identity() == self[0].identity():
+            hits = np.flatnonzero((self.rows[lo:hi] == self.codec.rows([value])).all(axis=1))
+            if len(hits):
+                return lo + int(hits[0])
+        raise ValueError(f"{value!r} is not in the sequence")
 
 
 class Perm(GroupElement):
@@ -194,20 +200,15 @@ class Perm(GroupElement):
         return PermRows(len(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * len(self.images)
+        seen: set[int] = set()
         out = []
-        for i in range(len(self.images)):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            out.append(tuple(cyc))
+        for i, image in enumerate(self.images):
+            if i not in seen and image != i:
+                cyc = [i]
+                while self.images[cyc[-1]] != i:
+                    cyc.append(self.images[cyc[-1]])
+                seen.update(cyc)
+                out.append(tuple(cyc))
         return out
 
     def __repr__(self) -> str:
@@ -226,12 +227,11 @@ class Perm(GroupElement):
 
 
 class PermRows(RowCodec):
-    """Permutations of one degree as rows of images."""
-
-    dtype = np.dtype("<u2")
+    """Permutations of one degree as rows of images, one byte each up to degree 256."""
 
     def __init__(self, degree: int):
         self.width = degree
+        self.dtype = np.dtype("u1" if degree <= 256 else "<u2")
 
     def rows(self, perms: Sequence[Perm]) -> np.ndarray:
         return np.array([g.images for g in perms], dtype=self.dtype)
@@ -388,12 +388,12 @@ _GEMM_ENTRIES = 1 << 15  # product entries formed at once by MatFpRows
 class MatFpRows(RowCodec):
     """n x n matrices over F_p as rows of entries, row-major."""
 
-    dtype = np.dtype("<u4")
-
     def __init__(self, n: int, p: int):
         self.width = n * n
         self.n = n
         self.p = p
+        # the narrowest unsigned dtype that holds p - 1
+        self.dtype = np.dtype("u1" if p <= 1 << 8 else "<u2" if p <= 1 << 16 else "<u4")
 
     def rows(self, mats: Sequence[MatFp]) -> np.ndarray:
         return np.array([g.entries for g in mats], dtype=self.dtype)

@@ -34,10 +34,10 @@ import numpy as np
 
 from .elements import GenSet, GroupElement, RowCodec, TreeAuto
 from .errors import CapExceeded, DegenerateWindow
+from .rowbfs import _inverse_closed
 from .specio import spec_digest
 from .table import (
     DEFAULT_CAP,
-    _inverse_closed,
     commutator_subgroup,
     element_bfs,
     enumerate_group,
@@ -142,7 +142,7 @@ def _tally(levels: Iterator[int], R: int) -> tuple[list[int], str | None]:
 
 def _encoded_levels(X: GenSet, cap: int) -> Iterator[int]:
     """Sphere sizes from the element BFS of `solgrow.table`."""
-    for new, _ in islice(element_bfs(X, cap, products=False), 1, None):
+    for new, *_ in islice(element_bfs(X, cap, products=False), 1, None):
         yield len(new)
 
 

@@ -4,28 +4,28 @@ One level-synchronous element BFS, `element_bfs`, serves enumeration here
 and the growth tables of `solgrow.growth` that cannot be counted sphere by
 sphere on rows. It checks the element cap as it goes: a new element that
 would take the count past the cap raises CapExceeded, carrying the size of
-the last complete ball. Permutation and F_p-matrix levels are expanded as
-numpy row arrays through the variant's row codec (`solgrow.elements`) and
-deduplicated on one uint64 key per row, sorted: a hash of the row's bytes,
-checked against the row itself, with the row's bytes as the key should two
-rows ever share a hash. Other variants stream element objects through an
-encoding -> index dict.
+the last complete ball. Permutation and F_p-matrix levels are numpy row
+arrays deduplicated on hashed row keys (`solgrow.rowbfs`). Other variants
+stream element objects through an encoding -> index dict.
 
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
 over the table's BFS steps (the generators, then their inverses). Every
 table, whether enumerated from concrete GroupElements or derived as a
 quotient, subgroup or direct product, multiplies the same way: it stores
-the right action of each BFS step on indices, R[s][i] = index of i * s.
-One BFS over these arrays gives word lengths and BFS parents, and walking
-the parents with the inverse actions gives inverse indices. Up to
-DENSE_LIMIT elements, the right action of j is kept as a dense row once it
-is first read: row j is R[s] applied to the row of j's BFS parent, so
-building it builds the missing rows on j's geodesic and no others. Above
-DENSE_LIMIT no row is kept, and i * j walks j's geodesic through R. A
-table holds no encoding -> index dict: its order n is the length of its
-step actions. Perm and matfp tables keep their elements as rows and build
-each element object on access.
+the right action of each BFS step on indices, R[s][i] = index of i * s,
+as one (steps, n) int32 array. An enumerated table takes its word lengths,
+BFS parents and levels (contiguous index ranges) from the element BFS; a
+derived one runs one BFS over R. Walking the parents with the inverse
+steps' actions gives inverse indices. Word lengths and inverse indices are
+read-only int32 memoryviews, whose items are ints. Up to DENSE_LIMIT
+elements, the right action of j is kept as a dense row once it is first
+read: row j is R[s] applied to the row of j's BFS parent, so building it
+builds the missing rows on j's geodesic and no others. Above DENSE_LIMIT
+no row is kept, and i * j walks j's geodesic through R. A table holds no
+encoding -> index dict: its order n is the length of its step actions.
+Perm and matfp tables keep their elements as rows (one byte an entry up
+to degree or p 256) and build each element object on access.
 
 A Subgroup is one member mask, a byte per element of its table, with a
 generator list. Masks of equal member count sort in the reverse order of
@@ -49,49 +49,53 @@ rows and the step conjugation maps are built on first use).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .elements import GenSet, GroupElement, RowCodec, RowElements
+from .elements import GenSet, GroupElement, RowElements
 from .errors import CapExceeded, InvariantViolated, NotNormal
+from .rowbfs import _HashCollision, _row_bytes, _row_hash, _row_levels
 
 DEFAULT_CAP = 2_000_000
 DENSE_LIMIT = 4096
-_ROW_BLOCK = 1024  # frontier rows expanded at once on the row path
 
 
 class FiniteGroupTable:
     """Indexed finite group. Do not mutate after construction.
 
-    `steps` lists the BFS steps in order as (signed generator reference,
-    right action): +k is generator k-1, -k its inverse, and the action is
-    an int32 array mapping index i to the index of i * step. The order n is
-    the length of the actions; a table with no steps is the trivial group.
+    The BFS steps are given in order by their signed generator references
+    (`step_refs`: +k is generator k-1, -k its inverse) and their right
+    actions, one int32 array per step or one (steps, n) array, which is
+    kept: a step's action maps index i to the index of i * step. The order
+    n is the length of the actions; a table with no steps is the trivial
+    group. `enumerate_group` passes the BFS that found the table as `bfs`
+    (as `_cayley_bfs` returns it), so that it runs no BFS of its own.
     """
 
     def __init__(
         self,
         generators: list[int],
-        steps: Sequence[tuple[int, np.ndarray]],
+        step_refs: Sequence[int],
+        actions: Sequence[np.ndarray],
         elements: Sequence[GroupElement] | None = None,
         gen_set: GenSet | None = None,
+        bfs: tuple | None = None,
     ):
         self.generators = list(generators)
         self.elements = elements
         self.gen_set = gen_set
-        self.step_refs = [ref for ref, _action in steps]
-        self._actions = [np.asarray(action, dtype=np.int32) for _ref, action in steps]
-        self.n = len(self._actions[0]) if self._actions else 1
-        if any(len(a) != self.n for a in self._actions):
+        self.step_refs = list(step_refs)
+        self.n = len(actions[0]) if len(actions) else 1
+        if any(len(a) != self.n for a in actions):
             raise InvariantViolated("step actions differ in length")
-        wl, parent, parent_step, self._levels = _cayley_bfs(self._actions, self.n)
-        self.word_length: list[int] = wl.tolist()
-        self._inverse = _inverse_indices(self._actions, parent, parent_step)
-        self.inv_idx: list[int] = self._inverse.tolist()
+        self._actions = np.asarray(actions, np.int32).reshape(len(actions), self.n)
+        wl, parent, parent_step, self._levels = bfs or _cayley_bfs(self._actions, self.n)
+        self._inverse = _inverse_indices(self._actions, self.step_refs, parent, parent_step)
         # int32 buffers are read through memoryviews, whose items are ints.
+        self.word_length = memoryview(wl).toreadonly()
+        self.inv_idx = memoryview(self._inverse).toreadonly()
         self._parent = memoryview(parent).toreadonly()
         self._parent_step = memoryview(parent_step).toreadonly()
         self._action_views = [memoryview(a).toreadonly() for a in self._actions]
@@ -226,16 +230,7 @@ class FiniteGroupTable:
 
     def growth_counts(self) -> list[int]:
         """Cumulative ball sizes gamma(0..diameter) from word lengths."""
-        diam = max(self.word_length)
-        per = [0] * (diam + 1)
-        for d in self.word_length:
-            per[d] += 1
-        out = []
-        total = 0
-        for c in per:
-            total += c
-            out.append(total)
-        return out
+        return np.bincount(np.asarray(self.word_length)).cumsum().tolist()
 
     def gamma(self, r: int) -> int:
         counts = self.growth_counts()
@@ -293,24 +288,27 @@ def _inverted(action: np.ndarray) -> np.ndarray:
 
 
 def _inverse_indices(
-    actions: list[np.ndarray], parent: np.ndarray, step: np.ndarray
+    actions: np.ndarray, refs: list[int], parent: np.ndarray, step: np.ndarray
 ) -> np.ndarray:
     """Index of each element's inverse, from the step actions and BFS parents.
 
     If i is the product s_1 ... s_k along its BFS geodesic, then
     i^-1 = 0 * s_k^-1 * ... * s_1^-1: walking up i's parent chain applies
-    the inverse step actions in that order.
+    the inverse step actions in that order. Where the steps hold each
+    step's inverse (references k and -k), those are its actions, so no
+    second (steps, n) array is built; otherwise every action is inverted.
     """
     n = len(parent)
-    undo = np.empty((len(actions), n), dtype=np.int32)
-    for s, action in enumerate(actions):
-        undo[s] = _inverted(action)
+    back = np.array([refs.index(-r) if -r in refs else -1 for r in refs], np.int32)
+    undo = actions
+    if (back < 0).any():
+        undo, back = np.array([_inverted(a) for a in actions]), np.arange(len(refs))
     inv = np.zeros(n, dtype=np.int32)
     node = np.arange(n, dtype=np.int32)
     live = np.flatnonzero(node)
     while live.size:
         at = node[live]
-        inv[live] = undo[step[at], inv[live]]
+        inv[live] = undo[back[step[at]], inv[live]]
         node[live] = parent[at]
         live = live[node[live] != 0]
     return inv
@@ -559,16 +557,17 @@ def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
 
 def element_bfs(
     X: GenSet, cap: int, products: bool = True
-) -> Iterator[tuple[Sequence, np.ndarray | None]]:
+) -> Iterator[tuple[Sequence, np.ndarray | None, np.ndarray]]:
     """Level-synchronous BFS over the elements of <X>, one level per yield.
 
     Elements are indexed in discovery order, expanding each level by the
-    steps of `X.bfs_steps()` in order. Radius r yields (new, products): the
-    elements first reached at r, in discovery order, and the index of x * s
-    for each element x of radius r-1 and each step s, x-major, as an int32
-    array (None when `products` is false). Radius 0 yields the identity
-    level and no products; the level that finds nothing new is yielded
-    too, so the products of the last level are complete.
+    steps of `X.bfs_steps()` in order. Radius r yields (new, products,
+    first): the elements first reached at r, in discovery order; the index
+    of x * s for each element x of radius r-1 and each step s, x-major, as
+    an int32 array (None when `products` is false); and for each new
+    element the position of the first of those products to reach it.
+    Radius 0 yields the identity alone; the level that finds nothing new
+    is yielded too, so the products of the last level are complete.
 
     Variants with a row codec (perm, matfp) carry each level as one row
     array, `new` included, and are deduplicated on sorted row keys a block
@@ -586,188 +585,47 @@ def element_bfs(
         return
     done = 0  # levels yielded so far
     try:
-        for new, found in _row_levels(codec, X.identity(), steps, cap, _row_hash):
+        for new, found, first in _row_levels(codec, X.identity(), steps, cap, _row_hash):
             done += 1
-            yield new, found if products else None
+            yield new, found if products else None, first
         return
     except _HashCollision:
         pass  # two distinct rows met under one hashed key: run again on exact keys
     exact = _row_levels(codec, X.identity(), steps, cap, _row_bytes)
-    for new, found in islice(exact, done, None):
-        yield new, found if products else None
+    for new, found, first in islice(exact, done, None):
+        yield new, found if products else None, first
 
 
 def _object_levels(
     e: GroupElement, steps: list[GroupElement], cap: int, products: bool
-) -> Iterator[tuple[list[GroupElement], np.ndarray | None]]:
+) -> Iterator[tuple[list[GroupElement], np.ndarray | None, np.ndarray]]:
     """`element_bfs` over element objects, deduplicated by encoding in a dict.
 
     Candidates stream, so a level never holds more than its new elements.
     """
     index = {e.encode(): 0}
     frontier = [e]
-    yield frontier, np.zeros(0, np.int32)
+    yield frontier, np.zeros(0, np.int32), np.zeros(0, np.intp)
     while frontier:
         complete = len(index)
         new: list[GroupElement] = []
+        first: list[int] = []
         found: list[int] = []
-        for x in frontier:
-            for s in steps:
-                y = x * s
-                enc = y.encode()
-                j = index.get(enc)
-                if j is None:
-                    j = len(index)
-                    if j >= cap:
-                        raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
-                    index[enc] = j
-                    new.append(y)
-                if products:
-                    found.append(j)
-        frontier = new
-        yield new, np.array(found, np.int32) if products else None
-
-
-class _HashCollision(Exception):
-    """Two distinct rows met under one hashed key in `_row_levels`."""
-
-
-def _row_words(rows: np.ndarray) -> np.ndarray:
-    """Each row's bytes as uint64 words, the last one padded with zeros."""
-    size = rows.shape[1] * rows.itemsize
-    words = np.zeros((len(rows), -(-size // 8)), np.uint64)
-    words.view(np.uint8)[:, :size] = np.ascontiguousarray(rows).view(np.uint8)
-    return words
-
-
-@lru_cache(maxsize=None)
-def _multipliers(count: int) -> np.ndarray:
-    """`count` fixed odd uint64 constants (the splitmix64 sequence, made odd)."""
-    out, x, mask = [], 0, (1 << 64) - 1
-    for _ in range(count):
-        x = (x + 0x9E3779B97F4A7C15) & mask
-        z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31) | 1)
-    constants = np.array(out, np.uint64)
-    constants.flags.writeable = False  # shared by every caller through the cache
-    return constants
-
-
-def _row_hash(words: np.ndarray) -> np.ndarray:
-    """One uint64 key per row: its words times fixed odd constants, summed mod 2**64."""
-    return words @ _multipliers(words.shape[1])
-
-
-def _row_bytes(words: np.ndarray) -> np.ndarray:
-    """The exact key of each row: its words as one void scalar."""
-    return words.view(f"V{words.itemsize * words.shape[1]}")[:, 0]
-
-
-def _row_levels(
-    codec: RowCodec,
-    e: GroupElement,
-    steps: list[GroupElement],
-    cap: int,
-    key: Callable[[np.ndarray], np.ndarray],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`element_bfs` on codec rows, deduplicated by `key` of each row's words.
-
-    The levels a product can land in are held by key: sorted keys, with the
-    index and words of each row. With inverse-closed steps that is the
-    frontier and the level before it, otherwise every level so far; the
-    level being built is held the same way, in parts of halving size. A
-    block of `_ROW_BLOCK` frontier rows is expanded at once. Its products
-    are sorted by key, and the first product of each distinct key stands
-    for the others, which must have its row; the distinct keys are looked
-    up with `searchsorted`, and those found nowhere are new rows, which
-    take the next indices in product order. Every product is compared with
-    the row of the index it is given, so a hashed key that meets two
-    distinct rows raises _HashCollision.
-    """
-    step_rows = codec.rows(steps)
-    frontier = codec.rows([e])
-    words = _row_words(frontier)
-    held = [(key(words), np.zeros(1, np.int32), words)]
-    inverse_closed = _inverse_closed(steps)
-    count, start = 1, 0  # elements found; index of the frontier's first row
-    yield frontier, np.zeros(0, np.int32)
-    while len(frontier):
-        complete = count
-        new: list[np.ndarray] = []
-        found: list[np.ndarray] = []
-        parts: list[tuple] = []  # the level being built
-        for lo in range(0, len(frontier), _ROW_BLOCK):
-            rows = codec.products(frontier[lo : lo + _ROW_BLOCK], step_rows)
-            words = _row_words(rows)
-            keys = key(words)
-            order = keys.argsort()
-            ordered = keys[order]
-            first = np.empty(len(keys), bool)
-            first[0] = True
-            first[1:] = ordered[1:] != ordered[:-1]
-            starts = first.nonzero()[0]
-            reps = np.minimum.reduceat(order, starts)  # first product of each key
-            slot = np.empty_like(order)  # each product's distinct key
-            slot[order] = first.cumsum() - 1
-            if not (words == words[reps[slot]]).all():
-                raise _HashCollision
-            distinct, rep_words = ordered[starts], words[reps]
-            index = np.full(len(distinct), -1, np.int32)
-            miss = np.arange(len(distinct))
-            for part in (*held, *parts):
-                index[miss] = _find(part, distinct[miss], rep_words[miss])
-                miss = miss[index[miss] < 0]
-            if len(miss):
-                if count + len(miss) > cap:
+        for at, (x, s) in enumerate(product(frontier, steps)):
+            y = x * s
+            enc = y.encode()
+            j = index.get(enc)
+            if j is None:
+                j = len(index)
+                if j >= cap:
                     raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
-                by_product = miss[reps[miss].argsort()]
-                index[by_product] = np.arange(count, count + len(miss), dtype=np.int32)
-                new.append(rows[reps[by_product]])
-                count += len(miss)
-                _push(parts, (distinct[miss], index[miss], rep_words[miss]))
-            found.append(index[slot])
-        if inverse_closed:  # hold the frontier and the new level, in one part
-            keep = (held[0][1] >= start).nonzero()[0]
-            held = [_merged(tuple(a[keep] for a in held[0]), *parts)]
-        else:
-            for part in parts:
-                _push(held, part)
-        start = complete
-        frontier = np.concatenate(new) if new else rows[:0]
-        yield frontier, np.concatenate(found)
-
-
-def _find(held: tuple, keys: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Index of each sorted key's row in `held` (sorted keys, indices,
-    words), -1 if absent; raises _HashCollision where a key's row differs."""
-    h_keys, h_index, h_words = held
-    at = h_keys.searchsorted(keys)
-    np.minimum(at, len(h_keys) - 1, out=at)
-    hit = h_keys[at] == keys
-    if not (words[hit] == h_words[at[hit]]).all():
-        raise _HashCollision
-    return np.where(hit, h_index[at], -1).astype(np.int32, copy=False)
-
-
-def _merged(*held: tuple) -> tuple:
-    """Held sets of (sorted keys, indices, words) as one."""
-    joined = [np.concatenate(column) for column in zip(*held)]
-    order = joined[0].argsort()  # the keys are distinct, so any sort will do
-    return tuple(x[order] for x in joined)
-
-
-def _push(parts: list[tuple], part: tuple) -> None:
-    """Append a held set to `parts`, each part merged with those after it
-    until it is twice their size, so that n rows are held in O(log n) parts."""
-    parts.append(part)
-    while len(parts) > 1 and len(parts[-2][0]) < 2 * len(parts[-1][0]):
-        parts[-2:] = [_merged(*parts[-2:])]
-
-
-def _inverse_closed(steps: list[GroupElement]) -> bool:
-    encodings = {s.encode() for s in steps}
-    return all(s.inverse().encode() in encodings for s in steps)
+                index[enc] = j
+                new.append(y)
+                first.append(at)
+            if products:
+                found.append(j)
+        frontier = new
+        yield new, np.array(found, np.int32) if products else None, np.array(first, np.intp)
 
 
 def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
@@ -776,32 +634,44 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     Deterministic: elements are indexed in discovery order, expanding each
     level by the generators in list order and then their inverses. Perm and
     matfp tables keep their elements as rows and build each element object
-    on access.
+    on access. The table takes its word lengths, BFS parents and levels
+    from this BFS rather than running its own.
     """
     if cap < 1:
         raise CapExceeded("cap must be >= 1", 0)
     refs = [ref for _s, ref in X.bfs_steps()]
-    levels: list[Sequence] = []
-    products: list[np.ndarray] = []
-    for new, found in element_bfs(X, cap):
-        levels.append(new)
-        products.append(found)
-    # Levels are expanded in increasing index order, so the products read
-    # as one (n, k) array hold the right action of step s in column s.
-    n = sum(len(level) for level in levels)
-    actions = np.concatenate(products).reshape(n, len(refs)).T.copy()
-
+    k = len(refs)
+    levels, products, firsts = (list(column) for column in zip(*element_bfs(X, cap)))
+    bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
+    n = bounds[-1]
+    # Level r's products are level r-1 times each step, x-major: their
+    # columns fill level r-1's part of each step's right action. Each level
+    # is dropped once copied, so no (n, k) array or row array is held twice.
+    actions = np.empty((k, n), np.int32)
+    parent, step = np.zeros(n, np.int32), np.zeros(n, np.int32)
+    for r in range(1, len(levels)):
+        lo, hi = bounds[r - 1], bounds[r]
+        actions[:, lo:hi] = products[r].reshape(hi - lo, k).T
+        parent[hi : bounds[r + 1]] = lo + firsts[r] // k
+        step[hi : bounds[r + 1]] = firsts[r] % k
+        products[r] = firsts[r] = None
+    wl = np.repeat(np.arange(len(levels), dtype=np.int32), np.diff(bounds))
     codec = X.row_codec()
     if codec is None:
         elements: Sequence[GroupElement] = [g for level in levels for g in level]
     else:
-        elements = RowElements(codec, np.concatenate(levels))
+        rows = np.empty((n, codec.width), codec.dtype)
+        for r in range(len(levels)):
+            rows[bounds[r] : bounds[r + 1]], levels[r] = levels[r], None
+        elements = RowElements(codec, rows)
     # Generator k is the identity times step k, reached at radius 1.
     return FiniteGroupTable(
         actions[: len(X), 0].tolist(),
-        list(zip(refs, actions)),
+        refs,
+        actions,
         elements=elements,
         gen_set=X,
+        bfs=(wl, parent, step, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]),
     )
 
 
@@ -810,15 +680,12 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
 
 def _derived_steps(
     generators: list[int], action: Callable[[int], np.ndarray]
-) -> list[tuple[int, np.ndarray]]:
-    """BFS steps of a derived table: its generators, then their inverses.
-
-    `action(x)` gives the right action of the table's element x on indices.
-    """
+) -> tuple[list[int], list[np.ndarray]]:
+    """References and actions of a derived table's BFS steps, its generators
+    and then their inverses; `action(x)` is the right action of element x."""
     forward = [action(g) for g in generators]
-    steps = [(k + 1, a) for k, a in enumerate(forward)]
-    steps += [(-(k + 1), _inverted(a)) for k, a in enumerate(forward)]
-    return steps
+    refs = list(range(1, len(forward) + 1))
+    return refs + [-r for r in refs], forward + [_inverted(a) for a in forward]
 
 
 def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
@@ -830,7 +697,7 @@ def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
     gens = local[np.array(H.generators, dtype=np.int32)].tolist()
     elements = [T.elements[g] for g in members] if T.elements is not None else None
     steps = _derived_steps(gens, lambda x: local[T.right_action(members[x])[glob]])
-    return FiniteGroupTable(gens, steps, elements=elements)
+    return FiniteGroupTable(gens, *steps, elements=elements)
 
 
 class QuotientGroup:
@@ -869,7 +736,7 @@ class QuotientGroup:
         steps = _derived_steps(
             gens, lambda c: coset[parent.right_action(reps[c])[rep_index]]
         )
-        self.table = FiniteGroupTable(gens, steps)
+        self.table = FiniteGroupTable(gens, *steps)
 
 
 def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:
@@ -886,4 +753,4 @@ def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable
         i, j = divmod(x, nB)
         return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
 
-    return FiniteGroupTable(gens, _derived_steps(gens, action))
+    return FiniteGroupTable(gens, *_derived_steps(gens, action))

@@ -207,7 +207,7 @@ def test_invariant_violation_exit_code(spec_dir, monkeypatch, capsys):
 
     def uneven_table(_T):
         swap = np.array([1, 0], dtype=np.int32)
-        return FiniteGroupTable([1], [(1, swap), (-1, np.array([0], dtype=np.int32))])
+        return FiniteGroupTable([1], [1, -1], [swap, np.array([0], dtype=np.int32)])
 
     monkeypatch.setattr("solgrow.soluble.analyze_record", uneven_table)
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 3

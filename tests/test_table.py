@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
+from collections.abc import Sequence as SequenceABC
 
 import numpy as np
 import pytest
 
 from oracles import object_enumeration, word_ball_lengths, word_ball_sizes
-from conftest import table_of
+from conftest import CORPUS_SMALL, table_of
 
 import solgrow.table as table
 from solgrow.catalog import catalog
@@ -103,10 +105,10 @@ def test_row_table_matches_object_loop(name):
     T = enumerate_group(X)
     ref = object_enumeration(X)
     assert [g.encode() for g in T.elements] == ref["encodings"]
-    assert T.inv_idx == ref["inv_idx"]
+    assert list(T.inv_idx) == ref["inv_idx"]
     assert T.generators == ref["generators"]
     assert [a.tolist() for a in T._actions] == ref["actions"]
-    assert T.word_length == ref["word_length"]
+    assert list(T.word_length) == ref["word_length"]
     assert [T.elements[i].encode() for i in range(T.n)] == ref["encodings"]
     assert all(T.elements[i] == ref["elements"][i] for i in (0, T.n // 2, -1))
 
@@ -114,9 +116,9 @@ def test_row_table_matches_object_loop(name):
 _WEAK_HASHES = {
     # every row alike: the first level's products already collide
     "constant": lambda words: np.zeros(len(words), np.uint64),
-    # 31 keys: the first collision comes a few levels in (radius 4 for
-    # c2wrc2, 3 for one-way), after some levels have been yielded
-    "31 keys": lambda words: (words * np.uint64(0x9E3779B97F4A7C15)).sum(axis=1) % np.uint64(31),
+    # 37 keys: the first collision comes a few levels in (radius 2 for
+    # gl2(3), 3 for c2wrc2 and one-way), after some levels have been yielded
+    "37 keys": lambda words: (words * np.uint64(0x9E3779B97F4A7C15)).sum(axis=1) % np.uint64(37),
 }
 
 
@@ -127,9 +129,18 @@ def test_hash_collision_falls_back_to_exact_keys(name, weak, monkeypatch):
     row_bytes = table._row_bytes
     monkeypatch.setattr(table, "_row_hash", _WEAK_HASHES[weak])
     monkeypatch.setattr(table, "_row_bytes", lambda words: exact_runs.append(1) or row_bytes(words))
+    yielded = []  # for each level yielded, the exact-key calls made before it
+    bfs = table.element_bfs
+    monkeypatch.setattr(
+        table, "element_bfs", lambda *a: (yielded.append(len(exact_runs)) or lv for lv in bfs(*a))
+    )
     X = _ODD_GENSETS[name]() if name in _ODD_GENSETS else catalog(name)
     T = enumerate_group(X)
     assert exact_runs
+    # levels the hashed run yielded: the identity's alone, or more, which
+    # the exact run then skips rather than yields again
+    hashed = yielded.count(0)
+    assert hashed == 1 if weak == "constant" else hashed >= 2
     _assert_matches_object_loop(X, T)
 
 
@@ -145,8 +156,8 @@ def _assert_matches_object_loop(X, T):
     ref = object_enumeration(X)
     assert [g.encode() for g in T.elements] == ref["encodings"]
     assert [a.tolist() for a in T._actions] == ref["actions"]
-    assert T.word_length == ref["word_length"]
-    assert T.inv_idx == ref["inv_idx"]
+    assert list(T.word_length) == ref["word_length"]
+    assert list(T.inv_idx) == ref["inv_idx"]
 
 
 def test_matfp_below_the_float_bound_runs_on_rows():
@@ -170,15 +181,110 @@ def test_matfp_overflow_takes_object_path():
     assert T.n == 8 and isinstance(T.elements, list)
     ref = object_enumeration(X)
     assert [g.encode() for g in T.elements] == ref["encodings"]
-    assert T.inv_idx == ref["inv_idx"]
+    assert list(T.inv_idx) == ref["inv_idx"]
     product = _element_product(T)
     assert all(T.mul(i, j) == product(i, j) for i in range(T.n) for j in range(T.n))
 
 
+_BOUNDARY_GENSETS = {
+    # S4 on four points of a larger degree; every row holds each point, so
+    # degree 257 needs two bytes an entry
+    "perm 256": lambda: _s4_moving(0, 253, 254, 255),
+    "perm 257": lambda: _s4_moving(0, 254, 255, 256),
+    "matfp 251": lambda: _dihedral_mod(251),
+    "matfp 257": lambda: _dihedral_mod(257),
+    "matfp 67108859": lambda: _dihedral_mod(67108859),
+}
+
+
+def _s4_moving(a, b, c, d):
+    degree = d + 1
+    return GenSet([Perm.from_cycles(degree, [(a, d)]), Perm.from_cycles(degree, [(b, c, d)])])
+
+
+@pytest.mark.parametrize(
+    "name, dtype",
+    zip(_BOUNDARY_GENSETS, ["u1", "<u2", "u1", "<u2", "<u4"]),
+)
+def test_rows_take_the_narrowest_dtype(name, dtype):
+    X = _BOUNDARY_GENSETS[name]()
+    T = enumerate_group(X)
+    assert X.row_codec().dtype == T.elements.rows.dtype == np.dtype(dtype)
+    _assert_matches_object_loop(X, T)
+
+
+_BFS_CASES = {name: (lambda name=name: catalog(name)) for name in CORPUS_SMALL}
+_BFS_CASES.update(_ODD_GENSETS)
+_BFS_CASES["object path"] = lambda: _dihedral_mod(67108879)
+
+
+@pytest.mark.parametrize("name", list(_BFS_CASES))
+def test_enumeration_hands_its_bfs_to_the_table(name, monkeypatch):
+    # The table takes word lengths, BFS parents and levels from the element
+    # BFS and runs none of its own; they are those of a BFS over its actions.
+    X = _BFS_CASES[name]()
+
+    def second_bfs(*_args):
+        raise AssertionError("enumerated table ran its own BFS")
+
+    monkeypatch.setattr(table, "_cayley_bfs", second_bfs)
+    T = enumerate_group(X)
+    monkeypatch.undo()
+    wl, parent, step, levels = table._cayley_bfs(T._actions, T.n)
+    assert list(T.word_length) == wl.tolist()
+    assert list(T._parent) == parent.tolist()
+    assert list(T._parent_step) == step.tolist()
+    indices = np.arange(T.n)
+    assert [indices[level].tolist() for level in T._levels] == [lv.tolist() for lv in levels]
+
+
+def test_enumerated_tables_hold_few_bytes_per_element():
+    # Held per element: its row, one int32 per step action, and int32 word
+    # length, BFS parent, parent step and inverse; the build peak (the
+    # element BFS) is a small multiple of that.
+    for name, peak_ratio in (("gl2(2)wrs4", 2), ("gammal1(1024)", 4)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            T = witness_group(name)[1]
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        rows = T.elements.rows
+        assert rows.dtype == np.uint8
+        per_element = rows.shape[1] + 4 * len(T.step_refs) + 4 * 4
+        assert per_element * T.n < held < per_element * T.n + 2**16
+        assert peak < peak_ratio * held
+
+
+@pytest.mark.parametrize("name", ["s4", "gl2(3)"])
+def test_row_index_matches_the_scan(name):
+    T = table_of(name)
+    probes = [T.elements[i] for i in (0, 1, T.n // 2, T.n - 1)] + [
+        Perm([1, 0, 2, 3, 4]),
+        Perm([1, 0, 3, 2]),
+        MatFp(2, 3, [[1, 1], [0, 1]]),
+        MatFp(2, 5, [[1, 1], [0, 1]]),
+        3,
+    ]
+
+    def position(index, g, *bounds):
+        try:
+            return index(g, *bounds)
+        except ValueError:
+            return None
+
+    for g in probes:
+        for bounds in ((), (1,), (-T.n // 2,), (1, T.n - 1), (0, -1)):
+            expected = position(lambda *a: SequenceABC.index(T.elements, *a), g, *bounds)
+            assert position(T.elements.index, g, *bounds) == expected
+
+
 # sha256 of each witness model's step actions (int32) and then its element
-# rows, recorded when enumeration still deduplicated by encoding in a dict.
-# These groups are too large for the object loop; the digests pin their
-# index order.
+# rows, recorded when enumeration still deduplicated by encoding in a dict
+# and rows were <u2 (perm) and <u4 (matfp) entries: rows are widened to
+# those before hashing. These groups are too large for the object loop;
+# the digests pin their index order.
 _WITNESS_DIGESTS = {
     "gammal1(8)wrs3": "c6852f69685ee531dfe7dea89eab2d4f058af04cde6feb635bc33a93ad44b4b8",
     "gammal1(32)wrs2": "663928606bdfe0814b92e89e9175b5db1cf59123a0e44f56ad33ac074de94739",
@@ -193,7 +299,8 @@ def test_witness_tables_pinned(name):
     digest = hashlib.sha256()
     for action in T._actions:
         digest.update(np.ascontiguousarray(action, "<i4").tobytes())
-    digest.update(np.ascontiguousarray(T.elements.rows).tobytes())
+    recorded = "<u2" if T.gen_set.variant == "perm" else "<u4"
+    digest.update(np.ascontiguousarray(T.elements.rows, recorded).tobytes())
     assert digest.hexdigest() == _WITNESS_DIGESTS[name]
 
 
@@ -201,14 +308,14 @@ def test_uneven_step_actions_rejected():
     # the order is the length of the first action; a shorter one is rejected
     swap = np.array([1, 0], dtype=np.int32)
     with pytest.raises(InvariantViolated, match="differ in length"):
-        FiniteGroupTable([1], [(1, swap), (-1, np.array([0], dtype=np.int32))])
+        FiniteGroupTable([1], [1, -1], [swap, np.array([0], dtype=np.int32)])
 
 
 def test_steps_that_do_not_generate_rejected():
     # index 1 is unreachable when both steps fix every index
     fixed = np.array([0, 1], dtype=np.int32)
     with pytest.raises(InvariantViolated, match="do not generate"):
-        FiniteGroupTable([1], [(1, fixed), (-1, fixed)])
+        FiniteGroupTable([1], [1, -1], [fixed, fixed])
 
 
 def test_quotient_by_a_non_subgroup_rejected():
@@ -225,10 +332,10 @@ def test_element_bfs_levels():
     X = catalog("s3")
     k = len(X.bfs_steps())
     levels = list(element_bfs(X, 6))
-    assert [len(new) for new, _ in levels] == [1, 3, 2, 0]
+    assert [len(new) for new, *_ in levels] == [1, 3, 2, 0]
     # each level carries the products of the level before, one per step
-    assert [len(products) for _, products in levels] == [0, k * 1, k * 3, k * 2]
-    rows = np.concatenate([new for new, _ in levels])
+    assert [len(products) for _, products, _ in levels] == [0, k * 1, k * 3, k * 2]
+    rows = np.concatenate([new for new, *_ in levels])
     assert np.array_equal(rows, table_of("s3").elements.rows)
 
 
@@ -323,7 +430,7 @@ DENSE_CASES = {
 
 def _fresh(T):
     """A new table over T's steps, with no dense row built."""
-    return FiniteGroupTable(T.generators, list(zip(T.step_refs, T._actions)))
+    return FiniteGroupTable(T.generators, T.step_refs, T._actions)
 
 
 def _built_rows(T):
@@ -474,8 +581,8 @@ def test_lagrange_for_subgroup_tables():
         assert sub.growth_counts()[-1] == S.order
     # the trivial subgroup has no generators, so its table has no steps
     trivial = subgroup_table(T, trivial_subgroup(T))
-    assert trivial.n == 1 and trivial.step_refs == [] and trivial.word_length == [0]
-    assert trivial.inv_idx == [0] and trivial.mul(0, 0) == 0
+    assert trivial.n == 1 and trivial.step_refs == [] and list(trivial.word_length) == [0]
+    assert list(trivial.inv_idx) == [0] and trivial.mul(0, 0) == 0
 
 
 def test_mixed_variant_rejected():
