@@ -254,8 +254,12 @@ class _Keys:
         return rows.astype(self.dtype, copy=False)
 
     def rekey(self, keys: np.ndarray, old: _Keys) -> np.ndarray:
-        """`keys` made under `old`, made again under these wider ranges."""
-        return self.of(old.rows(keys))
+        """`keys` made under `old`, made again under these wider ranges,
+        `_BLOCK` keys at a time, so that no more rows are decoded at once."""
+        out = np.empty(len(keys), np.uint64 if len(self.words) == 1 else f"V{8 * len(self.words)}")
+        for lo in range(0, len(keys), _BLOCK):
+            out[lo : lo + _BLOCK] = self.of(old.rows(keys[lo : lo + _BLOCK]))
+        return out
 
 
 def _column_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -386,7 +386,8 @@ def certify_growth_lower_bound(
     modified series down to V with length-tracked generating sets, selects
     n short elements with independent images in V, verifies the 2^n subset
     products, and checks gamma(L*n) >= 2^n against an independently
-    computed growth table of G.
+    computed growth table of G. Raises InvariantViolated, naming them, if
+    any of the certificate's checks is false.
     """
     from .soluble import _is_self_centralizing, minimal_normal_subgroups
     from .table import quotient
@@ -468,6 +469,9 @@ def certify_growth_lower_bound(
             1 for kd in series.kinds if kd == ABELIAN
         ) * 10 ** sum(1 for kd in series.kinds if kd != ABELIAN),
     }
+    failed = [name for name, ok in checks.items() if ok is False]
+    if failed:
+        raise InvariantViolated(f"certificate checks failed: {', '.join(failed)}")
 
     # Measured constants: smallest values making the step recurrence
     # L_i <= a_i L_{i-1} + C sqrt(L_{i-1}) and the chain bound

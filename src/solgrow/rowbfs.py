@@ -3,8 +3,20 @@
 Each level is one numpy row array, expanded through the variant's row
 codec (`solgrow.elements`) a block of frontier rows at a time and
 deduplicated on one uint64 key per row, sorted: a hash of the row's bytes,
-checked against the row itself, with the row's bytes as the key should two
-rows ever share a hash (`table.element_bfs` then runs again on those).
+with the row's bytes as the key should two rows ever share a hash
+(`table.element_bfs` then runs again on those).
+
+With inverse-closed steps, a product x * s that lands one level down is a
+back edge: its index y is known from the level before, whose product
+y * s^-1 reached x. Those entries are filled in, never keyed or looked
+up; the other products can land only in the frontier or the new level,
+so the level before needs no keys. What is held for lookups is (sorted
+keys, indices), no row bytes: the rows are the level arrays the BFS
+yields anyway. Each formed product is compared once with the row of the
+index it is given, which catches a shared hash whether the key met a
+held row or another product of its block. An inferred entry needs no
+comparison: it is a product of two rows already checked, read off the
+group law.
 """
 
 from __future__ import annotations
@@ -65,35 +77,52 @@ def _row_levels(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """`table.element_bfs` on codec rows, deduplicated by `key` of each row's words.
 
-    The levels a product can land in are held by key: sorted keys, with the
-    index and words of each row. With inverse-closed steps that is the
-    frontier and the level before it, otherwise every level so far; the
-    level being built is held the same way, in parts of halving size. A
-    block of `_ROW_BLOCK` frontier rows is expanded at once. Its products
-    are sorted by key, and the first product of each distinct key stands
-    for the others, which must have its row; the distinct keys are looked
-    up with `searchsorted`, and those found nowhere are new rows, which
-    take the next indices in product order. Every product is compared with
-    the row of the index it is given, so a hashed key that meets two
-    distinct rows raises _HashCollision.
+    Back edges are filled in from the level before (see above). A block of
+    `_ROW_BLOCK` frontier rows is expanded at once: the codec forms all its
+    products in one call, cheaper than picking the pairs out first, and
+    those not filled in are kept. They are sorted by key, and the first
+    product of each distinct key stands for the others. The distinct keys
+    are looked up with `searchsorted` in the held levels (the frontier
+    with inverse-closed steps, else every level so far) and in the level
+    being built, held in parts of halving size; those found nowhere are
+    new rows, which take the next indices in product order, into one
+    growing array. Every kept product is then compared with the row of the
+    index it is given, so a hashed key that meets two distinct rows raises
+    _HashCollision.
     """
     step_rows = codec.rows(steps)
     frontier = codec.rows([e])
-    words = _row_words(frontier)
-    held = [(key(words), np.zeros(1, np.int32), words)]
-    inverse_closed = _inverse_closed(steps)
-    count, start = 1, 0  # elements found; index of the frontier's first row
-    yield frontier, np.zeros(0, np.int32), np.zeros(0, np.intp)
+    back = _step_inverses(codec, step_rows, frontier[0])
+    k = len(steps)
+    held = [(key(_row_words(frontier)), np.zeros(1, np.int32))]
+    # The rows of the held levels from index `first_held` on, then those of
+    # the level being built: `size` rows of one growing array.
+    span, first_held, size = frontier.copy(), 0, 1
+    count = 1  # elements found
+    start = before = 0  # first index of the frontier and of the level before it
+    found = np.zeros(0, np.int32)
+    yield frontier, found, np.zeros(0, np.intp)
     while len(frontier):
         complete = count
-        new: list[np.ndarray] = []
+        products = np.full((len(frontier), k), -1, np.int32)
+        if back is not None:  # x * s = y one level down where y * s^-1 = x
+            up = found.reshape(-1, k)
+            for s, t in enumerate(back):
+                column = up[:, t]
+                y = (column >= start).nonzero()[0]
+                products[:, s][column[y] - start] = before + y
+        span.resize((size + len(frontier), span.shape[1]), refcheck=False)
         reached: list[np.ndarray] = []  # each new row's first product
-        found: list[np.ndarray] = []
         parts: list[tuple] = []  # the level being built
         for lo in range(0, len(frontier), _ROW_BLOCK):
+            block = products[lo : lo + _ROW_BLOCK].reshape(-1)
+            todo = (block < 0).nonzero()[0]
+            if not len(todo):
+                continue
             rows = codec.products(frontier[lo : lo + _ROW_BLOCK], step_rows)
-            words = _row_words(rows)
-            keys = key(words)
+            if len(todo) < len(rows):
+                rows = rows.take(todo, axis=0)
+            keys = key(_row_words(rows))
             order = keys.argsort()
             ordered = keys[order]
             first = np.empty(len(keys), bool)
@@ -103,52 +132,49 @@ def _row_levels(
             reps = np.minimum.reduceat(order, starts)  # first product of each key
             slot = np.empty_like(order)  # each product's distinct key
             slot[order] = first.cumsum() - 1
-            if not (words == words[reps[slot]]).all():
-                raise _HashCollision
-            distinct, rep_words = ordered[starts], words[reps]
+            distinct = ordered[starts]
             index = np.full(len(distinct), -1, np.int32)
             miss = np.arange(len(distinct))
-            for part in (*held, *parts):
-                index[miss] = _find(part, distinct[miss], rep_words[miss])
-                miss = miss[index[miss] < 0]
+            for h_keys, h_index in (*held, *parts):
+                at = h_keys.searchsorted(distinct[miss])
+                np.minimum(at, len(h_keys) - 1, out=at)
+                hit = h_keys[at] == distinct[miss]
+                index[miss[hit]] = h_index[at[hit]]
+                miss = miss[~hit]
             if len(miss):
                 if count + len(miss) > cap:
                     raise CapExceeded(f"group exceeds cap of {cap} elements", complete)
                 by_product = miss[reps[miss].argsort()]
                 index[by_product] = np.arange(count, count + len(miss), dtype=np.int32)
-                new.append(rows[reps[by_product]])
-                reached.append(lo * len(step_rows) + reps[by_product])
+                if size + len(miss) > len(span):
+                    span.resize((max(2 * len(span), size + len(miss)), span.shape[1]), refcheck=False)
+                span[size : size + len(miss)] = rows.take(reps[by_product], axis=0)
+                reached.append(lo * k + todo[reps[by_product]])
                 count += len(miss)
-                _push(parts, (distinct[miss], index[miss], rep_words[miss]))
-            found.append(index[slot])
-        if inverse_closed:  # hold the frontier and the new level, in one part
-            keep = (held[0][1] >= start).nonzero()[0]
-            held = [_merged(tuple(a[keep] for a in held[0]), *parts)]
-        else:
+                size += len(miss)
+                _push(parts, (distinct[miss], index[miss]))
+            block[todo] = got = index[slot]
+            if not (rows == span.take(got - first_held, axis=0)).all():
+                raise _HashCollision
+        if back is None:  # every level stays held
             for part in parts:
                 _push(held, part)
-        start = complete
-        frontier = np.concatenate(new) if new else rows[:0]
-        yield frontier, np.concatenate(found), np.concatenate(reached or [np.zeros(0, np.intp)])
-
-
-def _find(held: tuple, keys: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Index of each sorted key's row in `held` (sorted keys, indices,
-    words), -1 if absent; raises _HashCollision where a key's row differs."""
-    h_keys, h_index, h_words = held
-    at = h_keys.searchsorted(keys)
-    np.minimum(at, len(h_keys) - 1, out=at)
-    hit = h_keys[at] == keys
-    if not (words[hit] == h_words[at[hit]]).all():
-        raise _HashCollision
-    return np.where(hit, h_index[at], -1).astype(np.int32, copy=False)
+        else:  # only the new level: its keys, in one part, and its rows
+            held = [_merged(*parts)] if parts else []
+            span, first_held = span[complete - first_held : size].copy(), complete
+            size = len(span)
+        before, start, found = start, complete, products.reshape(-1)
+        frontier = span[complete - first_held : size].copy()
+        yield frontier, found, np.concatenate(reached or [np.zeros(0, np.intp)])
 
 
 def _merged(*held: tuple) -> tuple:
-    """Held sets of (sorted keys, indices, words) as one."""
-    joined = [np.concatenate(column) for column in zip(*held)]
-    order = joined[0].argsort()  # the keys are distinct, so any sort will do
-    return tuple(x[order] for x in joined)
+    """Held sets of (sorted keys, indices) as one."""
+    if len(held) == 1:
+        return held[0]
+    keys, index = (np.concatenate(column) for column in zip(*held))
+    order = keys.argsort(kind="stable")  # merges the sorted runs
+    return keys[order], index[order]
 
 
 def _push(parts: list[tuple], part: tuple) -> None:
@@ -157,6 +183,14 @@ def _push(parts: list[tuple], part: tuple) -> None:
     parts.append(part)
     while len(parts) > 1 and len(parts[-2][0]) < 2 * len(parts[-1][0]):
         parts[-2:] = [_merged(*parts[-2:])]
+
+
+def _step_inverses(codec: RowCodec, step_rows: np.ndarray, e: np.ndarray) -> list[int] | None:
+    """For each step s, the first step t with s * t = e (equal steps have
+    equal rows); None if some step's inverse is not among the steps."""
+    k = len(step_rows)
+    unit = (codec.products(step_rows, step_rows) == e).all(axis=1).reshape(k, k)
+    return unit.argmax(axis=1).tolist() if unit.any(axis=1).all() else None
 
 
 def _inverse_closed(steps: list[GroupElement]) -> bool:

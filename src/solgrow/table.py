@@ -16,14 +16,17 @@ quotient, subgroup or direct product, multiplies the same way: it stores
 the right action of each BFS step on indices, R[s][i] = index of i * s,
 as one (steps, n) int32 array. An enumerated table takes its word lengths,
 BFS parents and levels (contiguous index ranges) from the element BFS; a
-derived one runs one BFS over R. Walking the parents with the inverse
-steps' actions gives inverse indices. Word lengths and inverse indices are
-read-only int32 memoryviews, whose items are ints. Up to DENSE_LIMIT
-elements, the right action of j is kept as a dense row once it is first
-read: row j is R[s] applied to the row of j's BFS parent, so building it
-builds the missing rows on j's geodesic and no others. Above DENSE_LIMIT
-no row is kept, and i * j walks j's geodesic through R. A table holds no
-encoding -> index dict: its order n is the length of its step actions.
+derived one runs one BFS over R. Inverse indices come from one pass down
+the BFS levels: x = t * rest(x), t the first step of x's geodesic, and
+rest(x) = rest(p) * s for x's parent p and parent step s, so x^-1 =
+rest(x)^-1 * t^-1 is read off a level already done. Word lengths and
+inverse indices are read-only int32 memoryviews, whose items are ints.
+Up to DENSE_LIMIT elements, the right action of j is kept as a dense row
+once it is first read: row j is R[s] applied to the row of j's BFS
+parent, so building it builds the missing rows on j's geodesic and no
+others. Above DENSE_LIMIT no row is kept, and i * j walks j's geodesic
+through R. A table holds no encoding -> index dict: its order n is the
+length of its step actions.
 Perm and matfp tables keep their elements as rows (one byte an entry up
 to degree or p 256) and build each element object on access.
 
@@ -92,7 +95,9 @@ class FiniteGroupTable:
             raise InvariantViolated("step actions differ in length")
         self._actions = np.asarray(actions, np.int32).reshape(len(actions), self.n)
         wl, parent, parent_step, self._levels = bfs or _cayley_bfs(self._actions, self.n)
-        self._inverse = _inverse_indices(self._actions, self.step_refs, parent, parent_step)
+        self._inverse = _inverse_indices(
+            self._actions, self.step_refs, parent, parent_step, self._levels
+        )
         # int32 buffers are read through memoryviews, whose items are ints.
         self.word_length = memoryview(wl).toreadonly()
         self.inv_idx = memoryview(self._inverse).toreadonly()
@@ -288,29 +293,31 @@ def _inverted(action: np.ndarray) -> np.ndarray:
 
 
 def _inverse_indices(
-    actions: np.ndarray, refs: list[int], parent: np.ndarray, step: np.ndarray
+    actions: np.ndarray, refs: list[int], parent: np.ndarray, step: np.ndarray, levels: list
 ) -> np.ndarray:
-    """Index of each element's inverse, from the step actions and BFS parents.
+    """Index of each element's inverse, from the step actions and BFS levels.
 
-    If i is the product s_1 ... s_k along its BFS geodesic, then
-    i^-1 = 0 * s_k^-1 * ... * s_1^-1: walking up i's parent chain applies
-    the inverse step actions in that order. Where the steps hold each
-    step's inverse (references k and -k), those are its actions, so no
-    second (steps, n) array is built; otherwise every action is inverted.
+    Write x = t * rest(x), t the first step of x's BFS geodesic. A child
+    x = p * s of p shares p's first step and rest(x) = rest(p) * s, one
+    level up, so x^-1 = rest(x)^-1 * t^-1 is found from an earlier level:
+    one pass down the levels, a few gathers per element. Where the steps
+    hold each step's inverse (references k and -k), t^-1 acts by their
+    actions, so no second (steps, n) array is built; otherwise every action
+    is inverted.
     """
-    n = len(parent)
     back = np.array([refs.index(-r) if -r in refs else -1 for r in refs], np.int32)
     undo = actions
     if (back < 0).any():
         undo, back = np.array([_inverted(a) for a in actions]), np.arange(len(refs))
-    inv = np.zeros(n, dtype=np.int32)
-    node = np.arange(n, dtype=np.int32)
-    live = np.flatnonzero(node)
-    while live.size:
-        at = node[live]
-        inv[live] = undo[back[step[at]], inv[live]]
-        node[live] = parent[at]
-        live = live[node[live] != 0]
+    inv, first, rest = (np.zeros(len(parent), np.int32) for _ in range(3))
+    for depth, level in enumerate(levels[1:], 1):
+        if depth == 1:  # x = t, rest(x) the identity
+            first[level] = step[level]
+        else:
+            p = parent[level]
+            first[level] = first[p]
+            rest[level] = actions[step[level], rest[p]]
+        inv[level] = undo[back[first[level]], inv[rest[level]]]
     return inv
 
 

@@ -9,6 +9,8 @@ from functools import lru_cache
 from itertools import product as cartesian
 from typing import Sequence
 
+import numpy as np
+
 from solgrow.elements import GenSet, MatFp
 from solgrow.table import FiniteGroupTable, Subgroup, subgroup_generated
 
@@ -67,6 +69,24 @@ def object_enumeration(gens: GenSet) -> dict:
         "generators": [index[g.encode()] for g in gens.elements],
         "inv_idx": [index[g.inverse().encode()] for g in elements],
     }
+
+
+def parent_chain_inverses(T: FiniteGroupTable) -> list[int]:
+    """Each element's inverse index by walking its BFS parent chain.
+
+    If i is s_1 ... s_k along its BFS geodesic, i^-1 = 0 * s_k^-1 * ... *
+    s_1^-1: walking up from i applies the inverse of each parent step's
+    action, inverted here as a permutation of the indices.
+    """
+    undo = [np.argsort(a).tolist() for a in T._actions]
+    out = []
+    for i in range(T.n):
+        inv = 0
+        while i != 0:
+            inv = undo[T._parent_step[i]][inv]
+            i = T._parent[i]
+        out.append(inv)
+    return out
 
 
 @lru_cache(maxsize=None)

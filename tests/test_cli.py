@@ -146,6 +146,17 @@ def test_certify_subcommand(spec_dir, capsys):
     assert len(rec["transcript"]["products"]) == 8
 
 
+def test_certify_exits_3_on_a_false_check(spec_dir, capsys, monkeypatch):
+    import solgrow.milnor as milnor
+
+    products = milnor.subset_products
+    monkeypatch.setattr(milnor, "subset_products", lambda T, xs: (lambda p: p[:1] + p[:-1])(products(T, xs)))
+    rc = _run(["certify", str(spec_dir / "f8c7.json")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == "internal error: certificate checks failed: distinct_products\n"
+
+
 def test_certify_with_normal_subgroup(spec_dir, tmp_path, capsys):
     from solgrow.elements import GenSet, MatFp
 

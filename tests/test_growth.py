@@ -231,18 +231,24 @@ def test_keys_widen_to_two_words_partway(monkeypatch, merged_key_kinds, dict_pat
     _check_against_oracle(gens, 9)
     assert not dict_path_runs
     assert set().union(*merged_key_kinds) == {np.dtype(np.uint64), np.dtype("V16")}
-    switched = []
+    switched, rekeyed = [], []
     rekey = solgrow.growth._Keys.rekey
 
     def spy(self, keys, old):
         if len(old.words) == 1 and len(self.words) == 2:
             switched.append(len(keys))
-        return rekey(self, keys, old)
+        rekeyed.append(len(keys))
+        again = rekey(self, keys, old)
+        # made again block by block, as if decoded whole
+        assert again.dtype == self.of(old.rows(keys[:0])).dtype
+        assert again.tobytes() == self.of(old.rows(keys)).tobytes()
+        return again
 
     monkeypatch.setattr(solgrow.growth._Keys, "rekey", spy)
     assert growth_table(gens, 9).counts == _oracle_ball(gens, 9)
     # both held spheres (S_7 and S_8), the empty new sphere, waiting blocks
     assert switched[:3] == [2506, 7030, 0] and len(switched) > 3
+    assert max(rekeyed) > 64 * 100  # over a hundred blocks at once
 
 
 def test_free_group_past_one_key_word():

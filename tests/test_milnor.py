@@ -161,6 +161,14 @@ def test_cost_word_mismatch_raises(monkeypatch):
         certify_growth_lower_bound(table_of("f2^3:c7"))
 
 
+def test_false_check_raises(monkeypatch):
+    # subset products that repeat the first in place of the last
+    products = milnor.subset_products
+    monkeypatch.setattr(milnor, "subset_products", lambda T, xs: (lambda p: p[:1] + p[:-1])(products(T, xs)))
+    with pytest.raises(InvariantViolated, match="certificate checks failed: distinct_products$"):
+        certify_growth_lower_bound(table_of("f2^3:c7"))
+
+
 def test_socle_of_composite_order_raises(monkeypatch):
     # C6 is self-centralizing in itself; offered as the only minimal normal
     # subgroup, its order 6 is no prime power

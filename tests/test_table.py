@@ -10,9 +10,15 @@ from collections.abc import Sequence as SequenceABC
 import numpy as np
 import pytest
 
-from oracles import object_enumeration, word_ball_lengths, word_ball_sizes
+from oracles import (
+    object_enumeration,
+    parent_chain_inverses,
+    word_ball_lengths,
+    word_ball_sizes,
+)
 from conftest import CORPUS_SMALL, table_of
 
+import solgrow.rowbfs as rowbfs
 import solgrow.table as table
 from solgrow.catalog import catalog
 from solgrow.elements import GenSet, MatFp, Perm, RowElements
@@ -91,6 +97,8 @@ _ODD_GENSETS = {
     "asymmetric": lambda: GenSet([_CYCLE, _CYCLE_INV, _SWAP], symmetric=False),
     # not inverse-closed: every level found so far is held for lookups
     "one-way": lambda: GenSet([_CYCLE, _SWAP], symmetric=False),
+    # adjacent transpositions: each step is its own inverse and appears twice
+    "involutions": lambda: GenSet([Perm([1, 0, 2, 3]), Perm([0, 2, 1, 3]), Perm([0, 1, 3, 2])]),
 }
 
 
@@ -142,6 +150,102 @@ def test_hash_collision_falls_back_to_exact_keys(name, weak, monkeypatch):
     hashed = yielded.count(0)
     assert hashed == 1 if weak == "constant" else hashed >= 2
     _assert_matches_object_loop(X, T)
+
+
+def _aliasing_hash(X, alias, target):
+    """`_row_hash`, except that the row of element `alias` takes the key of
+    element `target`: the one pair of distinct rows that share a key."""
+    words = rowbfs._row_words(X.row_codec().rows([alias, target]))
+    shared = rowbfs._row_hash(words[1:])[0]
+
+    def weak(rows):
+        keys = rowbfs._row_hash(rows)
+        keys[(rows == words[0]).all(axis=1)] = shared
+        return keys
+
+    return weak
+
+
+# The alias and the target as (radius, position in that level), and
+# whether the hashed run must fall back. The alias is formed while the BFS
+# expands the level before its own.
+_ALIASES = {
+    # looked up among the frontier's keys, it is given the frontier row's index
+    "formed product and frontier row": ((3, 0), (2, 0), True),
+    # both new in one block: the second is given the index of the first
+    "two new rows of one block": ((3, -1), (3, 0), True),
+    # the target's level is no longer held once the alias is formed, so the
+    # shared key meets nothing and the hashed run goes through
+    "formed product and an unheld row": ((3, 0), (1, 0), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_ALIASES))
+def test_each_formed_product_is_compared_with_its_row(case, monkeypatch):
+    X = catalog("gl2(3)")
+    ref = table_of("gl2(3)")
+    levels = ref.elements_by_length()
+    (ra, ia), (rt, it), falls_back = _ALIASES[case]
+    alias, target = ref.elements[levels[ra][ia]], ref.elements[levels[rt][it]]
+    exact_runs = []
+    row_bytes = table._row_bytes
+    monkeypatch.setattr(table, "_row_hash", _aliasing_hash(X, alias, target))
+    monkeypatch.setattr(table, "_row_bytes", lambda words: exact_runs.append(1) or row_bytes(words))
+    yielded = []  # for each level yielded, the exact-key calls made before it
+    bfs = table.element_bfs
+    monkeypatch.setattr(
+        table, "element_bfs", lambda *a: (yielded.append(len(exact_runs)) or lv for lv in bfs(*a))
+    )
+    T = enumerate_group(X)
+    assert bool(exact_runs) == falls_back
+    if falls_back:  # caught while building the alias's level, after the levels before it
+        assert yielded.count(0) == ra
+    _assert_matches_object_loop(X, T)
+
+
+# Steps closed under inverses (by encoding), and the work of an enumeration
+# with them: the back edges x * s, one level down, are filled in from the
+# level before and never keyed.
+_KEYED_CASES = {
+    "s4wrs2": (lambda: catalog("s4wrs2"), True),
+    "involutions": (_ODD_GENSETS["involutions"], True),
+    "repeated": (_ODD_GENSETS["repeated"], True),
+    "asymmetric": (_ODD_GENSETS["asymmetric"], True),
+    "identity": (_ODD_GENSETS["identity"], True),
+    "one-way": (_ODD_GENSETS["one-way"], False),
+}
+
+
+def _keyed_products(X, monkeypatch):
+    """Product rows keyed while enumerating <X>, leaving out the identity's own."""
+    keyed = []
+    row_hash = table._row_hash
+    monkeypatch.setattr(table, "_row_hash", lambda words: keyed.append(len(words)) or row_hash(words))
+    T = enumerate_group(X)
+    monkeypatch.undo()
+    return T, sum(keyed) - 1
+
+
+def _back_edges(T):
+    wl = np.asarray(T.word_length)
+    return int((wl[T._actions] < wl).sum())
+
+
+@pytest.mark.parametrize("name", list(_KEYED_CASES))
+def test_products_keyed_leave_out_the_back_edges(name, monkeypatch):
+    make, closed = _KEYED_CASES[name]
+    T, keyed = _keyed_products(make(), monkeypatch)
+    products = T.n * len(T.step_refs)
+    assert keyed == products - (_back_edges(T) if closed else 0)
+    assert _back_edges(T) > 0
+    _assert_matches_object_loop(T.gen_set, T)
+
+
+def test_products_keyed_pinned(monkeypatch):
+    T, keyed = _keyed_products(catalog("s4wrs2"), monkeypatch)
+    assert (keyed, T.n * len(T.step_refs)) == (3_456, 6_912)
+    T, keyed = _keyed_products(witness_group("gammal1(8)wrs3")[1].gen_set, monkeypatch)
+    assert (keyed, T.n * len(T.step_refs)) == (307_818, 444_528)
 
 
 def _dihedral_mod(p):
@@ -557,6 +661,24 @@ def _first_discovery_words(T):
                     nxt.append(y)
         frontier = nxt
     return words
+
+
+_INVERSE_CASES = {name: (lambda name=name: table_of(name)) for name in CORPUS_SMALL}
+_INVERSE_CASES.update(
+    {name: (lambda make=make: enumerate_group(make())) for name, make in _ODD_GENSETS.items()}
+)
+_INVERSE_CASES.update(
+    {name: (lambda name=name: DENSE_CASES[name]()[0]) for name in ("sl2(3)/centre", "s4-subgroup", "s3xq8")}
+)
+_INVERSE_CASES["object path"] = lambda: enumerate_group(_dihedral_mod(67108879))
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_CASES))
+def test_inverses_level_by_level(name):
+    # equal to the walk up every parent chain, and each a two-sided inverse
+    T = _INVERSE_CASES[name]()
+    assert list(T.inv_idx) == parent_chain_inverses(T)
+    assert all(T.mul(i, T.inv_idx[i]) == 0 == T.mul(T.inv_idx[i], i) for i in range(T.n))
 
 
 @pytest.mark.parametrize("name", ["sl2(3)/centre", "s4-subgroup", "s3xq8"])
