@@ -335,10 +335,14 @@ def product_counterexample_check(use_oracle: bool = False) -> dict:
 
 
 def mu_of_wreath_check(A: FiniteGroupTable, B: FiniteGroupTable) -> dict:
-    """Whether mu(A wr B) <= mu(A) + mu(B) for permutation tables A, B."""
-    from .constructions import wreath_product
+    """Whether mu(A wr B) <= mu(A) + mu(B) for permutation tables A, B.
 
-    W = enumerate_group(wreath_product(A, B), cap=WREATH_CAP)
+    Raises CapExceeded, before building anything, when |A|^b * |B| exceeds
+    WREATH_CAP (b the degree of B).
+    """
+    from .constructions import wreath_table
+
+    W = wreath_table(A, B, cap=WREATH_CAP)
     mu_w, _ = mu_fast(W)
     mu_a, _ = mu_fast(A)
     mu_b, _ = mu_fast(B)

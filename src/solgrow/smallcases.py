@@ -14,11 +14,14 @@ Two modes, reported per case:
 Every group entering a check is first checked to satisfy its structural
 precondition (irreducible as a matrix group / transitive as a permutation
 group); a failure raises ContextViolated, and an insoluble group raises
-NotSoluble. A group named in several cases is enumerated, and its
+NotSoluble. A group named in several cases is built, and its
 representatives found, once per `verify_small_cases` call. Derived lengths
-of large block-monomial witnesses are computed on the isomorphic
-permutation wreath model; irreducibility is checked on the matrix model, by
-the rank of each orbit of the generators on the nonzero vectors.
+and mu of block-monomial witnesses are computed on the isomorphic
+permutation wreath model, a table derived from the tables of its factors
+(`constructions.wreath_table`) rather than enumerated; the tests check it
+against the element BFS's table of the same wreath, field by field.
+Irreducibility is checked on the matrix model, by the rank of each orbit of
+the generators on the nonzero vectors.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .bounds import (
     permutation_structure,
 )
 from .catalog import catalog
-from .constructions import matrix_to_perm_gens, sym_gens, wreath_product
+from .constructions import matrix_to_perm_gens, sym_gens, wreath_table
 from .elements import GenSet, MatFp, Perm
 from .errors import ContextViolated, NotSoluble
 from .mu import mu_fast
@@ -63,10 +66,13 @@ def _soluble_reps(T: FiniteGroupTable, keep: Callable[[list], bool]) -> list[Sub
 
 
 def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
-    """Matrix generators plus an enumerable model of a named witness.
+    """Matrix generators plus a table model of a named witness.
 
-    Block-monomial wreaths are enumerated via the isomorphic permutation
-    wreath of the base group's faithful action on nonzero vectors.
+    A block-monomial wreath L wr Sym(k) is modelled by the isomorphic
+    permutation wreath of L's faithful action on nonzero vectors, a table
+    derived from the tables of its factors by `wreath_table` (equal, field
+    by field, to the element BFS's table of that wreath, as the tests
+    check); any other witness is enumerated.
     """
     gens = catalog(name)
     if gens.variant != "matfp":
@@ -77,7 +83,7 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
         base = catalog(base_name)
         perm_base = enumerate_group(matrix_to_perm_gens(list(base.elements)))  # type: ignore[arg-type]
         top = enumerate_group(sym_gens(int(k_str)))
-        model = enumerate_group(wreath_product(perm_base, top))
+        model = wreath_table(perm_base, top)
     else:
         model = enumerate_group(gens)
     return gens, model

@@ -258,21 +258,26 @@ def _cayley_bfs(actions: list[np.ndarray], n: int):
 
     Level by level from the identity; a new index takes the first
     (frontier position, step ordinal) that reaches it, as an element BFS
-    expanding each level by the steps in order would.
+    expanding each level by the steps in order would. Until an index is
+    found, its `parent` entry holds the least position reaching it so far
+    (`np.minimum.at`); a position that is its target's least is that
+    target's first product.
     """
     wl = np.full(n, -1, dtype=np.int32)
-    parent = np.zeros(n, dtype=np.int32)
+    parent = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
     step = np.zeros(n, dtype=np.int32)
-    wl[0] = 0
+    wl[0] = parent[0] = 0
     frontier = np.zeros(1, dtype=np.int32)
     levels = [frontier]
     k = len(actions)
     depth = 0
     while k and frontier.size:
         reached = np.stack([a[frontier] for a in actions], axis=1).ravel()
-        fresh = np.flatnonzero(wl[reached] < 0)
-        _, first = np.unique(reached[fresh], return_index=True)
-        fresh = fresh[np.sort(first)]
+        # int32 positions, as in `parent`, keep `minimum.at` on its fast path
+        fresh = np.flatnonzero(wl[reached] < 0).astype(np.int32)
+        target = reached[fresh]
+        np.minimum.at(parent, target, fresh)
+        fresh = fresh[parent[target] == fresh]
         found = reached[fresh]
         depth += 1
         wl[found] = depth

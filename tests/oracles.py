@@ -89,6 +89,33 @@ def parent_chain_inverses(T: FiniteGroupTable) -> list[int]:
     return out
 
 
+def unique_rule_bfs(actions: Sequence[np.ndarray], n: int):
+    """Word lengths, BFS parents, parent steps and levels over step actions,
+    each new index taking its first (frontier position, step) product as
+    `np.unique` finds it: the first occurrence of each sorted value."""
+    wl = np.full(n, -1, dtype=np.int32)
+    parent = np.zeros(n, dtype=np.int32)
+    step = np.zeros(n, dtype=np.int32)
+    wl[0] = 0
+    frontier = np.zeros(1, dtype=np.int32)
+    levels = [frontier]
+    k = len(actions)
+    depth = 0
+    while k and frontier.size:
+        reached = np.stack([a[frontier] for a in actions], axis=1).ravel()
+        fresh = np.flatnonzero(wl[reached] < 0)
+        _, first = np.unique(reached[fresh], return_index=True)
+        fresh = fresh[np.sort(first)]
+        found = reached[fresh]
+        depth += 1
+        wl[found] = depth
+        parent[found] = frontier[fresh // k]
+        step[found] = fresh % k
+        frontier = found
+        levels.append(found)
+    return wl, parent, step, levels
+
+
 @lru_cache(maxsize=None)
 def _proper_subspaces(n: int, p: int) -> list[frozenset[tuple[int, ...]]]:
     """Every proper nonzero subspace of F_p^n, grown from {0} one vector at a time.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from conftest import table_of
@@ -9,14 +12,25 @@ from conftest import table_of
 from solgrow.catalog import catalog
 from solgrow.constructions import (
     affine_semidirect,
+    cyclic_gens,
     matrix_to_perm_gens,
     matrix_wreath,
+    sym_gens,
     wreath_product,
+    wreath_table,
 )
-from solgrow.elements import MatFp
+from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.errors import NotTransitive, UnknownName
 from solgrow.fields import _idx_of, _vec_of, small_field, vector_actions
-from solgrow.table import direct_product, enumerate_group, nilpotency_class
+from solgrow.smallcases import _CASES
+from solgrow.table import (
+    commutator_subgroup,
+    direct_product,
+    enumerate_group,
+    nilpotency_class,
+    subgroup_table,
+    whole_group,
+)
 
 
 def test_c2_wr_c2():
@@ -51,6 +65,107 @@ def test_wreath_not_transitive():
     pad = enumerate_group(GenSet([Perm([1, 0, 2])]))
     with pytest.raises(NotTransitive):
         wreath_product(table_of("s3"), pad)
+
+
+def _table_fields(T):
+    """Every field of a table that its products, words and elements read."""
+    return {
+        "actions": T._actions,
+        "rows": T.elements.rows,
+        "word_length": np.asarray(T.word_length),
+        "parent": np.asarray(T._parent),
+        "parent_step": np.asarray(T._parent_step),
+        "inverse": np.asarray(T.inv_idx),
+        "levels": [(level.start, level.stop) for level in T._levels],
+        "generators": T.generators,
+        "step_refs": T.step_refs,
+    }
+
+
+def _assert_same_table(T, U):
+    reference = _table_fields(U)
+    for field, got in _table_fields(T).items():
+        expected = reference[field]
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype and got.shape == expected.shape, field
+            assert np.array_equal(got, expected), field
+        else:
+            assert got == expected, field
+
+
+def _witness_factors(name):
+    """The factor tables of a wreath witness's permutation model."""
+    base, _, k = name.rpartition("wrs")
+    A = enumerate_group(matrix_to_perm_gens(list(catalog(base).elements)))
+    return A, enumerate_group(sym_gens(int(k)))
+
+
+def _derived_subgroup(name):
+    T = table_of(name)
+    return subgroup_table(T, commutator_subgroup(T, whole_group(T), whole_group(T)))
+
+
+_SWAP, _CYCLE = Perm([1, 0, 2]), Perm([1, 2, 0])
+_WITNESS_WREATHS = sorted({w[0] for case in _CASES for w in case["witnesses"] if "wrs" in w[0]})
+_WREATH_FACTORS = {
+    **{name: (lambda name=name: _witness_factors(name)) for name in _WITNESS_WREATHS},
+    "s4wrs2": lambda: (table_of("s4"), enumerate_group(catalog("s2"))),
+    "s3wrs3": lambda: (table_of("s3"), table_of("s3")),
+    # a regular top group: C3 on 3 points
+    "s3wrc3": lambda: (table_of("s3"), enumerate_group(cyclic_gens(3))),
+    # base generators (0 1), (0 1 2), (0 1) again: a repeated involution
+    "repeated base": lambda: (enumerate_group(GenSet([_SWAP, _CYCLE, _SWAP])), table_of("s2")),
+    # a base of two involutions
+    "involution base": lambda: (enumerate_group(GenSet([_SWAP, Perm([0, 2, 1])])), table_of("s3")),
+    # a base indexed by a subgroup table, its elements a list of objects
+    "subgroup base": lambda: (_derived_subgroup("s4"), table_of("s2")),
+}
+
+
+@pytest.mark.parametrize("name", list(_WREATH_FACTORS))
+def test_wreath_table_equals_enumeration(name):
+    A, B = _WREATH_FACTORS[name]()
+    W = wreath_table(A, B)
+    _assert_same_table(W, enumerate_group(wreath_product(A, B)))
+    assert W.n == A.n ** B.elements[0].degree * B.n
+    if name in ("s4wrs2", "s3wrs3"):
+        _assert_same_table(W, enumerate_group(catalog(name)))
+
+
+def test_wreath_table_needs_a_transitive_top():
+    A, pad = table_of("s3"), enumerate_group(GenSet([Perm([1, 0, 2])]))
+    with pytest.raises(NotTransitive):
+        wreath_table(A, pad)
+
+
+def _traced(build):
+    """The bytes `build()` leaves held, and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T = build()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return T, held, peak
+
+
+def _array_bytes(T):
+    return sum(field.nbytes for field in _table_fields(T).values() if isinstance(field, np.ndarray))
+
+
+@pytest.mark.parametrize("name", ["gammal1(32)wrs2", "gammal1(8)wrs3"])
+def test_wreath_table_memory(name):
+    # The derived table holds the arrays the enumerated one holds, and its
+    # build peak is no higher. Held bytes may differ by what the allocator
+    # keeps (free lists, caches filled on a first call): a few KiB.
+    A, B = _witness_factors(name)
+    wreath_table(A, B)  # builds the factors' dense rows, which they keep
+    W, held, peak = _traced(lambda: wreath_table(A, B))
+    E, e_held, e_peak = _traced(lambda: enumerate_group(wreath_product(A, B)))
+    arrays = _array_bytes(W)
+    assert arrays == _array_bytes(E) and arrays < held and abs(held - e_held) < 2**14
+    assert peak <= e_peak
 
 
 def test_monomial_group():

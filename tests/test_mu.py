@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -11,11 +12,13 @@ from mpmath import mp, mpf, log as mplog
 
 from conftest import table_of, square_of
 
+import solgrow.mu
 from solgrow.catalog import catalog
-from solgrow.errors import InvariantViolated, NotSoluble
+from solgrow.errors import CapExceeded, InvariantViolated, NotSoluble
 from solgrow.mu import (
     ABELIAN,
     CLASS2,
+    WREATH_CAP,
     ModifiedSeries,
     MuValue,
     mu_bruteforce,
@@ -286,6 +289,27 @@ def test_product_counterexample():
     assert res["mu_product"] == MuValue(3, 0)
     assert res["strict"] is True
     assert res["mu_product"] > MuValue(1, 1)
+
+
+def test_wreath_check_refuses_past_its_cap(monkeypatch):
+    # S4 wr S4 has 24^4 * 24 elements, past WREATH_CAP: refused from the
+    # orders alone, with nothing built and no ball completed
+    s4 = table_of("s4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as caught:
+            mu_of_wreath_check(s4, s4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 24**5 > WREATH_CAP and caught.value.last_completed is None
+    assert peak < 2**16
+    # the cap is inclusive: S3 wr S2 has 72 elements
+    monkeypatch.setattr(solgrow.mu, "WREATH_CAP", 72)
+    assert mu_of_wreath_check(table_of("s3"), table_of("s2"))["holds"]
+    monkeypatch.setattr(solgrow.mu, "WREATH_CAP", 71)
+    with pytest.raises(CapExceeded, match="cap of 71 elements"):
+        mu_of_wreath_check(table_of("s3"), table_of("s2"))
 
 
 def test_wreath_bound_examples():

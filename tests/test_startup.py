@@ -116,6 +116,30 @@ def test_growth_run_loads_only_what_it_uses(tmp_path):
     assert (tmp_path / "g.csv").read_text().splitlines()[-1] == "3,53"
 
 
+@pytest.mark.parametrize("job", ["analyze", "certify", "mu"])
+def test_finite_jobs_load_no_constructions(job, tmp_path):
+    # the wreath and catalog code serves `verify-cases` and `catalog` only
+    spec = tmp_path / "s4wrs2.json"
+    dump_genset(catalog("s4wrs2"), str(spec))
+    argv = {
+        "analyze": ["analyze", str(spec), "-o", str(tmp_path / "out.json")],
+        "certify": ["certify", str(spec)],
+        "mu": ["mu", str(spec), "--method", "bruteforce"],
+    }[job]
+    report = _child(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from solgrow.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        "print(json.dumps({'rc': rc, 'loaded': sorted(m for m in sys.modules"
+        " if m.startswith('solgrow.'))}))"
+    )
+    assert report["rc"] == 0
+    unused = {"solgrow.constructions", "solgrow.smallcases", "solgrow.catalog"}
+    assert unused.isdisjoint(report["loaded"]), report["loaded"]
+
+
 @pytest.mark.parametrize("job", ["verify-cases", "analyze"])
 def test_jobs_never_load_numpy_random(job, tmp_path):
     # numpy.random costs about 6 MiB of RSS and 15 ms to import

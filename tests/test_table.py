@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     object_enumeration,
     parent_chain_inverses,
+    unique_rule_bfs,
     word_ball_lengths,
     word_ball_sizes,
 )
@@ -340,6 +341,29 @@ def test_enumeration_hands_its_bfs_to_the_table(name, monkeypatch):
     assert list(T._parent_step) == step.tolist()
     indices = np.arange(T.n)
     assert [indices[level].tolist() for level in T._levels] == [lv.tolist() for lv in levels]
+
+
+def _derived_tables(name):
+    """A quotient, a subgroup table and a direct product, each built from
+    the table of `name` and running its own BFS over its step actions."""
+    T = table_of(name)
+    G = whole_group(T)
+    D = commutator_subgroup(T, G, G)
+    return [quotient(T, D).table, subgroup_table(T, D), direct_product(T, table_of("s3"))]
+
+
+@pytest.mark.parametrize("name", CORPUS_SMALL)
+def test_derived_bfs_matches_the_unique_rule(name):
+    # each new index's least reaching position, found by `minimum.at`, is
+    # the first occurrence `np.unique` finds
+    for T in _derived_tables(name):
+        wl, parent, step, levels = unique_rule_bfs(T._actions, T.n)
+        got = table._cayley_bfs(T._actions, T.n)
+        for array, expected in zip(got, (wl, parent, step)):
+            assert array.dtype == expected.dtype and np.array_equal(array, expected)
+        assert [level.tolist() for level in got[3]] == [level.tolist() for level in levels]
+        assert list(T.word_length) == wl.tolist() and list(T._parent) == parent.tolist()
+        assert list(T._parent_step) == step.tolist()
 
 
 def test_enumerated_tables_hold_few_bytes_per_element():
