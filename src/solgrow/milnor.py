@@ -77,12 +77,12 @@ def milnor_chain(T: FiniteGroupTable, Y: list[int]) -> MilnorChain:
     subgroups: list[Subgroup] = []
     C = _Closure(T)
     while True:
-        order = len(C.members)
+        order = C.order
         for y in level:
             C.add(y)
         levels.append(tuple(level))
         subgroups.append(C.subgroup(y for y in level if y))
-        if len(levels) > 1 and len(C.members) == order:
+        if len(levels) > 1 and C.order == order:
             break
         if len(levels) < len(by_len):
             level = sorted(set(level).union(conj[:, by_len[len(levels)]].ravel().tolist()))

@@ -399,6 +399,7 @@ def _prime_extensions(T: FiniteGroupTable, frontier: list[Subgroup]):
     for run, pos, conj in _conjugation_blocks(T, frontier):
         for H in run:
             hmask = H.flags
+            hpoints = np.flatnonzero(hmask).astype(np.int32)
             # g normalizes H iff it conjugates each generator of H into H.
             normalizer = hmask[conj[[pos[x] for x in H.generators]]].all(axis=0)
             seen = hmask.copy()
@@ -411,7 +412,7 @@ def _prime_extensions(T: FiniteGroupTable, frontier: list[Subgroup]):
                 K = C.subgroup(C.gens)
                 pr = _prime_power(K.order // H.order)
                 if pr is None or pr[1] != 1:
-                    seen[T.right_action(g)[hmask]] = True  # the coset Hg
+                    seen[T.mul_points(hpoints, g)] = True  # the coset Hg
                     continue
                 seen |= K.flags
                 yield K

@@ -25,8 +25,11 @@ Up to DENSE_LIMIT elements, the right action of j is kept as a dense row
 once it is first read: row j is R[s] applied to the row of j's BFS
 parent, so building it builds the missing rows on j's geodesic and no
 others. Above DENSE_LIMIT no row is kept, and i * j walks j's geodesic
-through R. A table holds no encoding -> index dict: its order n is the
-length of its step actions.
+through R. The product of a point set by j, `mul_points(xs, j)`, is a
+gather from j's row up to DENSE_LIMIT and above it a walk of j's geodesic
+on the |xs| points alone, so a caller that reads only a subgroup's or a
+coset's points forms no n-wide action. A table holds no encoding -> index
+dict: its order n is the length of its step actions.
 Perm and matfp tables keep their elements as rows (one byte an entry up
 to degree or p 256) and build each element object on access.
 
@@ -40,7 +43,11 @@ Orbits under index maps (subgroup closure, conjugacy classes, and the
 orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
 breadth-first walk, `_orbit`. Closures grow in place (`_Closure`) on a
 member mask: each generator adjoined walks only the points it newly
-reaches, so no subgroup is rebuilt from the identity. Conjugates of a few
+reaches, so no subgroup is rebuilt from the identity. A small closure
+walks them point by point (`_orbit`, over point maps that above
+DENSE_LIMIT walk a geodesic per point); from COSET_WALK_MIN members on,
+it walks right cosets of the old closure, one point-set product each
+(coset enumeration in the manner of Dimino). Conjugates of a few
 elements by the whole group (normalizers, centralizers, the
 self-centralizing test and conjugate chains) come from one walk down the
 BFS levels, `conjugates`.
@@ -176,10 +183,31 @@ class FiniteGroupTable:
         if rows is not None:
             row = rows[x]
             return np.asarray(row if row is not None else self._build_row(x))
-        out = np.arange(self.n, dtype=np.int32)
-        for s in self._geodesic(x):
-            out = self._actions[s][out]
-        return out
+        return self.mul_points(np.arange(self.n, dtype=np.int32), x)
+
+    def mul_points(self, xs: np.ndarray, g: int) -> np.ndarray:
+        """int32 indices of x * g for each index x of the int32 array xs.
+
+        Up to DENSE_LIMIT a gather from g's dense row; above it a walk of
+        g's geodesic through the step actions on the |xs| points alone
+        (xs itself when g = 0).
+        """
+        if self._rows is not None:
+            return self.right_action(g)[xs]
+        for s in self._geodesic(g):
+            xs = self._actions[s][xs]
+        return xs
+
+    def point_map(self, g: int) -> Sequence[int]:
+        """Index map i -> index of i * g, read one point at a time.
+
+        g's dense row up to DENSE_LIMIT; above it, a map that walks g's
+        geodesic for each point read, so no n-wide array is formed.
+        """
+        rows = self._rows
+        if rows is not None:
+            return rows[g] if rows[g] is not None else self._build_row(g)
+        return _GeodesicMap([self._action_views[s] for s in self._geodesic(g)])
 
     def conjugation_action(self, g: int) -> np.ndarray:
         """int32 array mapping index x to the index of g^-1 * x * g."""
@@ -397,32 +425,85 @@ def _orbit(maps: Sequence[Sequence[int]], seeds: Iterable[int], seen: bytearray)
     return out
 
 
+class _GeodesicMap:
+    """i -> the index of i * g, walking g's geodesic (its steps' actions)."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: list[memoryview]):
+        self.steps = steps
+
+    def __getitem__(self, i: int) -> int:
+        for a in self.steps:
+            i = a[i]
+        return i
+
+
+# Members from which `_Closure.add` walks cosets rather than points: below
+# it, the numpy calls of a coset cost more than the `_orbit` loop over its
+# points. Time in `add` over the verify-cases and finite-structure jobs is
+# flat from 12 to 24 and rises by 5-10% at 8 and at 32.
+COSET_WALK_MIN = 16
+
+
 class _Closure:
-    """A subgroup of T grown in place: its members in discovery order,
-    marked in `seen`, and the generators that enlarged it (`gens`), with
-    their right actions (`maps`). It starts from H (default: the trivial
-    subgroup), seeded with H's mask, members and generators. `seen` is the
-    member mask itself, so the subgroup is read off it with no sort."""
+    """A subgroup of T grown in place: its members, marked in `seen`, its
+    order, and the generators that enlarged it (`gens`) with their point
+    maps (`maps`, see `FiniteGroupTable.point_map`). It starts from H
+    (default: the trivial subgroup), seeded with H's mask, members and
+    generators. `seen` is the member mask itself, so the subgroup is read
+    off it with no sort.
+
+    Below COSET_WALK_MIN members, `members` is a list in discovery order
+    and adjoining g walks points (`_orbit`). From there on it is an int32
+    array, the identity first, and adjoining g to the closure K walks
+    right cosets of K, one point-set product (`mul_points`) each: every
+    coset K*r stored, r its first point (K itself, r = 1, included),
+    yields K*(r*s) = (K*r)*s for each generator s with r*s unmarked,
+    marked by one numpy store. The first is K*g. Right cosets of K are
+    disjoint or equal, so the union of those taken is closed under right
+    multiplication by every generator: it is <K, g>.
+    """
 
     def __init__(self, T: FiniteGroupTable, H: Subgroup | None = None):
         H = H if H is not None else trivial_subgroup(T)
         self.T = T
         self.seen = bytearray(H.mask)
-        self.members = list(H.members)
         self.gens = list(H.generators)
-        self.maps = [memoryview(T.right_action(g)) for g in self.gens]
+        self.maps = [T.point_map(g) for g in self.gens]
+        self.order = H.order
+        points = np.flatnonzero(H.flags).astype(np.int32)
+        self.members: list[int] | np.ndarray = (
+            points if self.order >= COSET_WALK_MIN else points.tolist()
+        )
 
     def add(self, g: int) -> bool:
         """Adjoin g; False, changing nothing, if g is already a member.
 
-        A word leaves the old closure first through g, so walking the new
-        points from every old member times g reaches all of <old, g>."""
+        A word leaves the old closure first through g, so walking on from
+        every old member times g (the coset K*g) reaches all of <old, g>."""
         if self.seen[g]:
             return False
-        m = memoryview(self.T.right_action(g))
+        m = self.T.point_map(g)
         self.gens.append(g)
         self.maps.append(m)
-        self.members += _orbit(self.maps, [m[x] for x in self.members], self.seen)
+        if isinstance(self.members, list):
+            self.members += _orbit(self.maps, [m[x] for x in self.members], self.seen)
+            self.order = len(self.members)
+            if self.order >= COSET_WALK_MIN:
+                self.members = np.array(self.members, np.int32)
+            return True
+        T, seen, flags = self.T, self.seen, np.frombuffer(self.seen, bool)
+        cosets = [self.members]
+        for c in cosets:  # cosets grows while it is walked
+            r = int(c[0])
+            for s, times_s in zip(self.gens, self.maps):
+                if not seen[times_s[r]]:
+                    c_s = T.mul_points(c, s)
+                    flags[c_s] = True
+                    cosets.append(c_s)
+        self.members = np.concatenate(cosets)
+        self.order = len(self.members)
         return True
 
     def subgroup(self, gens: Iterable[int]) -> Subgroup:
@@ -465,7 +546,7 @@ def reduce_generators(T: FiniteGroupTable, H: Subgroup) -> Subgroup:
     C = _Closure(T)
     order = H.order
     for x in H.members:
-        if len(C.members) == order:
+        if C.order == order:
             break
         C.add(x)
     return Subgroup(H.mask, tuple(C.gens))
@@ -708,7 +789,7 @@ def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
     local[glob] = np.arange(len(members), dtype=np.int32)
     gens = local[np.array(H.generators, dtype=np.int32)].tolist()
     elements = [T.elements[g] for g in members] if T.elements is not None else None
-    steps = _derived_steps(gens, lambda x: local[T.right_action(members[x])[glob]])
+    steps = _derived_steps(gens, lambda x: local[T.mul_points(glob, members[x])])
     return FiniteGroupTable(gens, *steps, elements=elements)
 
 
@@ -723,31 +804,36 @@ class QuotientGroup:
     def __init__(self, parent: FiniteGroupTable, N: Subgroup):
         if not is_normal(parent, N):
             raise NotNormal(f"subgroup of order {N.order} is not normal")
-        coset_of = [-1] * parent.n
-        reps: list[int] = []
-        members = list(N.members)
-        for g in range(parent.n):
-            if coset_of[g] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(g)
-            for x in members:
-                coset_of[parent.mul(g, x)] = cid
+        # gN = Ng for normal N, so the coset of g = p * s (p its BFS parent,
+        # s the step from p) is the coset of p times s: one gather of |N|
+        # points per coset, walking the elements by word length so that p
+        # is labelled first. Cosets are then numbered by least element.
+        label = np.full(parent.n, -1, dtype=np.int32)
+        found = memoryview(label)
+        cosets = [np.flatnonzero(N.flags).astype(np.int32)]
+        label[cosets[0]] = 0
+        up, step, actions = parent._parent, parent._parent_step, parent._actions
+        for g in np.argsort(np.asarray(parent.word_length)).tolist():
+            if found[g] < 0:
+                c = actions[step[g]][cosets[found[up[g]]]]
+                label[c] = len(cosets)
+                cosets.append(c)
+        if len(cosets) * N.order != parent.n or (label < 0).any():
+            raise InvariantViolated("cosets of the normal subgroup do not partition the group")
+        least = np.array(cosets).min(axis=1)
+        rank = np.empty(len(least), dtype=np.int32)
+        rank[np.argsort(least)] = np.arange(len(least), dtype=np.int32)
+        coset = rank[label]
         self.parent = parent
         self.normal = N
-        self.coset_of = coset_of
-        self.reps = reps
-        if len(reps) * N.order != parent.n:
-            raise InvariantViolated("cosets of the normal subgroup do not partition the group")
+        self.coset_of = coset.tolist()
+        self.reps = reps = np.sort(least).tolist()
 
         # Images of the parent generators, order and multiplicity preserved,
         # so that word references in the quotient lift to the parent.
-        gens = [coset_of[g] for g in parent.generators]
-        coset = np.array(coset_of, dtype=np.int32)
+        gens = [self.coset_of[g] for g in parent.generators]
         rep_index = np.array(reps, dtype=np.int32)
-        steps = _derived_steps(
-            gens, lambda c: coset[parent.right_action(reps[c])[rep_index]]
-        )
+        steps = _derived_steps(gens, lambda c: coset[parent.mul_points(rep_index, reps[c])])
         self.table = FiniteGroupTable(gens, *steps)
 
 

@@ -182,6 +182,19 @@ def closure_from_identity(T: FiniteGroupTable, gens: Sequence[int]) -> list[int]
     return members
 
 
+def quotient_by_scalar_products(T: FiniteGroupTable, N: Subgroup) -> tuple[list[int], list[int]]:
+    """Coset labels and representatives of T/N, one scalar product at a
+    time: each index not yet labelled starts a coset, labelled g*x for
+    every member x of N, so cosets are numbered by their least element."""
+    coset_of, reps = [-1] * T.n, []
+    for g in range(T.n):
+        if coset_of[g] < 0:
+            for x in N.members:
+                coset_of[T.mul(g, x)] = len(reps)
+            reps.append(g)
+    return coset_of, reps
+
+
 def reduce_generators_reclosing(T: FiniteGroupTable, members: Sequence[int]) -> tuple[int, ...]:
     """Greedy generators by index order, re-closing from the identity after
     each generator kept."""

@@ -228,6 +228,17 @@ def test_exhaustive_groups_checked():
     ]
 
 
+def test_transitive_exhaustive_at_degree_seven():
+    # Sym(7) has 5,040 elements, above DENSE_LIMIT; its soluble transitive
+    # subgroups up to conjugacy are C7, D7, 7:3 and AGL(1,7). Degree 7 is
+    # not among the default degrees, so `verify-cases` output is unchanged.
+    assert 7 not in smallcases.DEFAULT_EXHAUSTIVE_SYM
+    assert verify_transitive_exhaustive(degrees=(7,)) == {
+        "entries": [{"degree": 7, "groups_checked": 4, "mode": "exhaustive", "pass": True}],
+        "pass": True,
+    }
+
+
 def test_repeated_groups_built_once_per_run(monkeypatch):
     # gl2(2) and gl3(2) are ambients of two cases each, gl2(2)wrs2 and
     # gammal1(16) witnesses of two; each is enumerated once per call

@@ -4,6 +4,8 @@
 chains grow one `_Closure` each; the oracles rebuild every subgroup from
 the identity. Both must give the same members and the same generators, on
 the corpus and on one table above DENSE_LIMIT, where no dense row is kept.
+The point-set product `mul_points` that large closures, quotients and
+subgroup tables read must equal the gathered right action.
 """
 
 from __future__ import annotations
@@ -12,23 +14,36 @@ from functools import lru_cache
 
 import pytest
 
+import numpy as np
 from conftest import CORPUS_SMALL, table_of
 from oracles import (
     closure_from_identity,
     milnor_chain_from_scratch,
     normal_closure_by_rounds,
+    quotient_by_scalar_products,
     reduce_generators_reclosing,
 )
 
+from solgrow.catalog import catalog
 from solgrow.milnor import _pair_commutators, milnor_chain
+from solgrow.soluble import _prime_extensions, normal_subgroups
 from solgrow.table import (
+    COSET_WALK_MIN,
     DENSE_LIMIT,
+    FiniteGroupTable,
     _Closure,
+    center,
     commutator_subgroup,
+    derived_length,
+    derived_series,
     direct_product,
+    enumerate_group,
     normal_closure,
+    quotient,
     reduce_generators,
     subgroup_generated,
+    subgroup_table,
+    trivial_subgroup,
     whole_group,
 )
 
@@ -41,6 +56,13 @@ def _table(name):
     if name == BIG:
         return direct_product(table_of("agl1(64)"), table_of("c2"))
     return table_of(name)
+
+
+def _fresh_table(name):
+    """A table of its own, with no dense row built yet."""
+    if name == BIG:
+        return direct_product(table_of("agl1(64)"), table_of("c2"))
+    return enumerate_group(catalog(name))
 
 
 def _seed_sets(T):
@@ -119,12 +141,118 @@ def test_adding_a_member_returns_false_and_changes_nothing(name):
     C = _Closure(T)
     assert C.add(T.generators[0])
     assert not C.add(0)
-    state = (bytes(C.seen), list(C.members), [bytes(m) for m in C.maps])
+    state = (bytes(C.seen), list(C.members), list(C.gens), C.order)
     for x in list(C.members):
         assert not C.add(x)
-    assert (bytes(C.seen), list(C.members), [bytes(m) for m in C.maps]) == state
+    assert (bytes(C.seen), list(C.members), list(C.gens), C.order) == state
     # A non-member enlarges it and is walked from every old member.
     outside = next((x for x in range(T.n) if not C.seen[x]), None)
     if outside is not None:
         assert C.add(outside)
         assert sorted(C.members) == sorted(closure_from_identity(T, [T.generators[0], outside]))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_mul_points_equals_the_gathered_action(name):
+    T = _fresh_table(name)
+    n = T.n
+    elements = sorted({0, *T.generators, *range(1, n, max(1, n // 7)), n - 1})
+    point_sets = [
+        np.arange(n, dtype=np.int32),
+        np.arange(n - 1, -1, -3, dtype=np.int32),
+        np.zeros(0, dtype=np.int32),
+    ]
+    for g in elements:
+        # on a fresh table: up to DENSE_LIMIT the first product builds g's
+        # row; above it every product walks g's geodesic
+        products = [T.mul_points(xs, g) for xs in point_sets]
+        action = T.right_action(g)
+        for xs, got in zip(point_sets, products):
+            assert got.dtype == np.int32
+            assert got.tolist() == action[xs].tolist()
+            assert T.mul_points(xs, g).tolist() == action[xs].tolist()
+        some = point_sets[1][:50].tolist()
+        m = T.point_map(g)
+        assert [m[x] for x in some] == action[some].tolist()
+    assert (T._rows is None) == (n > DENSE_LIMIT)
+
+
+def _adjoined_one_by_one(T, C, elements):
+    """Adjoin each element to C, checking every enlarged closure against the
+    closure from the identity; returns how each add walked ("points",
+    "switch" when a point walk reached COSET_WALK_MIN, or "cosets")."""
+    walks = []
+    for g in elements:
+        walked_cosets = isinstance(C.members, np.ndarray)
+        if not C.add(g):
+            continue
+        switched = isinstance(C.members, np.ndarray)
+        walks.append("cosets" if walked_cosets else "switch" if switched else "points")
+        want = closure_from_identity(T, C.gens)
+        assert C.order == len(want) == bytes(C.seen).count(1)
+        # cosets are disjoint: no member is stored twice
+        assert sorted(C.members) == sorted(want)
+    return walks
+
+
+@pytest.mark.parametrize("name", ["s4wrs2", "s3wrs3", "agl1(64)", BIG])
+def test_closures_across_the_coset_switch_match_closure_from_identity(name):
+    T = _table(name)
+    # Members of the derived series from its foot up: the closure grows
+    # a little at a time, walking points while it is small and cosets
+    # once it holds COSET_WALK_MIN members.
+    series = derived_series(T)
+    up = [x for H in reversed(series) for x in H.members]
+    walks = _adjoined_one_by_one(T, _Closure(T), up)
+    assert walks[0] == "points" and "switch" in walks and "cosets" in walks
+    # A closure seeded with a subgroup past the switch starts with cosets.
+    H = next(H for H in series if COSET_WALK_MIN <= H.order < T.n)
+    C = _Closure(T, H)
+    assert isinstance(C.members, np.ndarray)
+    assert C.order == H.order and sorted(C.members) == list(H.members)
+    _adjoined_one_by_one(T, C, range(T.n))
+
+
+def _closure_results(T):
+    """Closures, a quotient, a subgroup table and a round of prime
+    extensions on T, as comparable values."""
+    G = whole_group(T)
+    D = commutator_subgroup(T, G, G)
+    Z = center(T)
+    chain = milnor_chain(T, [T.generators[0]])
+    return (
+        derived_length(T),
+        D.mask,
+        reduce_generators(T, D).generators,
+        normal_closure(T, [T.generators[0]]).mask,
+        [H.mask for H in chain.subgroups],
+        quotient(T, Z).coset_of,
+        subgroup_table(T, D).inv_idx.tolist(),
+        # the extensions over D mark the cosets Dg they do not take
+        [K.mask for K in _prime_extensions(T, [D])],
+    )
+
+
+def test_no_closure_above_the_dense_limit_forms_a_whole_action(monkeypatch):
+    want = _closure_results(_fresh_table(BIG))
+    right_action = FiniteGroupTable.right_action
+
+    def refuse_above_the_limit(self, x):
+        if self._rows is None:
+            raise AssertionError("n-wide right action formed")
+        return right_action(self, x)
+
+    monkeypatch.setattr(FiniteGroupTable, "right_action", refuse_above_the_limit)
+    assert _closure_results(_fresh_table(BIG)) == want
+
+
+@pytest.mark.parametrize("name", CORPUS_SMALL + ["s4wrs2", "agl1(64)"])
+def test_quotient_cosets_match_scalar_products(name):
+    T = table_of(name)
+    W = whole_group(T)
+    # In a subgroup table a BFS parent may follow its child in index order
+    # (as in the derived subgroups of s4, gammal1(16) and s4wrs2).
+    for G in (T, subgroup_table(T, commutator_subgroup(T, W, W))):
+        for N in normal_subgroups(G).subgroups + [trivial_subgroup(G)]:
+            Q = quotient(G, N)
+            assert (Q.coset_of, Q.reps) == quotient_by_scalar_products(G, N)
