@@ -357,13 +357,6 @@ class MatFp(_Matrix):
     def inverse(self) -> "MatFp":
         return self._like(self._eliminate()[1])  # type: ignore[arg-type]
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector over F_p."""
-        n, p = self.n, self.p
-        return tuple(
-            sum(self.entries[i * n + j] * vec[j] for j in range(n)) % p for i in range(n)
-        )
-
     def encode(self) -> bytes:
         if self._enc is None:
             self._enc = b"F" + struct.pack(

@@ -45,14 +45,6 @@ class DegenerateWindow(SolgrowError):
     """Fit window has too few usable data points."""
 
 
-class WitnessDegenerate(SolgrowError):
-    """A chain witness lies in the previous chain subgroup (chain bug)."""
-
-
-class HypothesisViolated(SolgrowError):
-    """Growth hypothesis gamma(n) <= exp(C n^theta) fails on the table."""
-
-
 class ContextViolated(SolgrowError):
     """Group does not satisfy the structural context (transitive/irreducible)."""
 

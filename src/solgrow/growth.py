@@ -304,17 +304,6 @@ def _merge(found: list[np.ndarray], held: list[np.ndarray]) -> np.ndarray:
     return keys[keep]
 
 
-def gap_hypothesis_check(tbl: GrowthTable, theta: float, C: float) -> bool:
-    """Whether gamma(n) <= exp(C n^theta) at every computed radius >= 1."""
-    if not (0 < theta < 1):
-        raise ValueError("theta must be in (0, 1)")
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    return all(
-        math.log(tbl.counts[n]) <= C * n**theta for n in range(1, tbl.radius + 1)
-    )
-
-
 @dataclass
 class GrowthFit:
     """Fitted growth model on a radius window."""
@@ -401,15 +390,6 @@ def s4_tower(depth: int) -> GenSet:
         for label in _S4_GEN_LABELS:
             gens.append(_leveled_gen(depth, level, label))
     return GenSet(gens)
-
-
-def s4_tower_order(depth: int) -> int:
-    return 24 ** ((4**depth - 1) // 3)
-
-
-def s4_tower_derived_order(depth: int) -> int:
-    # The abelianization is C2 (depth 1) or C2 x C2 (top sign, base sign).
-    return s4_tower_order(depth) // (2 if depth == 1 else 4)
 
 
 def s4_tower_derived(depth: int) -> GenSet:

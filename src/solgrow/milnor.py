@@ -21,23 +21,14 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import _echelon_insert
-from .errors import (
-    HypothesisViolated,
-    InvariantViolated,
-    NotSelfCentralizing,
-    RankDeficient,
-    SeriesMismatch,
-    WitnessDegenerate,
-)
+from .errors import InvariantViolated, NotSelfCentralizing, RankDeficient, SeriesMismatch
 from .fields import _prime_power
-from .mu import ABELIAN, ModifiedSeries, MuValue, mu_fast
+from .mu import ABELIAN, MuValue, mu_fast
 from .table import (
     FiniteGroupTable,
     Subgroup,
     _Closure,
-    commutator_subgroup,
     normal_closure,
-    subgroup_generated,
     trivial_subgroup,
 )
 
@@ -120,78 +111,6 @@ def subset_products(T: FiniteGroupTable, elements: list[int]) -> list[int]:
     return prods
 
 
-def distinct_products_check(chain: MilnorChain) -> tuple[bool, dict]:
-    """Exact distinctness of the 2^k witness subset products, plus datapoint.
-
-    The datapoint is gamma(kL + 2k^2) >= 2^k, checked against the table's
-    word-length histogram (the ball saturates to |G| beyond the diameter).
-    """
-    T = chain.table
-    for j, y in enumerate(chain.witnesses):
-        if y in chain.subgroups[j]:
-            raise WitnessDegenerate(f"witness {j + 1} lies in H_{j}")
-    prods = subset_products(T, list(chain.witnesses))
-    distinct = len(set(prods)) == len(prods)
-    k, L = chain.k, chain.seed_length
-    radius = k * L + 2 * k * k
-    gamma = T.gamma(radius)
-    ok = distinct and gamma >= 2**k
-    return ok, {
-        "k": k,
-        "seed_length": L,
-        "radius": radius,
-        "bound": 2**k,
-        "gamma": gamma,
-        "distinct": distinct,
-    }
-
-
-def quantitative_bound_check(chain: MilnorChain, theta: float, C: float) -> dict:
-    """Check the quantitative chain bounds under the growth hypothesis.
-
-    Requires gamma(n) <= exp(C n^theta) on the table's whole range (else
-    HypothesisViolated); then checks, raising InvariantViolated if not,
-        k <= (5C)^(1/(1-2 theta)) * max(L,1)^(theta/(1-theta))
-    and len(Z) <= L + C1 * max(L,1)^(theta/(1-theta)) with
-    C1 = 2 (5C)^(1/(1-2 theta)).
-    """
-    if not theta < 0.5:
-        raise ValueError("theta must be < 1/2")
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    T = chain.table
-    counts = T.growth_counts()
-    for n in range(1, len(counts)):
-        if math.log(counts[n]) > C * n**theta:
-            raise HypothesisViolated(
-                f"gamma({n}) = {counts[n]} exceeds exp({C} * {n}^{theta})"
-            )
-    L_eff = max(chain.seed_length, 1)
-    base = (5 * C) ** (1 / (1 - 2 * theta))
-    k_bound = base * L_eff ** (theta / (1 - theta))
-    c1 = 2 * base
-    z_bound = chain.seed_length + c1 * L_eff ** (theta / (1 - theta))
-    k_ok = chain.k <= k_bound
-    z_ok = chain.closure_length <= z_bound
-    if not k_ok:
-        raise InvariantViolated("stabilization index exceeds the quantitative bound")
-    if not z_ok:
-        raise InvariantViolated("closure generator length exceeds the quantitative bound")
-    return {
-        "theta": theta,
-        "C": C,
-        "C1": c1,
-        "k": chain.k,
-        "k_bound": k_bound,
-        "k_ok": k_ok,
-        "z_length": chain.closure_length,
-        "z_bound": z_bound,
-        "z_ok": z_ok,
-        "k_slack": k_bound - chain.k,
-        "z_slack": z_bound - chain.closure_length,
-    }
-
-
 def _pair_commutators(T: FiniteGroupTable, xs: tuple[int, ...]) -> list[int]:
     pairs = dict.fromkeys(T.comm(a, b) for a in xs for b in xs)
     return [c for c in pairs if c != 0]
@@ -201,50 +120,6 @@ def _triple_commutators(T: FiniteGroupTable, xs: tuple[int, ...]) -> list[int]:
     pairs = _pair_commutators(T, xs)
     triples = dict.fromkeys(T.comm(c, z) for c in pairs for z in xs)
     return [t for t in triples if t != 0]
-
-
-def derived_generators(T: FiniteGroupTable, k_max: int) -> dict:
-    """Short generating sets of the derived series via conjugate chains.
-
-    Step k seeds the chain with the pair commutators of the previous
-    generating set; the stabilized conjugate set generates the k-th
-    derived subgroup. Records exact max lengths and the ratio to 4^k,
-    plus the smallest constants making the step recurrences hold.
-    """
-    records = []
-    X = tuple(dict.fromkeys(g for g in T.generators if g != 0))
-    current = subgroup_generated(T, list(X))
-    lengths = [max((T.word_length[x] for x in X), default=0)]
-    records.append(
-        {"k": 0, "order": current.order, "set_size": len(X), "max_length": lengths[0],
-         "ratio": float(lengths[0])}
-    )
-    for k in range(1, k_max + 1):
-        if current.is_trivial():
-            break
-        Y = _pair_commutators(T, X)
-        if not Y:
-            records.append({"k": k, "order": 1, "set_size": 0, "max_length": 0, "ratio": 0.0})
-            current = trivial_subgroup(T)
-            break
-        chain = milnor_chain(T, Y)
-        expected = commutator_subgroup(T, current, current)
-        if chain.subgroups[chain.k].mask != expected.mask:
-            raise InvariantViolated("chain closure differs from the derived subgroup")
-        X = chain.generating_set
-        current = chain.subgroups[chain.k]
-        lengths.append(chain.closure_length)
-        records.append(
-            {
-                "k": k,
-                "order": current.order,
-                "set_size": len(X),
-                "max_length": chain.closure_length,
-                "ratio": chain.closure_length / 4**k,
-            }
-        )
-    rec_const = _recurrence_constant(lengths, [4] * len(lengths))
-    return {"steps": records, "recurrence_constant": rec_const}
 
 
 def _recurrence_constant(lengths: list[int], factors: list[int]) -> float:
@@ -344,37 +219,6 @@ def _elementary_abelian_coords(T: FiniteGroupTable, V: Subgroup, p: int):
     return basis, span
 
 
-def canonical_modified_chain(
-    Gbar: FiniteGroupTable, V: Subgroup
-) -> tuple[ModifiedSeries, list[int]]:
-    """Optimal derived/gamma_3 series of Gbar, checked to end at V.
-
-    Returns the series and its cost word (4 per abelian step, 10 per
-    class-2 step); the product of the word is 4^a * 10^b for the group's
-    exact cost pair (a, b).
-    """
-    from .soluble import _is_self_centralizing
-
-    if not _is_self_centralizing(Gbar, trivial_subgroup(Gbar), V):
-        raise NotSelfCentralizing("V is not self-centralizing in the quotient")
-    return _modified_chain(Gbar, V)
-
-
-def _modified_chain(
-    Gbar: FiniteGroupTable, V: Subgroup
-) -> tuple[ModifiedSeries, list[int]]:
-    """`canonical_modified_chain` for a V already known to be self-centralizing."""
-    cost, series = mu_fast(Gbar)
-    if series.chain[-2].mask != V.mask:
-        raise SeriesMismatch(
-            "canonical series does not end at the self-centralizing socle"
-        )
-    word = series.cost_word()
-    if math.prod(word) != 4**cost.a * 10**cost.b:
-        raise InvariantViolated("cost word does not multiply to 4^a * 10^b")
-    return series, word
-
-
 def certify_growth_lower_bound(
     G: FiniteGroupTable,
     N: Subgroup | None = None,
@@ -413,7 +257,13 @@ def certify_growth_lower_bound(
         raise InvariantViolated("socle is not a p-group")
     p, rank = pr
 
-    series, cost_word = _modified_chain(Gbar, V)
+    # The optimal derived/gamma_3 series of Gbar, which must end at V.
+    cost, series = mu_fast(Gbar)
+    if series.chain[-2].mask != V.mask:
+        raise SeriesMismatch("canonical series does not end at the self-centralizing socle")
+    cost_word = series.cost_word()
+    if math.prod(cost_word) != 4**cost.a * 10**cost.b:
+        raise InvariantViolated("cost word does not multiply to 4^a * 10^b")
     k = len(series.kinds)
 
     # Length-tracked generating sets X_0 .. X_{k-1} along the series.

@@ -19,16 +19,11 @@ from .table import (
     FiniteGroupTable,
     Subgroup,
     commutator_subgroup,
-    direct_product,
-    enumerate_group,
     is_soluble,
-    quotient,
     whole_group,
 )
 
 BRUTE_CAP = 2048
-SUBGROUP_LAW_CAP = 600  # largest group whose whole subgroup list mu_properties_check walks
-WREATH_CAP = 200_000
 
 ABELIAN = "abelian"
 CLASS2 = "class2"
@@ -95,17 +90,6 @@ class MuValue:
     @property
     def value(self) -> float:
         return self.a + self.b * math.log(10) / math.log(4)
-
-    def decimal(self, digits: int = 30) -> str:
-        from mpmath import mp, mpf, log
-
-        old = mp.dps
-        try:
-            mp.dps = digits + 5
-            val = mpf(self.a) + mpf(self.b) * log(10) / log(4)
-            return mp.nstr(val, digits)
-        finally:
-            mp.dps = old
 
     def as_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "value": self.value}
@@ -247,108 +231,3 @@ def mu_fast(
             yield g3, CLASS2
 
     return _least_cost_series(T, start if start is not None else whole_group(T), steps)
-
-
-def mu_properties_check(
-    tables: list[FiniteGroupTable],
-    power_tables: list[FiniteGroupTable] | None = None,
-) -> dict:
-    """Verify monotonicity, quotient, extension and power laws on a corpus.
-
-    For each table G: mu(H) <= mu(G) over the full subgroup lattice,
-    mu(G/N) <= mu(G) and mu(G) <= mu(N) + mu(G/N) over the normal lattice;
-    for each table in power_tables, mu(G^2) = mu(G). Values via mu_fast.
-    """
-    from .soluble import normal_subgroups, soluble_subgroups
-
-    violations: list[str] = []
-    pairs = 0
-    for G in tables:
-        mu_g, _ = mu_fast(G)
-        if G.n <= SUBGROUP_LAW_CAP:
-            for H in soluble_subgroups(G):
-                mu_h, _ = mu_fast(G, start=H)
-                pairs += 1
-                if mu_h > mu_g:
-                    violations.append(f"subgroup law: order {H.order} in order {G.n}")
-        for N in normal_subgroups(G).subgroups:
-            Q = quotient(G, N)
-            mu_q, _ = mu_fast(Q.table)
-            mu_n, _ = mu_fast(G, start=N)
-            pairs += 2
-            if mu_q > mu_g:
-                violations.append(f"quotient law: |N|={N.order} in order {G.n}")
-            if mu_g > mu_n + mu_q:
-                violations.append(f"extension law: |N|={N.order} in order {G.n}")
-    for G in power_tables or []:
-        sq = direct_product(G, G)
-        mu_g, _ = mu_fast(G)
-        mu_sq, _ = mu_fast(sq)
-        pairs += 1
-        if mu_sq != mu_g:
-            violations.append(f"power law: order {G.n} squared")
-    return {"pairs_checked": pairs, "violations": violations}
-
-
-def _sl23_table() -> FiniteGroupTable:
-    from .elements import GenSet, MatFp
-
-    s = MatFp(2, 3, [[0, 2], [1, 0]])
-    t = MatFp(2, 3, [[1, 1], [0, 1]])
-    return enumerate_group(GenSet([s, t]))
-
-
-def _f9_q8_table() -> FiniteGroupTable:
-    from .constructions import affine_semidirect
-    from .elements import MatFp
-
-    i = MatFp(2, 3, [[0, 2], [1, 0]])
-    j = MatFp(2, 3, [[1, 1], [1, 2]])
-    return enumerate_group(affine_semidirect(2, 3, [i, j]))
-
-
-def product_counterexample_check(use_oracle: bool = False) -> dict:
-    """Strict failure of the max law for one concrete direct product.
-
-    Builds the double cover of Alt(4) as 2x2 matrices over F_3 and the
-    72-element affine group F_3^2 x| Q_8, and tests whether
-    mu(G1 x G2) > max(mu(G1), mu(G2)).
-    """
-    G1 = _sl23_table()
-    G2 = _f9_q8_table()
-    P = direct_product(G1, G2)
-    mu1, _ = mu_fast(G1)
-    mu2, _ = mu_fast(G2)
-    mup, _ = mu_fast(P)
-    if use_oracle:
-        o1, _ = mu_bruteforce(G1)
-        o2, _ = mu_bruteforce(G2)
-        if (o1, o2) != (mu1, mu2):
-            raise InvariantViolated("brute-force oracle disagrees with mu_fast")
-    biggest = mu1 if mu1 >= mu2 else mu2
-    return {
-        "mu_g1": mu1,
-        "mu_g2": mu2,
-        "mu_product": mup,
-        "strict": mup > biggest,
-    }
-
-
-def mu_of_wreath_check(A: FiniteGroupTable, B: FiniteGroupTable) -> dict:
-    """Whether mu(A wr B) <= mu(A) + mu(B) for permutation tables A, B.
-
-    Raises CapExceeded, before building anything, when |A|^b * |B| exceeds
-    WREATH_CAP (b the degree of B).
-    """
-    from .constructions import wreath_table
-
-    W = wreath_table(A, B, cap=WREATH_CAP)
-    mu_w, _ = mu_fast(W)
-    mu_a, _ = mu_fast(A)
-    mu_b, _ = mu_fast(B)
-    return {
-        "mu_wreath": mu_w,
-        "mu_a": mu_a,
-        "mu_b": mu_b,
-        "holds": mu_w <= mu_a + mu_b,
-    }

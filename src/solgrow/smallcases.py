@@ -89,19 +89,12 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
     return gens, model
 
 
-def check_irreducible_witness(
-    name: str, n: int, p: int, mu_claim: tuple[int, int, int] | None,
-    delta_claim: int | None,
-) -> dict:
-    """Check claimed bounds on one named irreducible witness."""
-    return _check_witness(name, *witness_group(name), n, p, mu_claim, delta_claim)
-
-
 def _check_witness(
     name: str, gens: GenSet, model: FiniteGroupTable, n: int, p: int,
     mu_claim: tuple[int, int, int] | None, delta_claim: int | None,
 ) -> dict:
-    """`check_irreducible_witness` on the witness's generators and model."""
+    """Check claimed bounds on one named irreducible witness, given its
+    generators and table model (`witness_group`)."""
     first = gens.elements[0]
     if not (isinstance(first, MatFp) and first.n == n and first.p == p):
         raise ContextViolated(f"witness {name} is not in GL_{n}({p})")

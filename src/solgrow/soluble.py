@@ -27,17 +27,14 @@ from math import gcd
 
 import numpy as np
 
-from .bounds import rho_int_bound
 from .errors import CapExceeded, InvariantViolated, NotSoluble, TrivialGroup
 from .fields import _prime_power
 from .table import (
     FiniteGroupTable,
     Subgroup,
-    _Closure,
     conjugacy_classes,
     derived_series,
     is_soluble,
-    lower_central_series,
     nilpotency_class,
     reduce_generators,
     trivial_subgroup,
@@ -46,7 +43,6 @@ from .table import (
 
 LATTICE_CAP = 20_000
 SUBGROUP_ENUM_CAP = 10_000
-MAXIMAL_CHECK_CAP = 500
 # int32 entries in one prime-extension conjugation walk (16 MiB)
 CONJ_BLOCK_ENTRIES = 1 << 22
 
@@ -308,11 +304,6 @@ def sc_chief_rank(
     return best
 
 
-def chief_factor_orders_selfc(T: FiniteGroupTable) -> set[int]:
-    """Orders p^r of self-centralizing chief factors over all quotients."""
-    return {M.order // N.order for N, M in _selfc_factors(T, normal_subgroups(T))}
-
-
 def is_supersoluble(
     T: FiniteGroupTable,
     lattice: NormalLattice | None = None,
@@ -337,23 +328,6 @@ def is_supersoluble(
     if by_rank != all(rec.rank == 1 for rec in series):
         raise InvariantViolated("rank-1 criterion disagrees with cyclic chief factors")
     return by_rank
-
-
-def check_srank_nilpotency(T: FiniteGroupTable, n: int) -> bool:
-    """Nilpotency of the deep derived term for groups of rank at most n.
-
-    Takes the derived-series term at the integer derived-length bound for
-    soluble linear groups of degree n and reports whether it is nilpotent.
-    """
-    series = derived_series(T)
-    if not series[-1].is_trivial():
-        raise NotSoluble("check requires a soluble group")
-    if T.n > 1 and n < sc_chief_rank(T, soluble=True):
-        raise ValueError("n is below the self-centralizing chief rank")
-    d = rho_int_bound(n)
-    term = series[d] if d < len(series) else series[-1]
-    sub_series = lower_central_series(T, start=term)
-    return sub_series[-1].is_trivial()
 
 
 # -- full subgroup enumeration (soluble subgroups, cyclic extensions) --------
@@ -406,16 +380,21 @@ def _prime_extensions(T: FiniteGroupTable, frontier: list[Subgroup]):
             for g in np.flatnonzero(normalizer).tolist():
                 if seen[g]:
                     continue
-                # g normalizes H, so <H, g> / H is cyclic of order |gH|.
-                C = _Closure(T, H)
-                C.add(g)
-                K = C.subgroup(C.gens)
-                pr = _prime_power(K.order // H.order)
+                # g normalizes H, so <H, g> is H, Hg, Hg^2, ..., and the
+                # index of H in it is the least m with g^m in H.
+                x, m = g, 1
+                while not H.mask[x]:
+                    x, m = T.mul(x, g), m + 1
+                pr = _prime_power(m)
                 if pr is None or pr[1] != 1:
                     seen[T.mul_points(hpoints, g)] = True  # the coset Hg
                     continue
-                seen |= K.flags
-                yield K
+                coset, kmask = hpoints, hmask.copy()
+                for _ in range(m - 1):
+                    coset = T.mul_points(coset, g)
+                    kmask[coset] = True
+                seen |= kmask
+                yield Subgroup(kmask.tobytes(), (*H.generators, g))
 
 
 def _check_enum_cap(T: FiniteGroupTable) -> None:
@@ -485,32 +464,6 @@ def soluble_subgroup_classes(T: FiniteGroupTable) -> list[Subgroup]:
                 nxt.append(K)
         frontier = nxt
     return _by_order(reps)
-
-
-def maximal_subgroups(T: FiniteGroupTable) -> list[Subgroup]:
-    """Maximal proper subgroups of a soluble group (full enumeration)."""
-    if T.n > MAXIMAL_CHECK_CAP:
-        raise CapExceeded(f"group order {T.n} exceeds maximal-subgroup cap {MAXIMAL_CHECK_CAP}")
-    if not is_soluble(T):
-        raise NotSoluble("maximal subgroup enumeration implemented for soluble groups")
-    subs = [S for S in soluble_subgroups(T) if S.order < T.n]
-    out = []
-    for H in subs:
-        if not any(
-            K.order > H.order and K.order % H.order == 0 and K.contains_set(H)
-            for K in subs
-        ):
-            out.append(H)
-    return out
-
-
-def sc_iff_maximal_index_check(T: FiniteGroupTable) -> bool:
-    """Diagnostic: self-centralizing factor orders equal maximal indices."""
-    if not is_soluble(T):
-        raise NotSoluble("diagnostic requires a soluble group")
-    orders = chief_factor_orders_selfc(T)
-    indices = {T.n // M.order for M in maximal_subgroups(T)}
-    return orders == indices
 
 
 def analyze_record(T: FiniteGroupTable) -> dict:

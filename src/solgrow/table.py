@@ -12,9 +12,8 @@ A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
 over the table's BFS steps (the generators, then their inverses). Every
 table, whether enumerated from concrete GroupElements or derived as a
-quotient, subgroup or direct product, multiplies the same way: it stores
-the right action of each BFS step on indices, R[s][i] = index of i * s,
-as one (steps, n) int32 array. An enumerated table takes its word lengths,
+quotient, multiplies the same way: it stores the right action of each BFS
+step on indices, R[s][i] = index of i * s, as one (steps, n) int32 array. An enumerated table takes its word lengths,
 BFS parents and levels (contiguous index ranges) from the element BFS; a
 derived one runs one BFS over R. Inverse indices come from one pass down
 the BFS levels: x = t * rest(x), t the first step of x's geodesic, and
@@ -48,9 +47,9 @@ walks them point by point (`_orbit`, over point maps that above
 DENSE_LIMIT walk a geodesic per point); from COSET_WALK_MIN members on,
 it walks right cosets of the old closure, one point-set product each
 (coset enumeration in the manner of Dimino). Conjugates of a few
-elements by the whole group (normalizers, centralizers, the
-self-centralizing test and conjugate chains) come from one walk down the
-BFS levels, `conjugates`.
+elements by the whole group (normalizers, the self-centralizing test
+and conjugate chains) come from one walk down the BFS levels,
+`conjugates`.
 
 Tables are immutable after construction; all queries are pure reads (dense
 rows and the step conjugation maps are built on first use).
@@ -449,10 +448,9 @@ COSET_WALK_MIN = 16
 class _Closure:
     """A subgroup of T grown in place: its members, marked in `seen`, its
     order, and the generators that enlarged it (`gens`) with their point
-    maps (`maps`, see `FiniteGroupTable.point_map`). It starts from H
-    (default: the trivial subgroup), seeded with H's mask, members and
-    generators. `seen` is the member mask itself, so the subgroup is read
-    off it with no sort.
+    maps (`maps`, see `FiniteGroupTable.point_map`). It starts from the
+    trivial subgroup. `seen` is the member mask itself, so the subgroup is
+    read off it with no sort.
 
     Below COSET_WALK_MIN members, `members` is a list in discovery order
     and adjoining g walks points (`_orbit`). From there on it is an int32
@@ -465,17 +463,14 @@ class _Closure:
     multiplication by every generator: it is <K, g>.
     """
 
-    def __init__(self, T: FiniteGroupTable, H: Subgroup | None = None):
-        H = H if H is not None else trivial_subgroup(T)
+    def __init__(self, T: FiniteGroupTable):
         self.T = T
-        self.seen = bytearray(H.mask)
-        self.gens = list(H.generators)
-        self.maps = [T.point_map(g) for g in self.gens]
-        self.order = H.order
-        points = np.flatnonzero(H.flags).astype(np.int32)
-        self.members: list[int] | np.ndarray = (
-            points if self.order >= COSET_WALK_MIN else points.tolist()
-        )
+        self.seen = bytearray(T.n)
+        self.seen[0] = 1
+        self.gens: list[int] = []
+        self.maps: list[Sequence[int]] = []
+        self.order = 1
+        self.members: list[int] | np.ndarray = [0]
 
     def add(self, g: int) -> bool:
         """Adjoin g; False, changing nothing, if g is already a member.
@@ -630,17 +625,6 @@ def conjugacy_classes(
     return [tuple(sorted(c)) for x in H.members if (c := _orbit(maps, (x,), seen))]
 
 
-def centralizer(T: FiniteGroupTable, S: Subgroup) -> Subgroup:
-    """Elements commuting with every member of S (generators suffice)."""
-    gens = np.array(S.generators, dtype=np.int32)
-    fixed = (T.conjugates(gens) == gens[:, None]).all(axis=0)
-    return reduce_generators(T, Subgroup(fixed.tobytes(), ()))
-
-
-def center(T: FiniteGroupTable) -> Subgroup:
-    return centralizer(T, whole_group(T))
-
-
 def is_normal(T: FiniteGroupTable, H: Subgroup) -> bool:
     return all(T.conj(x, g) in H for x in H.generators for g in T.generators)
 
@@ -781,18 +765,6 @@ def _derived_steps(
     return refs + [-r for r in refs], forward + [_inverted(a) for a in forward]
 
 
-def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
-    """H as a standalone table; word lengths are w.r.t. H's generators."""
-    members = list(H.members)
-    glob = np.array(members, dtype=np.int32)
-    local = np.full(T.n, -1, dtype=np.int32)
-    local[glob] = np.arange(len(members), dtype=np.int32)
-    gens = local[np.array(H.generators, dtype=np.int32)].tolist()
-    elements = [T.elements[g] for g in members] if T.elements is not None else None
-    steps = _derived_steps(gens, lambda x: local[T.mul_points(glob, members[x])])
-    return FiniteGroupTable(gens, *steps, elements=elements)
-
-
 class QuotientGroup:
     """Quotient G/N carried as a coset-representative table.
 
@@ -840,15 +812,3 @@ class QuotientGroup:
 def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:
     """Quotient of T by a normal subgroup N."""
     return QuotientGroup(T, N)
-
-
-def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable:
-    """Direct product at the table level; element (i, j) has index i*|B|+j."""
-    nB = B.n
-    gens = [g * nB for g in A.generators] + [g for g in B.generators]
-
-    def action(x: int) -> np.ndarray:
-        i, j = divmod(x, nB)
-        return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
-
-    return FiniteGroupTable(gens, *_derived_steps(gens, action))

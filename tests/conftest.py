@@ -10,8 +10,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import direct_product
+
 from solgrow.catalog import catalog
-from solgrow.table import FiniteGroupTable, direct_product, enumerate_group
+from solgrow.table import FiniteGroupTable, enumerate_group
 
 # Catalog groups of order <= 200, the core acceptance corpus.
 CORPUS_SMALL = [

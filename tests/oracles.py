@@ -1,18 +1,37 @@
 """Independent brute-force oracles: definitional recomputations used to
 freeze expected values. Deliberately naive; no shared code paths with the
 algorithms they check beyond the element arithmetic itself.
+
+The last section holds what several test modules share that is no oracle:
+tables derived from other tables (direct products, subgroup tables), the
+centre, and the checks of the paper's lemmas that more than one test runs.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import product as cartesian
 from typing import Sequence
 
 import numpy as np
 
+from solgrow.bounds import rho_int_bound
 from solgrow.elements import GenSet, MatFp
-from solgrow.table import FiniteGroupTable, Subgroup, subgroup_generated
+from solgrow.milnor import MilnorChain, subset_products
+from solgrow.mu import mu_fast
+from solgrow.soluble import normal_subgroups, soluble_subgroups
+from solgrow.table import (
+    FiniteGroupTable,
+    Subgroup,
+    _derived_steps,
+    derived_series,
+    lower_central_series,
+    quotient,
+    reduce_generators,
+    subgroup_generated,
+    whole_group,
+)
 
 
 def word_ball_lengths(gens: GenSet, radius: int) -> dict[bytes, int]:
@@ -142,11 +161,17 @@ def _proper_subspaces(n: int, p: int) -> list[frozenset[tuple[int, ...]]]:
     return list(found)
 
 
+def matrix_apply(M: MatFp, vec: Sequence[int]) -> tuple[int, ...]:
+    """M times the column vector vec over F_p."""
+    n, p = M.n, M.p
+    return tuple(sum(M.entries[i * n + j] * vec[j] for j in range(n)) % p for i in range(n))
+
+
 def naive_is_irreducible(gens: Sequence[MatFp]) -> bool:
     """No proper nonzero subspace of F_p^n is invariant, checking each one."""
     n, p = gens[0].n, gens[0].p
     return not any(
-        all(M.apply(v) in W for M in gens for v in W) for W in _proper_subspaces(n, p)
+        all(matrix_apply(M, v) in W for M in gens for v in W) for W in _proper_subspaces(n, p)
     )
 
 
@@ -409,3 +434,96 @@ def free_group_reduced_words(n: int) -> int:
                 continue
             stack.append((depth + 1, word + (l,)))
     return count
+
+
+# -- derived tables and shared lemma checks ------------------------------------
+
+
+def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable:
+    """A x B at the table level; element (i, j) has index i*|B| + j."""
+    nB = B.n
+    gens = [g * nB for g in A.generators] + list(B.generators)
+
+    def action(x: int) -> np.ndarray:
+        i, j = divmod(x, nB)
+        return (A.right_action(i)[:, None] * nB + B.right_action(j)[None, :]).ravel()
+
+    return FiniteGroupTable(gens, *_derived_steps(gens, action))
+
+
+def subgroup_table(T: FiniteGroupTable, H: Subgroup) -> FiniteGroupTable:
+    """H as a standalone table; word lengths are w.r.t. H's generators."""
+    members = list(H.members)
+    glob = np.array(members, dtype=np.int32)
+    local = np.full(T.n, -1, dtype=np.int32)
+    local[glob] = np.arange(len(members), dtype=np.int32)
+    gens = local[np.array(H.generators, dtype=np.int32)].tolist()
+    elements = [T.elements[g] for g in members] if T.elements is not None else None
+    steps = _derived_steps(gens, lambda x: local[T.mul_points(glob, members[x])])
+    return FiniteGroupTable(gens, *steps, elements=elements)
+
+
+def centralizer(T: FiniteGroupTable, S: Subgroup) -> Subgroup:
+    """Elements commuting with every generator of S, read off `T.conjugates`."""
+    gens = np.array(S.generators, dtype=np.int32)
+    fixed = (T.conjugates(gens) == gens[:, None]).all(axis=0)
+    return reduce_generators(T, Subgroup(fixed.tobytes(), ()))
+
+
+def center(T: FiniteGroupTable) -> Subgroup:
+    return centralizer(T, whole_group(T))
+
+
+def gap_hypothesis_holds(counts: Sequence[int], theta: float, C: float) -> bool:
+    """Whether gamma(n) <= exp(C n^theta) at every radius n >= 1 of the
+    ball sizes `counts` (gamma(0), gamma(1), ...)."""
+    return all(math.log(counts[n]) <= C * n**theta for n in range(1, len(counts)))
+
+
+def chain_datapoint(ch: MilnorChain) -> tuple[bool, int]:
+    """Whether each witness y_j lies outside H_(j-1) and the 2^k subset
+    products of the witnesses are distinct, and gamma(kL + 2k^2) from the
+    table's word-length histogram: the chain's growth datapoint is
+    gamma(kL + 2k^2) >= 2^k."""
+    fresh = all(y not in H for y, H in zip(ch.witnesses, ch.subgroups))
+    products = subset_products(ch.table, list(ch.witnesses))
+    radius = ch.k * ch.seed_length + 2 * ch.k**2
+    return fresh and len(set(products)) == len(products), ch.table.gamma(radius)
+
+
+def mu_law_violations(
+    tables: Sequence[FiniteGroupTable], power_tables: Sequence[FiniteGroupTable]
+) -> tuple[int, list[str]]:
+    """The properties lemma, by `mu_fast`: for each table G, mu(H) <= mu(G)
+    over its soluble subgroups H, and mu(G/N) <= mu(G) <= mu(N) + mu(G/N)
+    over its normal subgroups N; for each power table, mu(G x G) = mu(G).
+    Returns the number of pairs compared and the laws broken."""
+    violations: list[str] = []
+    pairs = 0
+    for G in tables:
+        mu_g = mu_fast(G)[0]
+        for H in soluble_subgroups(G):
+            pairs += 1
+            if mu_fast(G, start=H)[0] > mu_g:
+                violations.append(f"subgroup law: order {H.order} in order {G.n}")
+        for N in normal_subgroups(G).subgroups:
+            mu_q, mu_n = mu_fast(quotient(G, N).table)[0], mu_fast(G, start=N)[0]
+            pairs += 2
+            if mu_q > mu_g:
+                violations.append(f"quotient law: |N|={N.order} in order {G.n}")
+            if mu_g > mu_n + mu_q:
+                violations.append(f"extension law: |N|={N.order} in order {G.n}")
+    for G in power_tables:
+        pairs += 1
+        if mu_fast(direct_product(G, G))[0] != mu_fast(G)[0]:
+            violations.append(f"power law: order {G.n} squared")
+    return pairs, violations
+
+
+def deep_derived_term_is_nilpotent(T: FiniteGroupTable, n: int) -> bool:
+    """Whether T is soluble and its derived-series term at the integer
+    derived-length bound rho_int_bound(n) for soluble linear groups of
+    degree n (the last term, if the series is shorter) is nilpotent."""
+    series = derived_series(T)
+    term = series[min(rho_int_bound(n), len(series) - 1)]
+    return series[-1].is_trivial() and lower_central_series(T, start=term)[-1].is_trivial()

@@ -12,26 +12,25 @@ import math
 import time
 
 from conftest import CORPUS_SOLUBLE, table_of, square_of
+from oracles import (
+    chain_datapoint,
+    deep_derived_term_is_nilpotent,
+    direct_product,
+    mu_law_violations,
+)
 
 from solgrow.catalog import catalog
 from solgrow.growth import growth_exponent_fit, growth_table
-from solgrow.milnor import certify_growth_lower_bound, distinct_products_check, milnor_chain
-from solgrow.mu import (
-    MuValue,
-    mu_bruteforce,
-    mu_fast,
-    mu_properties_check,
-    product_counterexample_check,
-)
+from solgrow.milnor import certify_growth_lower_bound, milnor_chain
+from solgrow.mu import MuValue, mu_bruteforce, mu_fast
 from solgrow.soluble import (
     chief_series,
-    check_srank_nilpotency,
     is_supersoluble,
     normal_subgroups,
     sc_chief_rank,
     soluble_subgroups,
 )
-from solgrow.table import derived_length, direct_product, normal_closure
+from solgrow.table import derived_length, normal_closure
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -98,18 +97,17 @@ def test_criterion_02_paper_anchor_values():
 
 
 def test_criterion_03_product_counterexample():
+    # G1 = SL2(3), the double cover of Alt(4) as 2x2 matrices over F_3, and
+    # G2 = F_3^2 x| Q_8: mu(G1 x G2) > max(mu(G1), mu(G2)) strictly
     t0 = time.time()
-    res = product_counterexample_check()
-    ok = (
-        res["strict"]
-        and res["mu_g1"] == MuValue(1, 1)
-        and res["mu_g2"] == MuValue(1, 1)
-        and res["mu_product"] > MuValue(1, 1)
-    )
+    G1, G2 = table_of("sl2(3)"), table_of("f3^2:q8")
+    mu1, mu2 = mu_fast(G1)[0], mu_fast(G2)[0]
+    mup = mu_fast(direct_product(G1, G2))[0]
+    ok = mu1 == mu2 == MuValue(1, 1) and mup > max(mu1, mu2)
     _report(
         3,
         ok,
-        f"mu(G1 x G2) = ({res['mu_product'].a},{res['mu_product'].b}) > "
+        f"mu(G1 x G2) = ({mup.a},{mup.b}) > "
         f"1 + log4(10) strictly, exact pairs, {time.time() - t0:.1f}s",
     )
 
@@ -117,12 +115,12 @@ def test_criterion_03_product_counterexample():
 def test_criterion_04_mu_properties_lemma():
     tables = [table_of(n) for n in CORPUS_SOLUBLE if table_of(n).n <= 200]
     power_tables = [table_of("q8"), table_of("s3"), table_of("sl2(3)")]
-    report = mu_properties_check(tables, power_tables=power_tables)
-    ok = report["violations"] == []
+    pairs, violations = mu_law_violations(tables, power_tables)
+    ok = violations == []
     _report(
         4,
         ok,
-        f"4-part lemma over {report['pairs_checked']} pairs, zero violations; "
+        f"4-part lemma over {pairs} pairs, zero violations; "
         "mu(G^2) = mu(G) for Q8, S3, SL2(3)",
     )
 
@@ -247,9 +245,8 @@ def test_criterion_08_milnor_chain_soundness():
         closure = normal_closure(T, seeds)
         assert frozenset(ch.subgroups[ch.k].members) == frozenset(closure.members), name
         assert ch.closure_length <= ch.seed_length + 2 * ch.k, name
-        ok, dp = distinct_products_check(ch)
-        assert ok, (name, dp)
-        assert dp["gamma"] >= dp["bound"], name
+        distinct, gamma = chain_datapoint(ch)
+        assert distinct and gamma >= 2**ch.k, name
     _report(
         8,
         True,
@@ -281,15 +278,14 @@ def test_criterion_10_srank_theorem_and_supersolubility():
     checked = 0
     for name in CORPUS_SOLUBLE:
         T = table_of(name)
-        n = sc_chief_rank(T)
-        assert check_srank_nilpotency(T, n), name
+        assert deep_derived_term_is_nilpotent(T, sc_chief_rank(T)), name
         # supersoluble iff rank 1, against the direct cyclic-factor definition
         lat = normal_subgroups(T)
         direct = all(rec.rank == 1 for rec in chief_series(T, lat))
         assert is_supersoluble(T, lat) == (sc_chief_rank(T, lat) == 1) == direct, name
         checked += 1
     prod = direct_product(table_of("sl2(3)"), table_of("f3^2:q8"))
-    assert check_srank_nilpotency(prod, 2)
+    assert sc_chief_rank(prod) <= 2 and deep_derived_term_is_nilpotent(prod, 2)
     _report(
         10,
         True,

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf, log as mplog
 
 from conftest import table_of
-from oracles import naive_is_irreducible
+from oracles import direct_product, naive_is_irreducible
 
 import solgrow.smallcases as smallcases
 from solgrow.bounds import (
@@ -28,13 +28,14 @@ from solgrow.elements import GenSet, MatFp, Perm
 from solgrow.errors import CapExceeded, ContextViolated, InvariantViolated, NotSoluble
 from solgrow.mu import MuValue
 from solgrow.smallcases import (
+    _check_witness,
     _subgroup_gens,
-    check_irreducible_witness,
     verify_mu_theorem,
     verify_small_cases,
     verify_transitive_exhaustive,
+    witness_group,
 )
-from solgrow.table import direct_product, enumerate_group, whole_group
+from solgrow.table import enumerate_group, whole_group
 
 
 def test_sigma_table_values():
@@ -192,7 +193,10 @@ def test_small_cases_context_checks_raise():
         (lambda: verify_mu_theorem(perm, "irreducible", 2, p=3), "not a matrix group"),
         (lambda: verify_mu_theorem(mat, "irreducible", 3, p=3), r"not in GL_3\(3\)"),
         (lambda: verify_mu_theorem(mat, "irreducible", 2, p=5), r"not in GL_2\(5\)"),
-        (lambda: check_irreducible_witness("gl2(3)", 2, 5, None, 4), r"not in GL_2\(5\)"),
+        (
+            lambda: _check_witness("gl2(3)", *witness_group("gl2(3)"), 2, 5, None, 4),
+            r"not in GL_2\(5\)",
+        ),
         (lambda: _subgroup_gens(no_elements, whole_group(no_elements)), "element-backed"),
     ]
     for call, message in cases:
@@ -265,4 +269,4 @@ def test_insoluble_witness_raises_not_soluble():
     # GL_3(2) is irreducible but simple: the derived length check must raise
     # a SolgrowError, not an assert that `python -O` strips.
     with pytest.raises(NotSoluble):
-        check_irreducible_witness("gl3(2)", 3, 2, None, 2)
+        _check_witness("gl3(2)", *witness_group("gl3(2)"), 3, 2, None, 2)

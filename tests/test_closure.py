@@ -17,32 +17,31 @@ import pytest
 import numpy as np
 from conftest import CORPUS_SMALL, table_of
 from oracles import (
+    center,
     closure_from_identity,
+    direct_product,
     milnor_chain_from_scratch,
     normal_closure_by_rounds,
     quotient_by_scalar_products,
     reduce_generators_reclosing,
+    subgroup_table,
 )
 
 from solgrow.catalog import catalog
 from solgrow.milnor import _pair_commutators, milnor_chain
 from solgrow.soluble import _prime_extensions, normal_subgroups
 from solgrow.table import (
-    COSET_WALK_MIN,
     DENSE_LIMIT,
     FiniteGroupTable,
     _Closure,
-    center,
     commutator_subgroup,
     derived_length,
     derived_series,
-    direct_product,
     enumerate_group,
     normal_closure,
     quotient,
     reduce_generators,
     subgroup_generated,
-    subgroup_table,
     trivial_subgroup,
     whole_group,
 )
@@ -205,12 +204,6 @@ def test_closures_across_the_coset_switch_match_closure_from_identity(name):
     up = [x for H in reversed(series) for x in H.members]
     walks = _adjoined_one_by_one(T, _Closure(T), up)
     assert walks[0] == "points" and "switch" in walks and "cosets" in walks
-    # A closure seeded with a subgroup past the switch starts with cosets.
-    H = next(H for H in series if COSET_WALK_MIN <= H.order < T.n)
-    C = _Closure(T, H)
-    assert isinstance(C.members, np.ndarray)
-    assert C.order == H.order and sorted(C.members) == list(H.members)
-    _adjoined_one_by_one(T, C, range(T.n))
 
 
 def _closure_results(T):

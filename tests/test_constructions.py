@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import table_of
+from oracles import direct_product, matrix_apply, subgroup_table
 
 from solgrow.catalog import catalog
 from solgrow.constructions import (
@@ -20,17 +21,10 @@ from solgrow.constructions import (
     wreath_table,
 )
 from solgrow.elements import GenSet, MatFp, Perm
-from solgrow.errors import NotTransitive, UnknownName
+from solgrow.errors import CapExceeded, NotTransitive, UnknownName
 from solgrow.fields import _idx_of, _vec_of, small_field, vector_actions
 from solgrow.smallcases import _CASES
-from solgrow.table import (
-    commutator_subgroup,
-    direct_product,
-    enumerate_group,
-    nilpotency_class,
-    subgroup_table,
-    whole_group,
-)
+from solgrow.table import commutator_subgroup, enumerate_group, nilpotency_class, whole_group
 
 
 def test_c2_wr_c2():
@@ -138,6 +132,25 @@ def test_wreath_table_needs_a_transitive_top():
         wreath_table(A, pad)
 
 
+def test_wreath_table_refuses_past_its_cap():
+    # S4 wr S4 has 24^4 * 24 elements, past the default cap: refused from
+    # the orders alone, with nothing built and no ball completed
+    s4 = table_of("s4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as caught:
+            wreath_table(s4, s4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caught.value.last_completed is None
+    assert peak < 2**16
+    # the cap is inclusive: S3 wr S2 has 72 elements
+    assert wreath_table(table_of("s3"), table_of("s2"), cap=72).n == 72
+    with pytest.raises(CapExceeded, match="cap of 71 elements"):
+        wreath_table(table_of("s3"), table_of("s2"), cap=71)
+
+
 def _traced(build):
     """The bytes `build()` leaves held, and its peak, under tracemalloc."""
     tracemalloc.start()
@@ -222,7 +235,7 @@ def test_vector_actions_match_matrix_apply(name):
     mats = list(catalog(name).elements)
     n, p = mats[0].n, mats[0].p
     for M, images in zip(mats, vector_actions(mats, n, p)):
-        assert images == [_idx_of(M.apply(_vec_of(i, n, p)), p) for i in range(p**n)]
+        assert images == [_idx_of(matrix_apply(M, _vec_of(i, n, p)), p) for i in range(p**n)]
 
 
 def test_small_field_indexing_round_trips():

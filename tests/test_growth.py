@@ -9,6 +9,7 @@ from conftest import table_of
 from oracles import (
     free_group_ball,
     free_group_reduced_words,
+    gap_hypothesis_holds,
     word_ball_lengths,
     word_ball_sizes,
     z2_ball,
@@ -18,15 +19,7 @@ import solgrow.growth
 from solgrow.catalog import catalog
 from solgrow.elements import GenSet, Lamplighter, MatZ, MatZRows
 from solgrow.errors import DegenerateWindow
-from solgrow.growth import (
-    gap_hypothesis_check,
-    growth_exponent_fit,
-    growth_table,
-    s4_tower,
-    s4_tower_derived,
-    s4_tower_order,
-    s4_tower_derived_order,
-)
+from solgrow.growth import growth_exponent_fit, growth_table, s4_tower, s4_tower_derived
 from solgrow.table import enumerate_group
 
 
@@ -97,11 +90,11 @@ def test_level_growth_bound():
 
 def test_gap_hypothesis_examples():
     z2 = growth_table(catalog("z2"), 30)
-    assert gap_hypothesis_check(z2, theta=1 / 3, C=10)
+    assert gap_hypothesis_holds(z2.counts, theta=1 / 3, C=10)
     fr = growth_table(catalog("sanov"), 10)
-    assert not gap_hypothesis_check(fr, theta=0.5, C=1.0)
+    assert not gap_hypothesis_holds(fr.counts, theta=0.5, C=1.0)
     tiny = growth_table(catalog("c2"), 0)
-    assert gap_hypothesis_check(tiny, theta=0.4, C=1.0)  # no radii >= 1: vacuous
+    assert gap_hypothesis_holds(tiny.counts, theta=0.4, C=1.0)  # no radii >= 1: vacuous
 
 
 def test_truncation_flags():
@@ -323,16 +316,26 @@ def test_fit_degenerate_window():
         growth_exponent_fit(tbl, window=(0, 4))
 
 
+def _s4_tower_order(depth: int) -> int:
+    # the tower has (4^d - 1)/3 nodes above the leaves, a Sym(4) at each
+    return 24 ** ((4**depth - 1) // 3)
+
+
+def _s4_tower_derived_order(depth: int) -> int:
+    # The abelianization is C2 (depth 1) or C2 x C2 (top sign, base sign).
+    return _s4_tower_order(depth) // (2 if depth == 1 else 4)
+
+
 def test_s4_tower_depth1():
     T = enumerate_group(s4_tower(1))
-    assert T.n == 24 == s4_tower_order(1)
+    assert T.n == 24 == _s4_tower_order(1)
     D = enumerate_group(s4_tower_derived(1))
-    assert D.n == 12 == s4_tower_derived_order(1)
+    assert D.n == 12 == _s4_tower_derived_order(1)
 
 
 def test_s4_tower_depth2_structure():
     gens = s4_tower(2)
-    assert s4_tower_order(2) == 24**5
+    assert _s4_tower_order(2) == 24**5
     # the truncation acts on 16 leaves; generator actions check out
     for g in gens.elements:
         assert g.to_leaf_perm().degree == 16
@@ -370,7 +373,7 @@ def test_s4_tower_derived_depth2_sampled_subgroups():
     pair = enum(GenSet([gens.elements[2].to_leaf_perm()]))
     assert pair.n == 2
     mixed = enum(GenSet([g.to_leaf_perm() for g in gens.elements[:3]]), cap=100_000)
-    assert s4_tower_derived_order(2) % mixed.n == 0
+    assert _s4_tower_derived_order(2) % mixed.n == 0
 
 
 def test_growth_csv_shape():

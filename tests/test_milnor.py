@@ -2,41 +2,35 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
 
 from conftest import table_of
+from oracles import center, chain_datapoint, gap_hypothesis_holds
 
 import solgrow.milnor as milnor
 import solgrow.soluble as soluble
 from solgrow.catalog import catalog
 from solgrow.elements import Perm
-from solgrow.errors import (
-    HypothesisViolated,
-    InvariantViolated,
-    NotSelfCentralizing,
-    WitnessDegenerate,
-)
+from solgrow.errors import InvariantViolated, NotSelfCentralizing
 from solgrow.growth import growth_table
 from solgrow.milnor import (
-    canonical_modified_chain,
+    _pair_commutators,
+    _recurrence_constant,
     certify_growth_lower_bound,
-    derived_generators,
-    distinct_products_check,
     milnor_chain,
-    quantitative_bound_check,
     subset_products,
 )
 from solgrow.mu import MuValue, mu_fast
 from solgrow.soluble import minimal_normal_subgroups
 from solgrow.table import (
     Subgroup,
-    center,
+    commutator_subgroup,
     enumerate_group,
     normal_closure,
     subgroup_generated,
+    trivial_subgroup,
     whole_group,
 )
 
@@ -81,13 +75,12 @@ def test_chain_soundness(name, seed_index):
     closure = normal_closure(T, [seed_index])
     assert frozenset(ch.subgroups[ch.k].members) == frozenset(closure.members)
     assert ch.closure_length <= ch.seed_length + 2 * ch.k
-    ok, dp = distinct_products_check(ch)
-    assert ok
-    assert dp["gamma"] >= dp["bound"]
+    distinct, gamma = chain_datapoint(ch)
+    assert distinct and gamma >= 2**ch.k
 
 
-# The chain and bound checks below raise rather than assert, so that
-# python -O keeps them; each test forces one of them to fail.
+# The chain checks below raise rather than assert, so that python -O
+# keeps them; each test forces one of them to fail.
 
 
 def test_chain_missing_the_closure_raises(monkeypatch):
@@ -110,17 +103,6 @@ def test_chain_closure_longer_than_bound_raises():
         milnor_chain(T, [y])
 
 
-def test_quantitative_bound_violations_raise():
-    T = table_of("s3")
-    ch = milnor_chain(T, [_perm_index(T, [1, 0, 2])])
-    with pytest.raises(InvariantViolated, match="stabilization index"):
-        quantitative_bound_check(dataclasses.replace(ch, k=10**6), theta=1 / 3, C=5.0)
-    with pytest.raises(InvariantViolated, match="closure generator length"):
-        quantitative_bound_check(
-            dataclasses.replace(ch, closure_length=10**6), theta=1 / 3, C=5.0
-        )
-
-
 # The certificate's own checks raise rather than assert as well.
 
 
@@ -141,13 +123,6 @@ def test_coordinates_of_a_non_elementary_abelian_subgroup_raise(name, p):
     T = table_of(name)
     with pytest.raises(InvariantViolated, match="not elementary abelian"):
         milnor._elementary_abelian_coords(T, whole_group(T), p)
-
-
-def test_derived_generators_off_the_derived_subgroup_raises(monkeypatch):
-    # the chain closure of S4's commutators is A4, not a whole-group stand-in
-    monkeypatch.setattr(milnor, "commutator_subgroup", lambda T, A, B: whole_group(T))
-    with pytest.raises(InvariantViolated, match="chain closure differs"):
-        derived_generators(table_of("s4"), 6)
 
 
 def test_cost_word_mismatch_raises(monkeypatch):
@@ -192,8 +167,8 @@ def test_lifted_word_longer_than_quotient_word_raises():
 def test_distinct_products_k1():
     c2 = table_of("c2")
     ch = milnor_chain(c2, [1])
-    ok, dp = distinct_products_check(ch)
-    assert ok and dp["k"] == 0 and dp["bound"] == 1
+    distinct, gamma = chain_datapoint(ch)
+    assert distinct and ch.k == 0 and gamma >= 1
 
 
 def test_subset_products_independent_vectors():
@@ -223,16 +198,26 @@ def test_witness_degenerate_detected():
             seed_length=ch.seed_length,
             closure_length=ch.closure_length,
         )
-        with pytest.raises(WitnessDegenerate):
-            distinct_products_check(bad)
+        assert not chain_datapoint(bad)[0]
+
+
+def _assert_quantitative_bounds_hold(ch, theta: float, C: float) -> float:
+    """Checks gamma(n) <= exp(C n^theta) on the chain's table (theta < 1/2)
+    and the bounds it gives, k <= B * max(L,1)^(theta/(1-theta)) and
+    len(Z) <= L + 2B * max(L,1)^(theta/(1-theta)) with B = (5C)^(1/(1-2 theta));
+    returns the slack of the bound on k."""
+    assert gap_hypothesis_holds(ch.table.growth_counts(), theta, C)
+    base = (5 * C) ** (1 / (1 - 2 * theta))
+    grown = max(ch.seed_length, 1) ** (theta / (1 - theta))
+    assert ch.k <= base * grown and ch.closure_length <= ch.seed_length + 2 * base * grown
+    return base * grown - ch.k
 
 
 def test_quantitative_vacuous_k0():
     q8 = table_of("q8")
     z = center(q8).members[1]
     ch = milnor_chain(q8, [z])
-    rep = quantitative_bound_check(ch, theta=1 / 3, C=5.0)
-    assert rep["k_ok"] and rep["z_ok"]
+    _assert_quantitative_bounds_hold(ch, 1 / 3, 5.0)
 
 
 def test_quantitative_s3():
@@ -242,9 +227,7 @@ def test_quantitative_s3():
     c_needed = max(
         math.log(counts[n]) / n ** (1 / 3) for n in range(1, len(counts))
     )
-    rep = quantitative_bound_check(ch, theta=1 / 3, C=c_needed + 0.1)
-    assert rep["k_ok"] and rep["z_ok"]
-    assert rep["C1"] == pytest.approx(2 * (5 * (c_needed + 0.1)) ** 3)
+    _assert_quantitative_bounds_hold(ch, 1 / 3, c_needed + 0.1)
 
 
 @pytest.mark.parametrize("name", ["q8", "sl2(3)", "f3^2:q8", "agl1(8)"])
@@ -255,66 +238,86 @@ def test_quantitative_bounds_hold_with_fitted_constant(name):
     c_needed = max(
         math.log(counts[n]) / n ** (1 / 3) for n in range(1, len(counts))
     )
-    rep = quantitative_bound_check(ch, theta=1 / 3, C=max(1.0, c_needed))
-    assert rep["k_ok"] and rep["z_ok"]
+    _assert_quantitative_bounds_hold(ch, 1 / 3, max(1.0, c_needed))
 
 
 def test_quantitative_hypothesis_violated():
     T = table_of("s4")
-    ch = milnor_chain(T, [_perm_index(T, [1, 0, 3, 2])])
-    with pytest.raises(HypothesisViolated):
-        quantitative_bound_check(ch, theta=0.3, C=1.0)
+    assert not gap_hypothesis_holds(T.growth_counts(), 0.3, 1.0)
 
 
 def test_quantitative_large_c_slack():
     T = table_of("s4")
     ch = milnor_chain(T, [_perm_index(T, [1, 0, 3, 2])])
-    rep = quantitative_bound_check(ch, theta=1 / 3, C=50.0)
-    assert rep["k_slack"] > 100
+    assert _assert_quantitative_bounds_hold(ch, 1 / 3, 50.0) > 100
+
+
+def _derived_generating_sets(T):
+    """Orders and generator lengths down the derived series: each next
+    generating set is the stabilized conjugate set of the last one's pair
+    commutators, whose chain must close on the derived subgroup. Returns
+    the orders and the max lengths (none for a step with no commutator)."""
+    X = tuple(dict.fromkeys(g for g in T.generators if g != 0))
+    current = subgroup_generated(T, X)
+    orders, lengths = [current.order], [max((T.word_length[x] for x in X), default=0)]
+    while not current.is_trivial():
+        Y = _pair_commutators(T, X)
+        if not Y:
+            orders.append(1)
+            break
+        chain = milnor_chain(T, Y)
+        assert chain.subgroups[chain.k].mask == commutator_subgroup(T, current, current).mask
+        X, current = chain.generating_set, chain.subgroups[chain.k]
+        orders.append(current.order)
+        lengths.append(chain.closure_length)
+    return orders, lengths
 
 
 def test_derived_generators_abelian():
-    rec = derived_generators(table_of("c6"), 4)
-    assert [r["order"] for r in rec["steps"]] == [6, 1]
+    assert _derived_generating_sets(table_of("c6"))[0] == [6, 1]
 
 
 def test_derived_generators_sl23():
-    rec = derived_generators(table_of("sl2(3)"), 6)
-    assert [r["order"] for r in rec["steps"]] == [24, 8, 2, 1]
-    lengths = [r["max_length"] for r in rec["steps"]]
+    orders, lengths = _derived_generating_sets(table_of("sl2(3)"))
+    assert orders == [24, 8, 2, 1]
     assert lengths[0] == 1
-    assert all(r["ratio"] == r["max_length"] / 4 ** r["k"] for r in rec["steps"])
     # recurrence constant is the smallest C making each step bound hold
-    c = rec["recurrence_constant"]
+    c = _recurrence_constant(lengths, [4] * len(lengths))
     for i in range(1, len(lengths)):
         if lengths[i - 1] > 0:
             assert lengths[i] <= 4 * lengths[i - 1] + c * math.sqrt(lengths[i - 1]) + 1e-9
 
 
 def test_derived_generators_s4():
-    rec = derived_generators(table_of("s4"), 6)
-    assert [r["order"] for r in rec["steps"]] == [24, 12, 4, 1]
+    assert _derived_generating_sets(table_of("s4"))[0] == [24, 12, 4, 1]
+
+
+def _canonical_chain(T):
+    """mu_fast's optimal series of T, checked to end at T's first minimal
+    normal subgroup V, which must be self-centralizing, and its cost word."""
+    V = minimal_normal_subgroups(T)[0]
+    assert soluble._is_self_centralizing(T, trivial_subgroup(T), V)
+    _, series = mu_fast(T)
+    assert series.chain[-2].mask == V.mask
+    return series, series.cost_word()
 
 
 def test_canonical_chain_agl15():
     T = table_of("agl1(5)")
-    V = minimal_normal_subgroups(T)[0]
-    series, word = canonical_modified_chain(T, V)
+    series, word = _canonical_chain(T)
     assert word == [4, 4]
     assert [S.order for S in series.chain] == [20, 5, 1]
 
 
 def test_canonical_chain_f8c7():
     T = table_of("f2^3:c7")
-    V = minimal_normal_subgroups(T)[0]
-    series, word = canonical_modified_chain(T, V)
+    series, word = _canonical_chain(T)
     assert word == [4, 4]
 
 
 def test_canonical_chain_f9q8():
     T = table_of("f3^2:q8")
-    V = minimal_normal_subgroups(T)[0]
-    series, word = canonical_modified_chain(T, V)
+    series, word = _canonical_chain(T)
     assert 10 in word
     assert word == [10, 4]
     prod = 1
@@ -325,10 +328,11 @@ def test_canonical_chain_f9q8():
 
 
 def test_canonical_chain_not_self_centralizing():
+    # the only minimal normal subgroup of Q8 is its centre, which Q8 centralizes
     q8 = table_of("q8")
-    Z = center(q8)
+    assert [V.mask for V in minimal_normal_subgroups(q8)] == [center(q8).mask]
     with pytest.raises(NotSelfCentralizing):
-        canonical_modified_chain(q8, Z)
+        certify_growth_lower_bound(q8)
 
 
 @pytest.mark.parametrize("name,rank,p", [("f2^3:c7", 3, 2), ("s4", 2, 2), ("f3^2:q8", 2, 3)])

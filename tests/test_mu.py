@@ -4,32 +4,27 @@ from __future__ import annotations
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import pytest
 from mpmath import mp, mpf, log as mplog
 
 from conftest import table_of, square_of
+from oracles import direct_product, mu_law_violations
 
-import solgrow.mu
 from solgrow.catalog import catalog
-from solgrow.errors import CapExceeded, InvariantViolated, NotSoluble
+from solgrow.constructions import wreath_table
+from solgrow.errors import InvariantViolated, NotSoluble
 from solgrow.mu import (
     ABELIAN,
     CLASS2,
-    WREATH_CAP,
     ModifiedSeries,
     MuValue,
     mu_bruteforce,
     mu_fast,
-    mu_of_wreath_check,
-    mu_properties_check,
-    product_counterexample_check,
 )
 from solgrow.table import (
     derived_length,
-    direct_product,
     enumerate_group,
     subgroup_generated,
     trivial_subgroup,
@@ -88,7 +83,6 @@ def test_muvalue_arithmetic():
     assert MuValue(1, 1) < MuValue(0, 2)  # 4*10 < 100
     assert MuValue(2, 0) > MuValue(0, 1)  # 16 > 10
     assert abs(MuValue(1, 1).value - (1 + LOG410)) < 1e-12
-    assert MuValue(0, 1).decimal(30).startswith("1.6609640474436811739351597147")
 
 
 def test_mu_abelian():
@@ -151,20 +145,6 @@ def test_bruteforce_raises_when_no_modified_step(monkeypatch):
     )
     with pytest.raises(InvariantViolated, match="no modified step"):
         mu_bruteforce(table_of("s3"))
-
-
-def test_product_counterexample_oracle_disagreement_raises(monkeypatch):
-    import solgrow.mu
-
-    assert product_counterexample_check(use_oracle=True)["strict"] is True
-
-    def shifted_bruteforce(T):
-        cost, series = mu_bruteforce(T)
-        return MuValue(cost.a + 1, cost.b), series
-
-    monkeypatch.setattr(solgrow.mu, "mu_bruteforce", shifted_bruteforce)
-    with pytest.raises(InvariantViolated, match="oracle disagrees"):
-        product_counterexample_check(use_oracle=True)
 
 
 def test_mu_sl23():
@@ -247,9 +227,9 @@ def test_mu_below_derived_length(name):
 
 def test_mu_properties_small_corpus():
     tables = [table_of(n) for n in ["s3", "q8", "s4", "sl2(3)"]]
-    report = mu_properties_check(tables, power_tables=[table_of("q8")])
-    assert report["violations"] == []
-    assert report["pairs_checked"] > 50
+    pairs, violations = mu_law_violations(tables, [table_of("q8")])
+    assert violations == []
+    assert pairs > 50
 
 
 def test_mu_extension_equality_sl23():
@@ -283,43 +263,23 @@ def test_product_identity_sanity():
 
 
 def test_product_counterexample():
-    res = product_counterexample_check()
-    assert res["mu_g1"] == MuValue(1, 1)
-    assert res["mu_g2"] == MuValue(1, 1)
-    assert res["mu_product"] == MuValue(3, 0)
-    assert res["strict"] is True
-    assert res["mu_product"] > MuValue(1, 1)
-
-
-def test_wreath_check_refuses_past_its_cap(monkeypatch):
-    # S4 wr S4 has 24^4 * 24 elements, past WREATH_CAP: refused from the
-    # orders alone, with nothing built and no ball completed
-    s4 = table_of("s4")
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceeded) as caught:
-            mu_of_wreath_check(s4, s4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 24**5 > WREATH_CAP and caught.value.last_completed is None
-    assert peak < 2**16
-    # the cap is inclusive: S3 wr S2 has 72 elements
-    monkeypatch.setattr(solgrow.mu, "WREATH_CAP", 72)
-    assert mu_of_wreath_check(table_of("s3"), table_of("s2"))["holds"]
-    monkeypatch.setattr(solgrow.mu, "WREATH_CAP", 71)
-    with pytest.raises(CapExceeded, match="cap of 71 elements"):
-        mu_of_wreath_check(table_of("s3"), table_of("s2"))
+    # SL2(3), the double cover of Alt(4) as 2x2 matrices over F_3, and the
+    # 72-element affine group F_3^2 x| Q_8: the max law fails strictly for
+    # their direct product, with the brute-force oracle agreeing on both
+    G1, G2 = table_of("sl2(3)"), table_of("f3^2:q8")
+    for G in (G1, G2):
+        assert mu_fast(G)[0] == mu_bruteforce(G)[0] == MuValue(1, 1)
+    assert mu_fast(direct_product(G1, G2))[0] == MuValue(3, 0) > MuValue(1, 1)
 
 
 def test_wreath_bound_examples():
-    r1 = mu_of_wreath_check(table_of("c2"), table_of("c2"))
-    assert r1["holds"] and r1["mu_wreath"] == MuValue(0, 1)
-    assert r1["mu_a"] + r1["mu_b"] == MuValue(2, 0)
-    r2 = mu_of_wreath_check(table_of("s3"), table_of("s2"))
-    assert r2["holds"]
-    assert r2["mu_a"] + r2["mu_b"] == MuValue(3, 0)
-    assert r2["mu_wreath"] <= MuValue(4, 0)
+    # mu(A wr B) <= mu(A) + mu(B)
+    c2, s2, s3 = table_of("c2"), table_of("s2"), table_of("s3")
+    assert mu_fast(wreath_table(c2, c2))[0] == MuValue(0, 1)
+    assert mu_fast(c2)[0] + mu_fast(c2)[0] == MuValue(2, 0)
+    mu_w = mu_fast(wreath_table(s3, s2))[0]
+    assert mu_fast(s3)[0] + mu_fast(s2)[0] == MuValue(3, 0)
+    assert mu_w <= MuValue(3, 0)
 
 
 def test_oracle_on_all_corpus_quotients():

@@ -9,6 +9,9 @@ import pytest
 
 from conftest import CORPUS_SOLUBLE, square_of, table_of
 from oracles import (
+    center,
+    deep_derived_term_is_nilpotent,
+    direct_product,
     minimal_over,
     naive_is_normal,
     naive_self_centralizing,
@@ -23,23 +26,18 @@ from solgrow.soluble import (
     _is_self_centralizing,
     analyze_record,
     chief_series,
-    check_srank_nilpotency,
     is_supersoluble,
-    maximal_subgroups,
     minimal_normal_subgroups,
     normal_subgroups,
     normal_subgroups_within,
     sc_chief_rank,
-    sc_iff_maximal_index_check,
     soluble_subgroup_classes,
     soluble_subgroups,
 )
 from solgrow.specio import dump_genset
 from solgrow.table import (
     FiniteGroupTable,
-    center,
     derived_series,
-    direct_product,
     quotient,
     subgroup_generated,
     whole_group,
@@ -330,26 +328,36 @@ def test_passed_through_solubility_and_series_match():
         chief_series(table_of("s4"), soluble=False)
 
 
+def _maximal_subgroups(T: FiniteGroupTable) -> list:
+    """The maximal proper subgroups of a soluble T: the proper soluble
+    subgroups that no larger proper one contains."""
+    subs = [S for S in soluble_subgroups(T) if S.order < T.n]
+    return [H for H in subs if not any(K.order > H.order and K.contains_set(H) for K in subs)]
+
+
 @pytest.mark.parametrize("name", ["c2", "c6", "s3", "q8", "s4", "sl2(3)", "f3^2:q8"])
 def test_sc_iff_maximal_index(name):
-    assert sc_iff_maximal_index_check(table_of(name))
+    # the orders of the self-centralizing chief factors over all quotients
+    # are the indices of the maximal subgroups
+    T = table_of(name)
+    orders = {M.order // N.order for N, M in soluble._selfc_factors(T, normal_subgroups(T))}
+    assert orders == {T.n // M.order for M in _maximal_subgroups(T)}
 
 
 def test_maximal_subgroups_s4():
-    maxes = sorted(S.order for S in maximal_subgroups(table_of("s4")))
+    maxes = sorted(S.order for S in _maximal_subgroups(table_of("s4")))
     assert maxes == [6, 6, 6, 6, 8, 8, 8, 12]
 
 
 @pytest.mark.parametrize("name", CORPUS_SOLUBLE)
 def test_srank_nilpotency_on_corpus(name):
     T = table_of(name)
-    n = sc_chief_rank(T)
-    assert check_srank_nilpotency(T, n)
+    assert deep_derived_term_is_nilpotent(T, sc_chief_rank(T))
 
 
 def test_srank_nilpotency_product():
     P = direct_product(table_of("sl2(3)"), table_of("f3^2:q8"))
-    assert check_srank_nilpotency(P, 2)
+    assert sc_chief_rank(P) <= 2 and deep_derived_term_is_nilpotent(P, 2)
 
 
 def test_non_frattini_property():
@@ -363,7 +371,7 @@ def test_non_frattini_property():
             Q = quotient(T, rec.below)
             if Q.table.n > 500 or Q.table.n == 1:
                 continue
-            maxes = maximal_subgroups(Q.table)
+            maxes = _maximal_subgroups(Q.table)
             frattini = set(range(Q.table.n))
             for M in maxes:
                 frattini &= frozenset(M.members)

@@ -69,7 +69,7 @@ def test_every_export_resolves_to_its_defining_object():
         "missing": [],
         "unknown": "AttributeError",
         "catalog": True,
-        "count": 90,
+        "count": 75,
         "version": "0.1.0",
     }
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_SMALL, table_of
 from oracles import (
+    centralizer,
     naive_all_subgroups_tiny,
     naive_centralizer,
     naive_commutator_subgroup,
@@ -25,7 +26,6 @@ from solgrow.errors import NotNormal
 from solgrow.soluble import soluble_subgroups
 from solgrow.table import (
     DENSE_LIMIT,
-    centralizer,
     commutator_subgroup,
     conjugacy_classes,
     derived_length,

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    center,
+    direct_product,
     object_enumeration,
     parent_chain_inverses,
+    subgroup_table,
     unique_rule_bfs,
     word_ball_lengths,
     word_ball_sizes,
@@ -29,14 +32,11 @@ from solgrow.table import (
     DENSE_LIMIT,
     FiniteGroupTable,
     Subgroup,
-    center,
     commutator_subgroup,
-    direct_product,
     element_bfs,
     enumerate_group,
     quotient,
     subgroup_generated,
-    subgroup_table,
     trivial_subgroup,
     whole_group,
 )
