@@ -5,15 +5,19 @@ size a (point j*a + i is position i of block j); matrix wreaths are block
 monomial matrices. Affine semidirect products act on the p^n vectors of
 F_p^n (vector index = sum v_i p^i).
 
-The table of a permutation wreath is also derived from its factors' tables
-(`wreath_table`), with no element BFS: its product is fixed by theirs. The
-result is the table `enumerate_group` finds for the same wreath, field by
-field, which the tests check.
+Two tables are derived rather than enumerated, with no element BFS: that
+of a permutation wreath from its factors' tables (`wreath_table`), and that
+of a semilinear group GammaL(1, q) from exponent labels
+(`semilinear_table`). Both label the elements, act on the labels by the
+BFS steps and go through one builder, `_label_table`, whose table writes
+its element rows on first read. Each result is the table `enumerate_group`
+finds for the same group, field by field, which the tests check.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,49 +81,29 @@ def wreath_product(A: FiniteGroupTable, B: FiniteGroupTable) -> GenSet:
     return GenSet(gens)
 
 
-def wreath_table(
-    A: FiniteGroupTable, B: FiniteGroupTable, cap: int = DEFAULT_CAP
+def _label_table(
+    X: GenSet, n: int, cap: int, act: Callable, write_rows: Callable
 ) -> FiniteGroupTable:
-    """The table `enumerate_group(wreath_product(A, B), cap)` returns, built
-    from the tables of A and B with no row keyed, sorted or compared.
+    """The table `enumerate_group(X, cap)` returns, for a group of order n
+    whose elements are labelled 0..n-1 (0 the identity), with no element BFS.
 
-    The element (beta_0..beta_{b-1}; pi), whose row maps point j*a + i to
-    pi(j)*a + beta_j(i), is labelled pi*|A|^b + sum beta_j*|A|^j over the
-    indices of A and B. On labels, a base step maps beta_0 by A's right
-    action; a top step h maps pi by B's and moves digit h(j) to digit j.
-    One `_cayley_bfs` over those step actions finds the elements in the
-    order the element BFS finds them (both take each new element's first
-    x-major product); the actions and BFS are then relabelled into that
-    order one array at a time, and the rows written one block of points at
-    a time. Raises CapExceeded, with no complete ball, before building
-    anything when |A|^b * |B| > cap.
+    `act(action, g, ref)` writes into the int32 array `action` the label of
+    x * g for each label x, for each BFS step (g, ref) of X. One
+    `_cayley_bfs` over those step actions finds the elements in the order
+    the element BFS finds them (both take each new element's first x-major
+    product); the actions and BFS are then relabelled into that order one
+    array at a time. `write_rows(order)` returns the codec rows of the
+    elements labelled `order`, in that order: it runs on the first read of
+    the table's rows, and the labels are kept until then. Raises
+    CapExceeded, with no complete ball, before allocating anything when
+    n > cap.
     """
-    X = wreath_product(A, B)
-    a, b = A.elements[0].degree, B.elements[0].degree
-    nA, M = A.n, A.n**b  # M labels of the base, one per (beta_0..beta_{b-1})
-    n = M * B.n
     if n > cap:
         raise CapExceeded(f"group exceeds cap of {cap} elements")
-    r = len(A.generators)
     steps = X.bfs_steps()
     actions = np.empty((len(steps), n), np.int32)
-    digit = np.arange(nA, dtype=np.int32)
     for action, (g, ref) in zip(actions, steps):
-        m = abs(ref) - 1  # the generator that this step is or inverts
-        T, gen = (A, A.generators[m]) if m < r else (B, B.generators[m - r])
-        x = gen if ref > 0 else T.inv_idx[gen]
-        if m < r:  # beta_0 -> beta_0 * x
-            offsets = np.arange(0, n, nA, dtype=np.int32)
-            np.add(offsets[:, None], A.right_action(x), out=action.reshape(-1, nA))
-            continue
-        # pi -> pi * x, and digit h(j) moves to digit j for the block map h
-        # of x, read off the step's row. In C order, axis b-1-j of the base
-        # labels holds digit j.
-        moved = np.zeros((nA,) * b, np.int32)
-        for j, image in enumerate(g.images[::a]):
-            shape = (1,) * (b - 1 - image // a) + (nA,) + (1,) * (image // a)
-            moved += (digit * nA**j).reshape(shape)
-        np.add((B.right_action(x) * M)[:, None], moved.reshape(1, M), out=action.reshape(-1, M))
+        act(action, g, ref)
     wl, parent, step, levels = _cayley_bfs(actions, n)
     bounds = np.cumsum([0] + [len(level) for level in levels]).tolist()
     order = np.concatenate(levels)  # the label of each index
@@ -134,33 +118,112 @@ def wreath_table(
     np.take(step, order, out=spare)
     step, spare = spare, step
     del index, spare
-    # Block j of the row of (beta; pi) is the string pi(j)*a + beta_j(0..a-1):
-    # one of b * |A| strings, each copied whole as one void item.
-    codec = X.row_codec()
-    strings = np.array(
-        [[p * a + i for i in g.images] for p in range(b) for g in A.elements], codec.dtype
-    )
-    item = f"V{strings.itemsize * a}"
-    strings = strings.view(item).ravel()
-    rows = np.empty((n, a * b), codec.dtype)
-    blocks = rows.view(item)
-    points = np.array([g.images for g in B.elements], np.int32) * nA
-    pi, label = np.divmod(order, M)
-    del order
-    for j in range(b):
-        label, beta = np.divmod(label, nA)
-        beta += points[pi, j]
-        np.take(strings, beta, out=blocks[:, j])
-    del pi, label, beta
     wl = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
     return FiniteGroupTable(
         actions[: len(X), 0].tolist(),
         [ref for _s, ref in steps],
         actions,
-        elements=RowElements(codec, rows),
+        elements=RowElements(X.row_codec(), partial(write_rows, order), n),
         gen_set=X,
         bfs=(wl, parent, step, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]),
     )
+
+
+def wreath_table(
+    A: FiniteGroupTable, B: FiniteGroupTable, cap: int = DEFAULT_CAP
+) -> FiniteGroupTable:
+    """The table `enumerate_group(wreath_product(A, B), cap)` returns, built
+    from the tables of A and B by `_label_table`, with no row keyed, sorted
+    or compared.
+
+    The element (beta_0..beta_{b-1}; pi), whose row maps point j*a + i to
+    pi(j)*a + beta_j(i), is labelled pi*|A|^b + sum beta_j*|A|^j over the
+    indices of A and B. On labels, a base step maps beta_0 by A's right
+    action; a top step h maps pi by B's and moves digit h(j) to digit j.
+    The rows are written one block of points at a time. Raises CapExceeded
+    when |A|^b * |B| > cap.
+    """
+    X = wreath_product(A, B)
+    a, b = A.elements[0].degree, B.elements[0].degree
+    nA, M = A.n, A.n**b  # M labels of the base, one per (beta_0..beta_{b-1})
+    n = M * B.n
+    r = len(A.generators)
+    digit = np.arange(nA, dtype=np.int32)
+
+    def act(action: np.ndarray, g: Perm, ref: int) -> None:
+        m = abs(ref) - 1  # the generator that this step is or inverts
+        T, gen = (A, A.generators[m]) if m < r else (B, B.generators[m - r])
+        x = gen if ref > 0 else T.inv_idx[gen]
+        if m < r:  # beta_0 -> beta_0 * x
+            offsets = np.arange(0, n, nA, dtype=np.int32)
+            np.add(offsets[:, None], A.right_action(x), out=action.reshape(-1, nA))
+            return
+        # pi -> pi * x, and digit h(j) moves to digit j for the block map h
+        # of x, read off the step's row. In C order, axis b-1-j of the base
+        # labels holds digit j.
+        moved = np.zeros((nA,) * b, np.int32)
+        for j, image in enumerate(g.images[::a]):
+            shape = (1,) * (b - 1 - image // a) + (nA,) + (1,) * (image // a)
+            moved += (digit * nA**j).reshape(shape)
+        np.add((B.right_action(x) * M)[:, None], moved.reshape(1, M), out=action.reshape(-1, M))
+
+    def write_rows(order: np.ndarray) -> np.ndarray:
+        # Block j of the row of (beta; pi) is the string pi(j)*a + beta_j(0..a-1):
+        # one of b * |A| strings, each copied whole as one void item.
+        dtype = X.row_codec().dtype
+        strings = np.array(
+            [[p * a + i for i in g.images] for p in range(b) for g in A.elements], dtype
+        )
+        item = f"V{strings.itemsize * a}"
+        strings = strings.view(item).ravel()
+        rows = np.empty((n, a * b), dtype)
+        blocks = rows.view(item)
+        points = np.array([g.images for g in B.elements], np.int32) * nA
+        pi, label = np.divmod(order, M)
+        for j in range(b):
+            label, beta = np.divmod(label, nA)
+            beta += points[pi, j]
+            np.take(strings, beta, out=blocks[:, j])
+        return rows
+
+    return _label_table(X, n, cap, act, write_rows)
+
+
+def semilinear_table(q: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
+    """The table `enumerate_group(catalog(f"gammal1({q})"), cap)` returns,
+    built by `_label_table` from exponent labels, with no element BFS.
+
+    With alpha the field's primitive element, phi the Frobenius map,
+    q = p^k and m = q - 1, the element alpha^e phi^i is labelled e*k + i.
+    Since phi^i alpha = alpha^(p^i) phi^i, right multiplication by alpha
+    maps e to e + p^i mod m and by phi maps i to i + 1 mod k. Column c of
+    the element's matrix is the coefficient vector of alpha^(e + c*p^i),
+    the image of the basis vector alpha^c. Raises CapExceeded when
+    (q - 1) * k > cap.
+    """
+    from .catalog import catalog
+
+    X = catalog(f"gammal1({q})")
+    alpha = X.elements[0]
+    p, k = alpha.p, alpha.n
+    m, n = q - 1, (q - 1) * k
+
+    def act(action: np.ndarray, _g: MatFp, ref: int) -> None:
+        e, i = np.divmod(np.arange(n, dtype=np.int32), k)
+        sign = 1 if ref > 0 else -1
+        action[:] = (e + sign * p**i) % m * k + i if abs(ref) == 1 else e * k + (i + sign) % k
+
+    def write_rows(order: np.ndarray) -> np.ndarray:
+        # powers[j] is the coefficient vector of alpha^j: alpha's matrix to the j, column 0
+        matrix, powers = np.array(alpha.rows()), [np.eye(k, dtype=np.int64)[0]]
+        for _ in range(m - 1):
+            powers.append(matrix @ powers[-1] % p)
+        e, i = np.divmod(order, k)
+        exponents = (e[:, None] + np.arange(k) * p ** i[:, None]) % m  # (element, column)
+        rows = np.array(powers, X.row_codec().dtype)[exponents].transpose(0, 2, 1)
+        return rows.reshape(n, k * k)
+
+    return _label_table(X, n, cap, act, write_rows)
 
 
 def matrix_wreath(L: Sequence[MatFp], k: int) -> GenSet:

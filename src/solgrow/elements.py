@@ -127,14 +127,25 @@ class RowCodec:
 
 
 class RowElements(SequenceABC):
-    """Read-only sequence of elements kept as codec rows, built on access."""
+    """Read-only sequence of elements kept as codec rows, built on access.
 
-    def __init__(self, codec: RowCodec, rows: np.ndarray):
+    `rows` is the row array, or a function returning the n rows, called on
+    the first read of `rows` and then dropped. `len` reads neither.
+    """
+
+    def __init__(self, codec: RowCodec, rows: np.ndarray | Callable, n: int | None = None):
         self.codec = codec
-        self.rows = rows
+        self._rows = rows
+        self._n = len(rows) if n is None else n
+
+    @property
+    def rows(self) -> np.ndarray:
+        if callable(self._rows):
+            self._rows = self._rows()
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._n
 
     def __getitem__(self, i: int) -> "GroupElement":
         return self.codec.element(self.rows[operator.index(i)])

@@ -15,13 +15,15 @@ Every group entering a check is first checked to satisfy its structural
 precondition (irreducible as a matrix group / transitive as a permutation
 group); a failure raises ContextViolated, and an insoluble group raises
 NotSoluble. A group named in several cases is built, and its
-representatives found, once per `verify_small_cases` call. Derived lengths
-and mu of block-monomial witnesses are computed on the isomorphic
-permutation wreath model, a table derived from the tables of its factors
-(`constructions.wreath_table`) rather than enumerated; the tests check it
-against the element BFS's table of the same wreath, field by field.
-Irreducibility is checked on the matrix model, by the rank of each orbit of
-the generators on the nonzero vectors.
+representatives found, once per `verify_small_cases` call. No witness of
+the case table is enumerated: derived lengths and mu of block-monomial
+witnesses are computed on the isomorphic permutation wreath model
+(`constructions.wreath_table`), those of GammaL(1, q) on a table of
+exponent labels (`constructions.semilinear_table`). The tests check both
+against the element BFS's table of the same group, field by field. As the
+checks read no element, neither model writes its rows. Irreducibility is
+checked on the matrix model, by the rank of each orbit of the generators on
+the nonzero vectors.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .bounds import (
     permutation_structure,
 )
 from .catalog import catalog
-from .constructions import matrix_to_perm_gens, sym_gens, wreath_table
+from .constructions import matrix_to_perm_gens, semilinear_table, sym_gens, wreath_table
 from .elements import GenSet, MatFp, Perm
 from .errors import ContextViolated, NotSoluble
 from .mu import mu_fast
@@ -69,10 +71,10 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
     """Matrix generators plus a table model of a named witness.
 
     A block-monomial wreath L wr Sym(k) is modelled by the isomorphic
-    permutation wreath of L's faithful action on nonzero vectors, a table
-    derived from the tables of its factors by `wreath_table` (equal, field
-    by field, to the element BFS's table of that wreath, as the tests
-    check); any other witness is enumerated.
+    permutation wreath of L's faithful action on nonzero vectors, derived
+    from its factors' tables (`wreath_table`); GammaL(1, q) by a table of
+    exponent labels (`semilinear_table`). Each equals, field by field, the
+    element BFS's table of the same group. Any other witness is enumerated.
     """
     gens = catalog(name)
     if gens.variant != "matfp":
@@ -84,6 +86,8 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
         perm_base = enumerate_group(matrix_to_perm_gens(list(base.elements)))  # type: ignore[arg-type]
         top = enumerate_group(sym_gens(int(k_str)))
         model = wreath_table(perm_base, top)
+    elif key.startswith("gammal1("):
+        model = semilinear_table(int(key[len("gammal1(") : -1]))
     else:
         model = enumerate_group(gens)
     return gens, model

@@ -28,9 +28,10 @@ through R. The product of a point set by j, `mul_points(xs, j)`, is a
 gather from j's row up to DENSE_LIMIT and above it a walk of j's geodesic
 on the |xs| points alone, so a caller that reads only a subgroup's or a
 coset's points forms no n-wide action. A table holds no encoding -> index
-dict: its order n is the length of its step actions.
-Perm and matfp tables keep their elements as rows (one byte an entry up
-to degree or p 256) and build each element object on access.
+dict: its order n is the length of its step actions. Perm and matfp
+tables keep their elements as rows (one byte an entry up to degree or p
+256; the derived tables of `solgrow.constructions` write them on first
+read) and build each element object on access.
 
 A Subgroup is one member mask, a byte per element of its table, with a
 generator list. Masks of equal member count sort in the reverse order of

@@ -265,6 +265,21 @@ def test_repeated_groups_built_once_per_run(monkeypatch):
     assert sorted(built) == sorted(set(named))
 
 
+def test_witness_checks_write_no_rows(monkeypatch):
+    # the checks read a witness model's order, derived length and mu only,
+    # so no derived model writes its element rows
+    models = []
+
+    def kept(name, original=smallcases.witness_group):
+        models.append(original(name))
+        return models[-1]
+
+    monkeypatch.setattr(smallcases, "witness_group", kept)
+    assert verify_small_cases()["pass"] is True
+    assert len(models) == len({w[0] for case in smallcases._CASES for w in case["witnesses"]})
+    assert all(callable(model.elements._rows) for _gens, model in models)
+
+
 def test_insoluble_witness_raises_not_soluble():
     # GL_3(2) is irreducible but simple: the derived length check must raise
     # a SolgrowError, not an assert that `python -O` strips.

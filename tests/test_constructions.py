@@ -1,8 +1,10 @@
-"""Wreath products, affine groups, monomial groups, direct products."""
+"""Wreath products, semilinear groups, affine groups, monomial groups, direct products."""
 
 from __future__ import annotations
 
+import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from solgrow.constructions import (
     cyclic_gens,
     matrix_to_perm_gens,
     matrix_wreath,
+    semilinear_table,
     sym_gens,
     wreath_product,
     wreath_table,
@@ -151,6 +154,87 @@ def test_wreath_table_refuses_past_its_cap():
         wreath_table(table_of("s3"), table_of("s2"), cap=71)
 
 
+_SEMILINEAR_WITNESSES = sorted(
+    int(m.group(1))
+    for m in {re.fullmatch(r"gammal1\((\d+)\)", w[0]) for case in _CASES for w in case["witnesses"]}
+    if m
+)
+
+
+@pytest.mark.parametrize(
+    "q",
+    # k = 1 (one generator); k = 2 (phi its own inverse); larger k; witnesses
+    sorted({3, 5, 7, 4, 9, 25, 49, 8, 16, 27, 32, 81, 125, *_SEMILINEAR_WITNESSES}),
+)
+def test_semilinear_table_equals_enumeration(q):
+    S = semilinear_table(q)
+    _assert_same_table(S, enumerate_group(catalog(f"gammal1({q})")))
+    p, k = S.gen_set.elements[0].p, S.gen_set.elements[0].n
+    assert p**k == q and S.n == (q - 1) * k
+
+
+def test_semilinear_table_refuses_past_its_cap():
+    # GammaL(1, 1024) has 1023 * 10 elements: refused from the order alone,
+    # with nothing n-wide built and no ball completed; the cap is inclusive
+    semilinear_table(4)  # fills the field and catalog caches before tracing
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="cap of 10229 elements") as caught:
+            semilinear_table(1024, cap=10229)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caught.value.last_completed is None
+    assert peak < 2**16
+    assert semilinear_table(1024, cap=10230).n == 10230
+    assert semilinear_table(9, cap=16).n == 16
+    with pytest.raises(CapExceeded, match="cap of 15 elements"):
+        semilinear_table(9, cap=15)
+
+
+_DERIVED = {
+    "gammal1(64)": (lambda: semilinear_table(64), lambda: enumerate_group(catalog("gammal1(64)"))),
+    "s3wrs3": (
+        lambda: wreath_table(table_of("s3"), table_of("s3")),
+        lambda: enumerate_group(catalog("s3wrs3")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DERIVED))
+def test_derived_rows_are_written_on_first_read(name):
+    derive, enumerate_ = _DERIVED[name]
+    T, E = derive(), enumerate_()
+    write = T.elements._rows
+    labels = weakref.ref(write.args[0])
+    writes = []
+    T.elements._rows = lambda write=write: writes.append(1) or write()
+    del write
+    assert len(T.elements) == T.n == E.n and T.gen_set is not None
+    assert writes == []
+    rows = T.elements.rows
+    assert T.elements.rows is rows and writes == [1]
+    assert labels() is None  # dropped with the function that wrote the rows
+    assert np.array_equal(rows, E.elements.rows)
+    probes = [E.elements[i] for i in (0, 1, E.n // 2, E.n - 1)]
+    probes += [g * g for g in E.gen_set.elements] + [3, Perm([1, 0]), MatFp(2, 5, [[1, 1], [0, 1]])]
+    # of the tables' kind and degree but not members: a 9-cycle across the
+    # blocks, a transvection
+    transvection = np.eye(6, dtype=int)
+    transvection[0, 1] = 1
+    probes += [Perm([*range(1, 9), 0]), MatFp(6, 2, transvection.tolist())]
+    for g in probes:
+        for bounds in ((), (1,), (1, E.n - 1)):
+            try:
+                expected = E.elements.index(g, *bounds)
+            except ValueError:
+                expected = None
+                with pytest.raises(ValueError):
+                    T.elements.index(g, *bounds)
+            else:
+                assert T.elements.index(g, *bounds) == expected
+
+
 def _traced(build):
     """The bytes `build()` leaves held, and its peak, under tracemalloc."""
     tracemalloc.start()
@@ -167,14 +251,20 @@ def _array_bytes(T):
     return sum(field.nbytes for field in _table_fields(T).values() if isinstance(field, np.ndarray))
 
 
+def _rows_read(T):
+    T.elements.rows
+    return T
+
+
 @pytest.mark.parametrize("name", ["gammal1(32)wrs2", "gammal1(8)wrs3"])
 def test_wreath_table_memory(name):
-    # The derived table holds the arrays the enumerated one holds, and its
-    # build peak is no higher. Held bytes may differ by what the allocator
-    # keeps (free lists, caches filled on a first call): a few KiB.
+    # Once its rows are read, the derived table holds the arrays the
+    # enumerated one holds, and its peak, building and reading, is no
+    # higher. Held bytes may differ by what the allocator keeps (free lists,
+    # caches filled on a first call): a few KiB.
     A, B = _witness_factors(name)
-    wreath_table(A, B)  # builds the factors' dense rows, which they keep
-    W, held, peak = _traced(lambda: wreath_table(A, B))
+    _rows_read(wreath_table(A, B))  # builds the factors' dense rows, which they keep
+    W, held, peak = _traced(lambda: _rows_read(wreath_table(A, B)))
     E, e_held, e_peak = _traced(lambda: enumerate_group(wreath_product(A, B)))
     arrays = _array_bytes(W)
     assert arrays == _array_bytes(E) and arrays < held and abs(held - e_held) < 2**14

@@ -374,7 +374,7 @@ def test_enumerated_tables_hold_few_bytes_per_element():
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            T = witness_group(name)[1]
+            T = enumerate_group(catalog(name))
             held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
