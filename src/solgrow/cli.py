@@ -139,6 +139,8 @@ def cmd_verify_cases(args) -> int:
 def cmd_growth(args) -> int:
     from .growth import growth_exponent_fit, growth_table
 
+    if args.radius < 0:
+        raise ParseError("--radius must be >= 0")
     gens = load_genset(args.spec)
     tbl = growth_table(gens, args.radius, max_elements=args.max_elements)
     _emit_text(tbl.to_csv(), args.csv)

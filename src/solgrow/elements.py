@@ -18,7 +18,8 @@ next to their classes): the element's data as a fixed-width numpy row, a
 batched product over many rows at once (a gather, or one float64 matrix
 product), and row -> element. Integer matrices and lamplighter elements
 have row codecs for counting Cayley balls only (MatZRows, LamplighterRows,
-from `GenSet.ball_codec`), which give only rows and products.
+from `GenSet.ball_codec`), which give only rows and products; lamplighter
+rows are as wide as their lamps need, so reaching further only appends words.
 
 Composition convention: permutations and tree automorphisms act on the
 left, (g*h)(x) = g(h(x)), matching matrix action on column vectors.
@@ -66,8 +67,8 @@ class GroupElement:
         """Fixed-width row form of this variant and degree, if it has one."""
         return None
 
-    def ball_codec(self, steps: Sequence["GroupElement"]) -> "RowCodec | None":
-        """Row form for counting Cayley balls over `steps`, if any."""
+    def ball_codec(self) -> "RowCodec | None":
+        """Row form for counting Cayley balls of this variant, if any."""
         return self.row_codec()
 
     def __eq__(self, other) -> bool:
@@ -89,7 +90,7 @@ class GroupElement:
 
 
 class RowCodec:
-    """Elements of one variant and degree as fixed-width rows.
+    """Elements of one variant and degree as rows.
 
     A row is an element's data as a 1-D array of `width` entries of
     `dtype`, which each codec instance sets: perm and matfp rows take the
@@ -97,8 +98,8 @@ class RowCodec:
     x * s for every frontier row x and every step row s at once, x-major.
     For perm and matfp, distinct elements have distinct rows and `element`
     builds the element of a row. The matz and lamplighter codecs serve
-    growth only. `make_room` readies a codec for a level's products; only
-    the lamplighter codec ever widens its rows.
+    growth only. Rows have a fixed width, except lamplighter rows, which
+    have no `width` and may lack trailing zero words.
     """
 
     dtype: np.dtype
@@ -112,18 +113,6 @@ class RowCodec:
 
     def element(self, row: np.ndarray) -> "GroupElement":
         raise NotImplementedError
-
-    def make_room(
-        self, frontier: np.ndarray, steps: np.ndarray
-    ) -> Callable[[np.ndarray], np.ndarray] | None:
-        """Ready the codec for the products of rows within the column
-        ranges of `frontier` (the growth path passes just their bounds).
-
-        A codec that must widen its rows first does so and returns the map
-        from rows of the old width to the new, which inserts constant
-        columns and so keeps the rows' order; fixed-width codecs return None.
-        """
-        return None
 
 
 class RowElements(SequenceABC):
@@ -463,7 +452,7 @@ class MatZ(_Matrix):
             self._enc = b"Z" + struct.pack("<B", self.n) + repr(self.entries).encode()
         return self._enc
 
-    def ball_codec(self, steps: Sequence[GroupElement]) -> "MatZRows":
+    def ball_codec(self) -> "MatZRows":
         return MatZRows(self.n)
 
     def __repr__(self) -> str:
@@ -534,82 +523,58 @@ class Lamplighter(GroupElement):
             self._enc = b"L" + repr((tuple(sorted(self.lamps)), self.head)).encode()
         return self._enc
 
-    def ball_codec(self, steps: Sequence[GroupElement]) -> "LamplighterRows":
-        return LamplighterRows(max((abs(x) for s in steps for x in s.lamps), default=0))  # type: ignore[attr-defined]
+    def ball_codec(self) -> "LamplighterRows":
+        return LamplighterRows()
 
     def __repr__(self) -> str:
         return f"Lamplighter({sorted(self.lamps)}, {self.head})"
 
 
+def _zigzag(lamp):
+    """The mask bit of a lamp (an int or an int64 array): 2l, or -2l - 1 if l < 0."""
+    return (lamp << 1) ^ (lamp >> 63)
+
+
 class LamplighterRows(RowCodec):
     """Lamplighter elements as int64 rows: the head, then a lamp bitmask.
 
-    Bit b of the mask (bit b % 64 of word b // 64 after the head) is the
-    lamp at b - reach, and every lamp must lie in [-reach, reach]: a window
-    of whole words, at least as wide as the reach the codec is made with.
-    `make_room` widens the window by whole words on both sides once a
-    level's heads could light a lamp outside it. For growth only.
+    Lamp l is bit b = 2l of the mask when l >= 0 and b = -2l - 1 when l < 0
+    (zigzag order), bit b % 64 of word b // 64 after the head. Rows take as
+    many words as their lamps need, and the words a row lacks are zero: a
+    row with zero words appended is the same element, so lamps reaching
+    further out only ever append words. For growth only.
     """
 
     dtype = np.dtype(np.int64)
 
-    def __init__(self, reach: int):
-        self._set_reach(reach)
-
-    def _set_reach(self, reach: int) -> None:
-        # The fewest words that hold [-reach, reach], centred on lamp 0.
-        self.words = (2 * reach + 64) // 64
-        self.reach = (64 * self.words - 1) // 2
-        self.width = 1 + self.words
-
-    def make_room(
-        self, frontier: np.ndarray, steps: np.ndarray
-    ) -> Callable[[np.ndarray], np.ndarray] | None:
-        # A product lights lamps at head + l for the lamps l of a step.
-        lamps = np.flatnonzero(self._bits(steps).any(axis=0)) - self.reach
-        need = _max_abs(frontier[:, 0]) + (_max_abs(lamps) if len(lamps) else 0)
-        if need <= self.reach:
-            return None
-        grow = -(-(need - self.reach) // 64)  # words on each side
-        self._set_reach(self.reach + 64 * grow)
-
-        def pad(rows: np.ndarray) -> np.ndarray:
-            # Bit b becomes bit b + 64 * grow: zero words before and after
-            # the mask, the same bytes at the same place in every row.
-            zeros = np.zeros((len(rows), grow), rows.dtype)
-            return np.concatenate([rows[:, :1], zeros, rows[:, 1:], zeros], axis=1)
-
-        return pad
-
     def rows(self, elements: Sequence[Lamplighter]) -> np.ndarray:
-        out = np.zeros((len(elements), self.width), self.dtype)
+        bits = [[_zigzag(x) for x in g.lamps] for g in elements]
+        words = 1 + max((b >> 6 for lamps in bits for b in lamps), default=-1)
+        out = np.zeros((len(elements), 1 + words), self.dtype)
         masks = out[:, 1:].view(np.uint64)
-        for i, g in enumerate(elements):
+        for i, (g, lamps) in enumerate(zip(elements, bits)):
             out[i, 0] = g.head
-            for lamp in g.lamps:
-                if abs(lamp) > self.reach:
-                    raise ValueError(f"lamp {lamp} outside [-{self.reach}, {self.reach}]")
-                b = lamp + self.reach
+            for b in lamps:
                 masks[i, b >> 6] |= np.uint64(1 << (b & 63))
         return out
 
-    def _bits(self, rows: np.ndarray) -> np.ndarray:
-        """One uint8 per mask bit of each row, bit b at column b."""
-        masks = rows[:, 1:].astype("<u8").view(np.uint8)
-        return np.unpackbits(masks, axis=1, bitorder="little")
-
     def products(self, frontier: np.ndarray, steps: np.ndarray) -> np.ndarray:
         # (L, k) * (L', k') = (L xor (L' + k), k + k'): each lamp l of a step
-        # flips the bit of position head + l and the step moves the head.
+        # flips the bit of lamp head + l and the step moves the head. The
+        # rows widen to hold the furthest bit flipped.
+        bits = np.unpackbits(steps[:, 1:].astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        lamps = [(j, (b >> 1) ^ -(b & 1)) for j, row in enumerate(bits) for b in np.flatnonzero(row).tolist()]
+        flips = [(j, _zigzag(frontier[:, 0] + lamp)) for j, lamp in lamps]
+        width = max([frontier.shape[1], *(2 + int(b.max()) // 64 for _j, b in flips)])
+        if width > frontier.shape[1]:
+            frontier = np.pad(frontier, ((0, 0), (0, width - frontier.shape[1])))
         out = np.repeat(frontier[:, None, :], len(steps), axis=1)
         out[:, :, 0] += steps[:, 0]
         masks = out[:, :, 1:].view(np.uint64)
         at = np.arange(len(frontier))
-        for j, step_bits in enumerate(self._bits(steps)):
-            for offset in np.flatnonzero(step_bits):  # offset = lamp + reach
-                b = frontier[:, 0] + offset
-                masks[at, j, b >> 6] ^= np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
-        return out.reshape(-1, self.width)
+        for j, b in flips:
+            masks[at, j, b >> 6] ^= np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
+        return out.reshape(-1, width)
 
 
 def _node_paths(arity: int, depth: int) -> list[tuple[int, ...]]:
@@ -780,7 +745,7 @@ class GenSet:
 
     def ball_codec(self) -> RowCodec | None:
         """Row form for counting Cayley balls over `bfs_steps`, if any."""
-        return self.elements[0].ball_codec([s for s, _ref in self.bfs_steps()])
+        return self.elements[0].ball_codec()
 
     def bfs_steps(self) -> list[tuple[GroupElement, int]]:
         """Multiplication steps in deterministic order: X, then X^-1.

@@ -7,16 +7,17 @@ spheres before it. Generating sets with a ball codec (perm, matfp, matz,
 lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows. Each
 sphere is held only as the sorted keys of its rows (`_Keys`): a row's
 mixed-radix rank over per-column ranges, in as many uint64 words as the
-ranges need. Products are deduplicated by sorting a block at a time,
-merged, and tested against the previous two spheres with `searchsorted`;
-nothing older than S_{r-1} is held. Blocks are merged once they could
-pass the element cap, so the cap also bounds the keys held and stops a
-level early. Every other set (no codec, steps not inverse-closed,
-integer matrices whose entries could pass int64) is counted from the level
-sizes of `table.element_bfs`, the BFS that enumerates finite groups (on
-hashed row keys for perm and matfp, on encodings for the rest); an
-integer-matrix run that could overflow starts again from radius 0 on that
-path.
+ranges need; products outside the ranges, or wider than them (lamplighter
+rows append words as lamps reach further out), widen them. Products are
+deduplicated by sorting a block at a time, merged, and tested against the
+previous two spheres with `searchsorted`; nothing older than S_{r-1} is
+held. Blocks are merged once they could pass the element cap, so the cap
+also bounds the keys held and stops a level early. Every other set (no
+codec, steps not inverse-closed, integer matrices whose entries could pass
+int64) is counted from the level sizes of `table.element_bfs`, the BFS that
+enumerates finite groups (on hashed row keys for perm and matfp, on
+encodings for the rest); an integer-matrix run that could overflow starts
+again from radius 0 on that path.
 
 A level that would take the ball past the element cap is dropped whole, so
 a capped run is a partial table, exact up to its last completed radius.
@@ -153,10 +154,10 @@ def _sphere_levels(
 
     Needs inverse-closed steps. Each sphere is held as the sorted keys of
     its rows. The key ranges cover the held spheres and every product
-    formed so far: a block of products outside them widens them, and the
-    held, merged and waiting keys are keyed again, in as many words as the
-    wider ranges need, which keeps them sorted. A level is expanded in
-    blocks of about `_BLOCK` products, each deduplicated on its own. The
+    formed so far: a block of products outside them, or wider, widens them,
+    and the held, merged and waiting keys are keyed again, in as many words
+    as the wider ranges need, which keeps them sorted. A level is expanded
+    in blocks of about `_BLOCK` products, each deduplicated on its own. The
     blocks wait to be merged into the new sphere until their keys could
     take the ball past `cap` and outnumber the keys a merge reads again
     (the new and held spheres), so no more keys wait than the cap and one
@@ -169,13 +170,6 @@ def _sphere_levels(
     before, sphere = keys.of(rows[:0]), keys.of(rows)
     total = 1
     while True:
-        bounds = np.stack([keys.lo, keys.hi])
-        pad = codec.make_room(bounds, step_rows)
-        if pad is not None:
-            step_rows = pad(step_rows)
-            wider = _Keys(keys.dtype, *pad(bounds))
-            before, sphere = (wider.of(pad(keys.rows(k))) for k in (before, sphere))
-            keys = wider
         new, parts, unmerged = sphere[:0], [], 0
         reread = len(before) + len(sphere)  # keys a merge reads besides the new sphere
         per = max(1, _BLOCK // len(step_rows))
@@ -201,8 +195,9 @@ def _sphere_levels(
 class _Keys:
     """Sort keys of rows whose columns lie in the ranges [lo, hi].
 
-    A row's key is its mixed-radix rank over the ranges in uint64 words: a
-    word takes the next column while the spans multiply to at most 2**64.
+    A column that a row or the ranges lack is zero. A row's key is its
+    mixed-radix rank over the ranges in uint64 words: a word takes the next
+    column while the spans multiply to at most 2**64.
     One word is a uint64 key; more are one void scalar of big-endian words.
     Either way keys order rows lexicographically by their entries, so keys
     made again under wider ranges (`rekey`) keep a sorted array sorted.
@@ -219,19 +214,23 @@ class _Keys:
 
     def widened(self, rows: np.ndarray) -> _Keys | None:
         """Keys whose ranges also cover `rows`, or None if these do."""
-        lo, hi = _column_bounds(rows)
-        lo, hi = np.minimum(self.lo, lo), np.maximum(self.hi, hi)
-        if (lo == self.lo).all() and (hi == self.hi).all():
+        lo, hi = _column_bounds(rows)  # `rows` are at least as wide as the ranges
+        old_lo, old_hi = np.zeros((2, len(lo)), np.int64)
+        old_lo[: len(self.lo)], old_hi[: len(self.hi)] = self.lo, self.hi
+        lo, hi = np.minimum(old_lo, lo), np.maximum(old_hi, hi)
+        if (lo == old_lo).all() and (hi == old_hi).all():
             return None
         # Widen as far again, so that a level widens a few times rather than
         # once a block, unless that takes more words than the exact ranges.
-        # (Where 2 * lo - self.lo wraps round int64, the exact bound stays.)
+        # (Where 2 * lo - old_lo wraps round int64, the exact bound stays.)
         exact = _Keys(self.dtype, lo, hi)
-        loose = _Keys(self.dtype, np.minimum(lo, 2 * lo - self.lo), np.maximum(hi, 2 * hi - self.hi))
+        loose = _Keys(self.dtype, np.minimum(lo, 2 * lo - old_lo), np.maximum(hi, 2 * hi - old_hi))
         return loose if len(loose.words) <= len(exact.words) else exact
 
     def of(self, rows: np.ndarray) -> np.ndarray:
         """The key of each row, which must lie in the ranges."""
+        if rows.shape[1] < len(self.lo):
+            rows = np.pad(rows, ((0, 0), (0, len(self.lo) - rows.shape[1])))
         words = np.zeros((len(self.words), len(rows)), np.uint64)
         for key, radix in zip(words, self.words):
             for c, span in radix:  # key is 0 at the first, whose span may be 2**64

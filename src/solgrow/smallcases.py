@@ -76,19 +76,19 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
     exponent labels (`semilinear_table`). Each equals, field by field, the
     element BFS's table of the same group. Any other witness is enumerated.
     """
-    gens = catalog(name)
+    key = name.lower().replace(" ", "")
+    semilinear = key.startswith("gammal1(") and "wrs" not in key
+    model = semilinear_table(int(key[len("gammal1(") : -1])) if semilinear else None
+    gens = catalog(name) if model is None else model.gen_set  # the model's own set
     if gens.variant != "matfp":
         raise ContextViolated(f"witness {name} is not a matrix group")
-    key = name.lower().replace(" ", "")
     if "wrs" in key:
         base_name, _, k_str = key.rpartition("wrs")
         base = catalog(base_name)
         perm_base = enumerate_group(matrix_to_perm_gens(list(base.elements)))  # type: ignore[arg-type]
         top = enumerate_group(sym_gens(int(k_str)))
         model = wreath_table(perm_base, top)
-    elif key.startswith("gammal1("):
-        model = semilinear_table(int(key[len("gammal1(") : -1]))
-    else:
+    elif model is None:
         model = enumerate_group(gens)
     return gens, model
 

@@ -234,6 +234,17 @@ def test_bounds_degree_below_one_is_an_input_error(argv, capsys):
     assert captured.out == "" and captured.err == "error: --n must be >= 1\n"
 
 
+@pytest.mark.parametrize("radius", [["--radius", "-1"], ["--radius=-1"]], ids=" ".join)
+def test_growth_negative_radius_is_an_input_error(spec_dir, radius):
+    # an error line and exit 1, not the traceback of growth_table's ValueError
+    out = subprocess.run(
+        [sys.executable, "-m", "solgrow.cli", "growth", str(spec_dir / "z2.json"), *radius],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr == "error: --radius must be >= 0\n" and "Traceback" not in out.stderr
+
+
 def test_closed_stdout_exits_quietly():
     # the reader closes the pipe before anything is written: no traceback,
     # and the documented exit code

@@ -9,6 +9,7 @@ import pytest
 
 from solgrow.elements import GenSet, Lamplighter, MatFp, MatZ, Perm, TreeAuto
 from solgrow.errors import InvariantViolated, MixedVariants, ParseError
+from solgrow.growth import _Keys
 
 
 def _samples():
@@ -147,41 +148,61 @@ def test_element_order():
     assert Lamplighter([0], 0).order() == 2
 
 
+def _same_width(*arrays):
+    """The row arrays with zero columns appended up to the widest."""
+    width = max(a.shape[1] for a in arrays)
+    return [np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in arrays]
+
+
 def test_ball_codecs_match_objects():
-    # rows and products (x-major) against the element objects
+    # rows and products (x-major) against the element objects; lamplighter
+    # rows may lack trailing zero words, so both sides are made one width
     cases = [
         [MatZ(2, [[1, 2], [0, 1]]), MatZ(2, [[1, -2], [0, 1]]), MatZ(2, [[-7, 3], [12, -5]])],
         [MatZ(1, [[-1]]), MatZ(1, [[1]])],
         [Lamplighter([], 1), Lamplighter([], -1), Lamplighter([0], 0), Lamplighter([-3, 2], 2)],
+        [Lamplighter([], 40), Lamplighter([-70, 64], 3), Lamplighter([0], 0)],
     ]
     for elems in cases:
         steps = elems + [g.inverse() for g in elems]
         codec = GenSet(elems, allow_identity=True).ball_codec()
-        codec.make_room(codec.rows(steps), codec.rows(steps))
         frontier = [a * b for a in steps for b in steps]
         got = codec.products(codec.rows(frontier), codec.rows(steps))
-        assert (got == codec.rows([x * s for x in frontier for s in steps])).all()
+        got, want = _same_width(got, codec.rows([x * s for x in frontier for s in steps]))
+        assert (got == want).all()
 
 
-def test_lamplighter_window_widens_in_byte_order():
+def _lamplighter_of(row):
+    """The lamps and head of a lamplighter codec row, read back by hand."""
+    bits = np.unpackbits(row[1:].astype("<u8").view(np.uint8), bitorder="little")
+    return {b // 2 if b % 2 == 0 else -(b + 1) // 2 for b in np.flatnonzero(bits).tolist()}, int(row[0])
+
+
+def test_lamplighter_rows_widen_by_appending_words():
     gens = GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)])
-    steps = [s for s, _ref in gens.bfs_steps()]
     codec = gens.ball_codec()
-    # the steps' lamps are -3, 2 and, for the inverse, -5, 0: one word holds them
-    assert codec.reach == 31 and codec.make_room(codec.rows([gens.identity()]), codec.rows(steps)) is None
+    steps = codec.rows([s for s, _ref in gens.bfs_steps()])
     rng = random.Random(3)
     elems = [
         Lamplighter(rng.sample(range(-5, 6), rng.randrange(4)), rng.randrange(-99, 100))
         for _ in range(200)
     ]
-    old = codec.rows(elems)
-    keys = old.view(f"V{old.shape[1] * 8}").ravel()
-    # a head of 100 reaches lamps up to 105: two more words on each side
-    pad = codec.make_room(codec.rows([Lamplighter([], 100)]), codec.rows(steps))
-    assert codec.reach == 31 + 2 * 64 and codec.width == 1 + 5
-    wider = pad(old)
-    assert (wider == codec.rows(elems)).all()
-    wider_keys = wider.view(f"V{wider.shape[1] * 8}").ravel()
-    assert (np.argsort(wider_keys, kind="stable") == np.argsort(keys, kind="stable")).all()
-    with pytest.raises(ValueError):
-        codec.rows([Lamplighter([codec.reach + 1], 0)])
+    rows = codec.rows(elems)
+    assert rows.shape[1] == 1 + 1  # lamps -5..5 are bits 0..10 of one word
+    padded = np.pad(rows, ((0, 0), (0, 2)))
+    # a row with zero words appended is the same element: the same key,
+    # so the same place in a sorted sphere
+    keys = _Keys(rows.dtype, padded.min(axis=0), padded.max(axis=0))
+    assert (keys.of(rows) == keys.of(padded)).all()
+    assert (np.argsort(keys.of(rows), kind="stable") == np.lexsort(padded.T[::-1])).all()
+    # and the same products; heads of up to +-99 light lamps up to -104, bit 207
+    narrow, wide = codec.products(rows, steps), codec.products(padded, steps)
+    assert narrow.shape[1] == 1 + 4 and wide.shape[1] == 1 + 4
+    assert (narrow == wide).all()
+    # lamps beyond +-64 of both signs round-trip, through rows and products
+    far = [Lamplighter([-65, 64, -200], 7), Lamplighter([63, -64], -130), Lamplighter([], 0)]
+    for g in far:
+        assert _lamplighter_of(codec.rows([g])[0]) == (g.lamps, g.head)
+    assert codec.rows(far[2:]).shape[1] == 1 and codec.rows(far[1:2]).shape[1] == 1 + 2
+    got = codec.products(codec.rows(far), codec.rows(far))
+    assert [_lamplighter_of(row) for row in got] == [((g * s).lamps, (g * s).head) for g in far for s in far]

@@ -167,12 +167,16 @@ SPHERE_CASES = [
     (catalog("heisenberg"), 10),
     (catalog("lamplighter"), 12),
     (GenSet([Lamplighter([-3, 2], 2), Lamplighter([0], 0)]), 7),  # several lamps, negative
-    (GenSet([Lamplighter([], 40), Lamplighter([0], 0)]), 12),  # the lamp window widens
+    (GenSet([Lamplighter([], 40), Lamplighter([0], 0)]), 12),  # rows append a mask word
     (GenSet([MatZ(1, [[-1]])]), 4),  # one entry: "(-1,)"
     (GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])]), 9),
     (catalog("s4"), 20),
     (catalog("gl2(3)"), 20),
     (catalog("agl1(64)"), 40),
+    # rows append words within a level: lamps +-70, bits 139 and 140 ...
+    (GenSet([Lamplighter([], 70), Lamplighter([0], 0)]), 8),
+    # ... and lamps -65 and -68 at radius 1, then lamps on both sides of 0
+    (GenSet([Lamplighter([-65], 3), Lamplighter([0], 0)]), 8),
 ]
 
 

@@ -22,7 +22,7 @@ from solgrow.milnor import (
     milnor_chain,
     subset_products,
 )
-from solgrow.mu import MuValue, mu_fast
+from solgrow.mu import ModifiedSeries, mu_fast
 from solgrow.soluble import minimal_normal_subgroups
 from solgrow.table import (
     Subgroup,
@@ -125,14 +125,11 @@ def test_coordinates_of_a_non_elementary_abelian_subgroup_raise(name, p):
         milnor._elementary_abelian_coords(T, whole_group(T), p)
 
 
-def test_cost_word_mismatch_raises(monkeypatch):
-    # a cost pair that the series' own cost word does not multiply to
-    def shifted_mu_fast(T):
-        cost, series = mu_fast(T)
-        return MuValue(cost.a + 1, cost.b), series
-
-    monkeypatch.setattr(milnor, "mu_fast", shifted_mu_fast)
-    with pytest.raises(InvariantViolated, match="cost word"):
+def test_wrong_cost_word_fails_its_check(monkeypatch):
+    # a cost word that the series' abelian and class-2 steps do not multiply to
+    cost_word = ModifiedSeries.cost_word
+    monkeypatch.setattr(ModifiedSeries, "cost_word", lambda self: cost_word(self) + [4])
+    with pytest.raises(InvariantViolated, match="certificate checks failed: cost_word_product$"):
         certify_growth_lower_bound(table_of("f2^3:c7"))
 
 
