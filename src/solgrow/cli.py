@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError
-from .specio import dump_genset, load_genset, serialize_genset
+from .specio import load_genset, serialize_genset
 from .table import DEFAULT_CAP, enumerate_group, is_normal, subgroup_generated
 
 if TYPE_CHECKING:
@@ -41,17 +41,22 @@ ENV_MAX_ELEMENTS = "SOLGROW_MAX_ELEMENTS"
 EXIT_CLOSED_PIPE = 141
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(ENV_MAX_ELEMENTS)
-    if raw is None:
-        return DEFAULT_CAP
+def _max_elements(raw: str, name: str = "--max-elements") -> int:
+    """An element cap read from the option or the environment, which must be
+    a positive integer. Raises ParseError, which argparse does not catch, so
+    both parse paths exit 1 with one error line."""
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ParseError(f"{ENV_MAX_ELEMENTS} must be an integer") from exc
+        raise ParseError(f"{name} must be an integer") from exc
     if cap < 1:
-        raise ParseError(f"{ENV_MAX_ELEMENTS} must be positive")
+        raise ParseError(f"{name} must be positive")
     return cap
+
+
+def _default_cap() -> int:
+    raw = os.environ.get(ENV_MAX_ELEMENTS)
+    return DEFAULT_CAP if raw is None else _max_elements(raw, ENV_MAX_ELEMENTS)
 
 
 def _emit(obj: dict, path: str | None) -> None:
@@ -61,9 +66,12 @@ def _emit(obj: dict, path: str | None) -> None:
 def _emit_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -177,11 +185,7 @@ def cmd_certify(args) -> int:
 def cmd_catalog(args) -> int:
     from .catalog import catalog
 
-    gens = catalog(args.name)
-    if args.out is None:
-        _emit(serialize_genset(gens), None)
-    else:
-        dump_genset(gens, args.out)
+    _emit(serialize_genset(catalog(args.name)), args.out)
     return 0
 
 
@@ -190,7 +194,7 @@ def _common_args(p) -> None:
     p.add_argument("-o", "--out", default=None, help="output JSON path (default stdout)")
     p.add_argument(
         "--max-elements",
-        type=int,
+        type=_max_elements,
         default=_default_cap(),
         help="enumeration cap (env %s overrides the default)" % ENV_MAX_ELEMENTS,
     )

@@ -77,17 +77,6 @@ class GroupElement:
     def __hash__(self) -> int:
         return hash(self.encode())
 
-    def order(self, cap: int = 10**6) -> int:
-        e = self.identity()
-        x = self
-        k = 1
-        while x != e:
-            x = x * self
-            k += 1
-            if k > cap:
-                raise ValueError("element order exceeds cap")
-        return k
-
 
 class RowCodec:
     """Elements of one variant and degree as rows.

@@ -13,25 +13,22 @@ identity and word_length[i] is the exact BFS distance from the identity
 over the table's BFS steps (the generators, then their inverses). Every
 table, whether enumerated from concrete GroupElements or derived as a
 quotient, multiplies the same way: it stores the right action of each BFS
-step on indices, R[s][i] = index of i * s, as one (steps, n) int32 array. An enumerated table takes its word lengths,
-BFS parents and levels (contiguous index ranges) from the element BFS; a
-derived one runs one BFS over R. Inverse indices come from one pass down
-the BFS levels: x = t * rest(x), t the first step of x's geodesic, and
-rest(x) = rest(p) * s for x's parent p and parent step s, so x^-1 =
-rest(x)^-1 * t^-1 is read off a level already done. Word lengths and
-inverse indices are read-only int32 memoryviews, whose items are ints.
-Up to DENSE_LIMIT elements, the right action of j is kept as a dense row
-once it is first read: row j is R[s] applied to the row of j's BFS
-parent, so building it builds the missing rows on j's geodesic and no
-others. Above DENSE_LIMIT no row is kept, and i * j walks j's geodesic
-through R. The product of a point set by j, `mul_points(xs, j)`, is a
-gather from j's row up to DENSE_LIMIT and above it a walk of j's geodesic
-on the |xs| points alone, so a caller that reads only a subgroup's or a
-coset's points forms no n-wide action. A table holds no encoding -> index
-dict: its order n is the length of its step actions. Perm and matfp
-tables keep their elements as rows (one byte an entry up to degree or p
-256; the derived tables of `solgrow.constructions` write them on first
-read) and build each element object on access.
+step on indices, R[s][i] = index of i * s, as one (steps, n) int32 array.
+An enumerated table takes its word lengths, BFS parents and levels
+(contiguous index ranges) from the element BFS; a derived one runs one BFS
+over R. Inverse indices come from one pass down the BFS levels: x = t *
+rest(x), t the first step of x's geodesic, and rest(x) = rest(p) * s for
+x's parent p and parent step s, so x^-1 = rest(x)^-1 * t^-1 is read off a
+level already done. Word lengths and inverse indices are read-only int32
+memoryviews, whose items are ints. No table stores the right action of an
+element: i * j walks j's BFS geodesic through R, and the product of a
+point set by j, `mul_points(xs, j)`, walks it on the |xs| points alone, so
+a caller that reads only a subgroup's or a coset's points forms no n-wide
+action. A table holds no encoding -> index dict: its order n is the length
+of its step actions. Perm and matfp tables keep their elements as rows
+(one byte an entry up to degree or p 256; the derived tables of
+`solgrow.constructions` write them on first read) and build each element
+object on access.
 
 A Subgroup is one member mask, a byte per element of its table, with a
 generator list. Masks of equal member count sort in the reverse order of
@@ -44,16 +41,15 @@ orbit tests of `solgrow.bounds` and `solgrow.smallcases`) share one
 breadth-first walk, `_orbit`. Closures grow in place (`_Closure`) on a
 member mask: each generator adjoined walks only the points it newly
 reaches, so no subgroup is rebuilt from the identity. A small closure
-walks them point by point (`_orbit`, over point maps that above
-DENSE_LIMIT walk a geodesic per point); from COSET_WALK_MIN members on,
-it walks right cosets of the old closure, one point-set product each
-(coset enumeration in the manner of Dimino). Conjugates of a few
-elements by the whole group (normalizers, the self-centralizing test
-and conjugate chains) come from one walk down the BFS levels,
-`conjugates`.
+walks them point by point (`_orbit`, over point maps that walk a geodesic
+per point); from COSET_WALK_MIN members on, it walks right cosets of the
+old closure, one point-set product each (coset enumeration in the manner
+of Dimino). Conjugates of a few elements by the whole group (normalizers,
+the self-centralizing test and conjugate chains) come from one walk down
+the BFS levels, `conjugates`.
 
-Tables are immutable after construction; all queries are pure reads (dense
-rows and the step conjugation maps are built on first use).
+Tables are immutable after construction; all queries are pure reads (the
+step conjugation maps are built on first use).
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ from .errors import CapExceeded, InvariantViolated, NotNormal
 from .rowbfs import _HashCollision, _row_bytes, _row_hash, _row_levels
 
 DEFAULT_CAP = 2_000_000
-DENSE_LIMIT = 4096
 
 
 class FiniteGroupTable:
@@ -111,28 +106,16 @@ class FiniteGroupTable:
         self._parent = memoryview(parent).toreadonly()
         self._parent_step = memoryview(parent_step).toreadonly()
         self._action_views = [memoryview(a).toreadonly() for a in self._actions]
-        # Dense rows, each None until first read: _rows[j][i] = index of
-        # i * j. Row 0 is the identity. None above DENSE_LIMIT: no row kept.
-        self._rows: list[memoryview | None] | None = None
-        if self.n <= DENSE_LIMIT:
-            self._rows = [None] * self.n
-            self._rows[0] = memoryview(np.arange(self.n, dtype=np.int32)).toreadonly()
         # Conjugation map of each step, None until first used.
         self._step_conj: np.ndarray | None = None
 
     # -- products ---------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        rows = self._rows
-        if rows is None:
-            actions = self._action_views
-            for s in self._geodesic(j):
-                i = actions[s][i]
-            return i
-        row = rows[j]
-        if row is None:
-            row = self._build_row(j)
-        return row[i]
+        actions = self._action_views
+        for s in self._geodesic(j):
+            i = actions[s][i]
+        return i
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
@@ -149,64 +132,29 @@ class FiniteGroupTable:
             k += 1
         return k
 
+    _rows = None  # read by the benchmark tracer until ROADMAP J replaces its metrics
+
     def ensure_dense(self) -> bool:
-        """Build every missing dense row if the group has <= DENSE_LIMIT elements."""
-        if self._rows is None:
-            return False
-        for j, row in enumerate(self._rows):
-            if row is None:
-                self._build_row(j)
-        return True
-
-    def _build_row(self, j: int) -> memoryview:
-        """Build dense row j and the missing rows on its geodesic.
-
-        The right action of j is that of its BFS parent p followed by the
-        step s from p to j, so row j is R[s] applied to row p: walk up to
-        the nearest built row, then gather back down. Each row is its own
-        array, so reading a few rows touches only their memory.
-        """
-        rows, parent, step = self._rows, self._parent, self._parent_step
-        chain = []
-        while rows[j] is None:
-            chain.append(j)
-            j = parent[j]
-        row = np.asarray(rows[j])
-        for j in reversed(chain):
-            row = self._actions[step[j]][row]
-            rows[j] = memoryview(row).toreadonly()
-        return rows[j]
+        """Returns False and builds nothing; the benchmark tracer wraps it (ROADMAP J)."""
+        return False
 
     def right_action(self, x: int) -> np.ndarray:
         """int32 array mapping index i to the index of i * x."""
-        rows = self._rows
-        if rows is not None:
-            row = rows[x]
-            return np.asarray(row if row is not None else self._build_row(x))
         return self.mul_points(np.arange(self.n, dtype=np.int32), x)
 
     def mul_points(self, xs: np.ndarray, g: int) -> np.ndarray:
         """int32 indices of x * g for each index x of the int32 array xs.
 
-        Up to DENSE_LIMIT a gather from g's dense row; above it a walk of
-        g's geodesic through the step actions on the |xs| points alone
-        (xs itself when g = 0).
+        A walk of g's geodesic through the step actions on the |xs| points
+        alone (xs itself when g = 0).
         """
-        if self._rows is not None:
-            return self.right_action(g)[xs]
         for s in self._geodesic(g):
             xs = self._actions[s][xs]
         return xs
 
     def point_map(self, g: int) -> Sequence[int]:
-        """Index map i -> index of i * g, read one point at a time.
-
-        g's dense row up to DENSE_LIMIT; above it, a map that walks g's
-        geodesic for each point read, so no n-wide array is formed.
-        """
-        rows = self._rows
-        if rows is not None:
-            return rows[g] if rows[g] is not None else self._build_row(g)
+        """Index map i -> index of i * g, read one point at a time: it walks
+        g's geodesic for each point read, so no n-wide array is formed."""
         return _GeodesicMap([self._action_views[s] for s in self._geodesic(g)])
 
     def conjugation_action(self, g: int) -> np.ndarray:

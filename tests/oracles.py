@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product as cartesian
+from itertools import accumulate, product as cartesian
 from typing import Sequence
 
 import numpy as np
@@ -434,6 +434,36 @@ def free_group_reduced_words(n: int) -> int:
                 continue
             stack.append((depth + 1, word + (l,)))
     return count
+
+
+def lamplighter_ball(r: int) -> list[int]:
+    """Ball sizes gamma(0..r) of the lamplighter group over t (head +1) and
+    a (flip the lamp at the head), counted from a word-length formula with
+    no element product.
+
+    An element is a finite lamp set f with the head at k. A word for it
+    starts at 0, visits every lit lamp and stops at k, so with
+    lo = min(0, k, min f) and hi = max(0, k, max f) its length is
+    |f| + 2(hi - lo) - |k|: one letter a per lamp, and the shortest walk
+    from 0 over [lo, hi] to k (Cleary & Taback, "Dead end words in
+    lamplighter groups and other wreath products", 2005).
+
+    So count by (lo, hi, k) with lo <= 0 <= hi and lo <= k <= hi. The lamp
+    at lo must be lit exactly when lo < min(0, k), for nothing else reaches
+    lo; likewise the lamp at hi when hi > max(0, k). The other lamps of
+    [lo, hi] are free: with `forced` lamps fixed and `free` the rest, the
+    sphere of radius forced + 2(hi - lo) - |k| + j gains C(free, j).
+    """
+    sphere = [0] * (r + 1)
+    for lo in range(-r, 1):
+        for hi in range(0, r + lo + 1):  # hi - lo <= length <= r
+            for k in range(lo, hi + 1):
+                forced = (lo < min(0, k)) + (hi > max(0, k))
+                free = hi - lo + 1 - forced
+                base = forced + 2 * (hi - lo) - abs(k)
+                for j in range(min(free, r - base) + 1):
+                    sphere[base + j] += math.comb(free, j)
+    return list(accumulate(sphere))
 
 
 # -- derived tables and shared lemma checks ------------------------------------

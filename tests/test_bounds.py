@@ -233,9 +233,9 @@ def test_exhaustive_groups_checked():
 
 
 def test_transitive_exhaustive_at_degree_seven():
-    # Sym(7) has 5,040 elements, above DENSE_LIMIT; its soluble transitive
-    # subgroups up to conjugacy are C7, D7, 7:3 and AGL(1,7). Degree 7 is
-    # not among the default degrees, so `verify-cases` output is unchanged.
+    # Sym(7) has 5,040 elements; its soluble transitive subgroups up to
+    # conjugacy are C7, D7, 7:3 and AGL(1,7). Degree 7 is not among the
+    # default degrees, so `verify-cases` output is unchanged.
     assert 7 not in smallcases.DEFAULT_EXHAUSTIVE_SYM
     assert verify_transitive_exhaustive(degrees=(7,)) == {
         "entries": [{"degree": 7, "groups_checked": 4, "mode": "exhaustive", "pass": True}],

@@ -234,6 +234,47 @@ def test_bounds_degree_below_one_is_an_input_error(argv, capsys):
     assert captured.out == "" and captured.err == "error: --n must be >= 1\n"
 
 
+# "--max-elements 0" parses without argparse, the other two through it
+@pytest.mark.parametrize(
+    "cap", [["--max-elements", "0"], ["--max-elements", "-3"], ["--max-elements=0"]], ids=" ".join
+)
+@pytest.mark.parametrize("command", ["analyze", "mu", "certify", "growth"])
+def test_cap_below_one_is_an_input_error(spec_dir, capsys, command, cap):
+    radius = ["--radius", "3"] if command == "growth" else []
+    assert _run([command, str(spec_dir / "s4.json"), *radius, *cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --max-elements must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "s4.json", "-o"],
+        ["mu", "q8.json", "-o"],
+        ["bounds", "--n", "3", "-o"],
+        ["verify-cases", "--quick", "-o"],
+        ["growth", "z2.json", "--radius", "2", "-o"],
+        ["growth", "z2.json", "--radius", "2", "--csv"],
+        ["certify", "f8c7.json", "-o"],
+        ["catalog", "s4", "-o"],
+    ],
+    ids=" ".join,
+)
+def test_unwritable_output_path_is_an_input_error(spec_dir, tmp_path, capsys, argv):
+    bad = str(tmp_path / "missing" / "out")
+    argv = [str(spec_dir / a) if a.endswith(".json") else a for a in argv]
+    assert _run([*argv, bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+
+
+def test_catalog_output_matches_dump_genset(tmp_path):
+    out, dumped = tmp_path / "out.json", tmp_path / "dumped.json"
+    assert _run(["catalog", "s4wrs2", "-o", str(out)]) == 0
+    dump_genset(catalog("s4wrs2"), str(dumped))
+    assert out.read_bytes() == dumped.read_bytes()
+
+
 @pytest.mark.parametrize("radius", [["--radius", "-1"], ["--radius=-1"]], ids=" ".join)
 def test_growth_negative_radius_is_an_input_error(spec_dir, radius):
     # an error line and exit 1, not the traceback of growth_table's ValueError
@@ -291,7 +332,7 @@ def _child_peak_rss_mib(args: list[str]) -> float:
 
 def test_analyze_reads_dense_rows_without_the_whole_table(tmp_path):
     # agl1(64) has 4,032 elements, so its whole int32 product table would
-    # be 62 MiB; analyze reads the rows of a few hundred elements only.
+    # be 62 MiB; analyze keeps no product table, only step actions.
     spec = tmp_path / "agl1_64.json"
     dump_genset(catalog("agl1(64)"), str(spec))
     startup = _child_peak_rss_mib(["--help"])
@@ -333,11 +374,15 @@ def test_determinism_byte_identical(spec_dir, tmp_path):
     assert csvs[0] == csvs[1]
 
 
-def test_env_cap_override(spec_dir, monkeypatch):
+def test_env_cap_override(spec_dir, capsys, monkeypatch):
     monkeypatch.setenv("SOLGROW_MAX_ELEMENTS", "5")
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 2
     monkeypatch.setenv("SOLGROW_MAX_ELEMENTS", "bogus")
     assert _run(["analyze", str(spec_dir / "s4.json")]) == 1
+    capsys.readouterr()
+    monkeypatch.setenv("SOLGROW_MAX_ELEMENTS", "0")
+    assert _run(["analyze", str(spec_dir / "s4.json")]) == 1
+    assert capsys.readouterr().err == "error: SOLGROW_MAX_ELEMENTS must be positive\n"
 
 
 _PLAIN = [

@@ -3,9 +3,10 @@
 `subgroup_generated`, `reduce_generators`, normal closures and conjugate
 chains grow one `_Closure` each; the oracles rebuild every subgroup from
 the identity. Both must give the same members and the same generators, on
-the corpus and on one table above DENSE_LIMIT, where no dense row is kept.
-The point-set product `mul_points` that large closures, quotients and
-subgroup tables read must equal the gathered right action.
+the corpus and on one larger table, `BIG`. The point-set product
+`mul_points` that large closures, quotients and subgroup tables read must
+equal the gathered right action, and no closure may form a right action
+of the whole group.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from solgrow.catalog import catalog
 from solgrow.milnor import _pair_commutators, milnor_chain
 from solgrow.soluble import _prime_extensions, normal_subgroups
 from solgrow.table import (
-    DENSE_LIMIT,
     FiniteGroupTable,
     _Closure,
     commutator_subgroup,
@@ -58,7 +58,7 @@ def _table(name):
 
 
 def _fresh_table(name):
-    """A table of its own, with no dense row built yet."""
+    """A table of its own, on which no product has been formed."""
     if name == BIG:
         return direct_product(table_of("agl1(64)"), table_of("c2"))
     return enumerate_group(catalog(name))
@@ -76,8 +76,7 @@ def _seed_sets(T):
 
 def test_big_table_is_above_the_dense_limit():
     T = _table(BIG)
-    assert T.n == 8064 > DENSE_LIMIT
-    assert T._rows is None
+    assert T.n == 8064
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -162,8 +161,7 @@ def test_mul_points_equals_the_gathered_action(name):
         np.zeros(0, dtype=np.int32),
     ]
     for g in elements:
-        # on a fresh table: up to DENSE_LIMIT the first product builds g's
-        # row; above it every product walks g's geodesic
+        # on a fresh table, each product walks g's geodesic
         products = [T.mul_points(xs, g) for xs in point_sets]
         action = T.right_action(g)
         for xs, got in zip(point_sets, products):
@@ -173,7 +171,6 @@ def test_mul_points_equals_the_gathered_action(name):
         some = point_sets[1][:50].tolist()
         m = T.point_map(g)
         assert [m[x] for x in some] == action[some].tolist()
-    assert (T._rows is None) == (n > DENSE_LIMIT)
 
 
 def _adjoined_one_by_one(T, C, elements):
@@ -226,17 +223,16 @@ def _closure_results(T):
     )
 
 
-def test_no_closure_above_the_dense_limit_forms_a_whole_action(monkeypatch):
-    want = _closure_results(_fresh_table(BIG))
-    right_action = FiniteGroupTable.right_action
+@pytest.mark.parametrize("name", ["s4wrs2", BIG])
+def test_no_closure_forms_a_whole_action(name, monkeypatch):
+    want = _closure_results(_fresh_table(name))
+    T = _fresh_table(name)  # a direct product is built from right actions
 
-    def refuse_above_the_limit(self, x):
-        if self._rows is None:
-            raise AssertionError("n-wide right action formed")
-        return right_action(self, x)
+    def refuse(self, x):
+        raise AssertionError("n-wide right action formed")
 
-    monkeypatch.setattr(FiniteGroupTable, "right_action", refuse_above_the_limit)
-    assert _closure_results(_fresh_table(BIG)) == want
+    monkeypatch.setattr(FiniteGroupTable, "right_action", refuse)
+    assert _closure_results(T) == want
 
 
 @pytest.mark.parametrize("name", CORPUS_SMALL + ["s4wrs2", "agl1(64)"])

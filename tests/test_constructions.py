@@ -263,7 +263,7 @@ def test_wreath_table_memory(name):
     # higher. Held bytes may differ by what the allocator keeps (free lists,
     # caches filled on a first call): a few KiB.
     A, B = _witness_factors(name)
-    _rows_read(wreath_table(A, B))  # builds the factors' dense rows, which they keep
+    _rows_read(wreath_table(A, B))  # so that one-time allocations are not counted
     W, held, peak = _traced(lambda: _rows_read(wreath_table(A, B)))
     E, e_held, e_peak = _traced(lambda: enumerate_group(wreath_product(A, B)))
     arrays = _array_bytes(W)

@@ -142,12 +142,6 @@ def test_genset_rules():
     assert [ref for _, ref in steps] == [1, 2, -1, -2]
 
 
-def test_element_order():
-    assert Perm([1, 2, 0]).order() == 3
-    assert MatFp(2, 3, [[0, 2], [1, 0]]).order() == 4
-    assert Lamplighter([0], 0).order() == 2
-
-
 def _same_width(*arrays):
     """The row arrays with zero columns appended up to the widest."""
     width = max(a.shape[1] for a in arrays)

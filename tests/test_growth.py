@@ -10,6 +10,7 @@ from oracles import (
     free_group_ball,
     free_group_reduced_words,
     gap_hypothesis_holds,
+    lamplighter_ball,
     word_ball_lengths,
     word_ball_sizes,
     z2_ball,
@@ -34,6 +35,12 @@ def test_free_group_formula_small():
     for n in range(9):
         assert tbl.counts[n] == 2 * 3**n - 1 == free_group_ball(n)
     assert free_group_reduced_words(8) == tbl.counts[8]
+
+
+def test_lamplighter_formula():
+    # r = 24 is the last radius whose ball (1,618,409) fits the default cap
+    assert growth_table(catalog("lamplighter"), 24).counts == lamplighter_ball(24)
+    assert lamplighter_ball(24)[-1] == 1_618_409
 
 
 @pytest.mark.parametrize("name,radius", [("lamplighter", 5), ("s4tower(2)", 4)])

@@ -25,7 +25,6 @@ from solgrow.elements import Perm
 from solgrow.errors import NotNormal
 from solgrow.soluble import soluble_subgroups
 from solgrow.table import (
-    DENSE_LIMIT,
     commutator_subgroup,
     conjugacy_classes,
     derived_length,
@@ -193,13 +192,12 @@ def test_conjugacy_classes():
 
 
 def test_conjugacy_classes_above_dense_limit():
-    # S7 has one class per partition of 7; 5,040 elements, so no dense table
+    # S7 has one class per partition of 7 and 5,040 elements
     T = table_of("s7")
-    assert T.n > DENSE_LIMIT
+    assert T.n == 5040
     classes = conjugacy_classes(T)
     assert len(classes) == 15
     assert sorted(x for c in classes for x in c) == list(range(T.n))
-    assert T._rows is None
 
 
 def test_centralizer_examples():

@@ -29,7 +29,6 @@ from solgrow.elements import GenSet, MatFp, Perm, RowElements
 from solgrow.errors import CapExceeded, InvariantViolated
 from solgrow.smallcases import witness_group
 from solgrow.table import (
-    DENSE_LIMIT,
     FiniteGroupTable,
     Subgroup,
     commutator_subgroup,
@@ -557,22 +556,17 @@ DENSE_CASES = {
 
 
 def _fresh(T):
-    """A new table over T's steps, with no dense row built."""
+    """A new table over T's steps, on which no product has been formed."""
     return FiniteGroupTable(T.generators, T.step_refs, T._actions)
-
-
-def _built_rows(T):
-    return sum(row is not None for row in T._rows)
 
 
 @pytest.mark.parametrize("name", list(DENSE_CASES))
 def test_dense_table_agrees_with_elementwise(name):
-    # perm, matrix, quotient, subgroup and direct-product tables all build
-    # their dense rows from step actions; ensure_dense builds every row,
-    # and every product is checked.
+    # perm, matrix, quotient, subgroup and direct-product tables all
+    # multiply by walking geodesics through their step actions; every
+    # product of a fresh table is checked.
     T, product = DENSE_CASES[name]()
     T = _fresh(T)
-    assert T.ensure_dense() and _built_rows(T) == T.n
     for i in range(T.n):
         assert product(i, T.inv_idx[i]) == 0
         for j in range(T.n):
@@ -582,8 +576,8 @@ def test_dense_table_agrees_with_elementwise(name):
 
 @pytest.mark.parametrize("name", list(DENSE_CASES))
 def test_rows_built_in_any_order_agree_with_elementwise(name):
-    # Rows built in a shuffled order, each from whichever ancestors are
-    # already there, match the element products.
+    # Right actions formed in a shuffled order on a fresh table match the
+    # element products.
     T, product = DENSE_CASES[name]()
     T = _fresh(T)
     order = list(range(T.n))
@@ -592,44 +586,37 @@ def test_rows_built_in_any_order_agree_with_elementwise(name):
         row = T.right_action(j)
         assert row.dtype == np.int32
         assert row.tolist() == [product(i, j) for i in range(T.n)]
-    assert _built_rows(T) == T.n
 
 
-def test_mul_builds_only_the_geodesic_rows():
+def test_mul_on_fresh_tables_matches_elementwise():
     T = enumerate_group(catalog("s4wrs2"))
-    assert T.n <= DENSE_LIMIT
     product = _element_product(T)
     rng = random.Random(3)
     for j in rng.sample(range(T.n), 25):
         fresh = _fresh(T)
         i = rng.randrange(T.n)
-        assert fresh.mul(i, j) == product(i, j)
-        assert fresh._rows[j] is not None
-        assert _built_rows(fresh) <= T.word_length[j] + 1
+        got = fresh.mul(i, j)
+        assert type(got) is int and got == product(i, j)
 
 
-def test_small_subgroup_leaves_most_rows_unbuilt():
+def test_small_subgroup_is_closed_under_products():
     T = enumerate_group(catalog("agl1(64)"))
-    assert T.n == 4032 <= DENSE_LIMIT
+    assert T.n == 4032
     g = T.generators[0]
     H = subgroup_generated(T, [g, T.conj(g, T.generators[1])])
     assert H.order < T.n
     assert all(T.mul(y, x) in H for x in H.generators for y in H.members)
-    assert _built_rows(T) < T.n // 10
 
 
 def test_geodesic_walk_above_dense_limit():
     T = enumerate_group(catalog("s7"))
-    assert T.n == 5040 > DENSE_LIMIT
-    # Above the limit no dense row is kept: every product walks a geodesic.
-    assert not T.ensure_dense() and T._rows is None
+    assert T.n == 5040
     product = _element_product(T)
     rng = random.Random(11)
     for _ in range(2000):
         i, j = rng.randrange(T.n), rng.randrange(T.n)
         got = T.mul(i, j)
         assert type(got) is int and got == product(i, j)
-    assert T._rows is None
 
 
 @pytest.mark.parametrize("name", ["s4", "sl2(3)/centre", "s3xq8", "s7"])
@@ -664,7 +651,6 @@ def test_conjugates_above_dense_limit():
     for _ in range(2000):
         i, g = rng.randrange(len(xs)), rng.randrange(T.n)
         assert C[i, g] == T.conj(xs[i], g)
-    assert T._rows is None
 
 
 def _first_discovery_words(T):

@@ -34,3 +34,8 @@ def test_fresh_table_has_rows_attribute():
     T = enumerate_group(catalog("s4"))
     assert hasattr(T, "_rows")
     assert tracer._was_sparse((T,), {}) in (True, False)
+
+
+def test_ensure_dense_builds_nothing():
+    # No table keeps dense rows; the tracer still wraps `ensure_dense`.
+    assert enumerate_group(catalog("s4")).ensure_dense() is False
