@@ -85,14 +85,17 @@ class RowCodec:
     `dtype`, which each codec instance sets: perm and matfp rows take the
     narrowest unsigned dtype that holds their entries. `products` forms
     x * s for every frontier row x and every step row s at once, x-major.
-    For perm and matfp, distinct elements have distinct rows and `element`
-    builds the element of a row. The matz and lamplighter codecs serve
-    growth only. Rows have a fixed width, except lamplighter rows, which
-    have no `width` and may lack trailing zero words.
+    For perm and matfp, distinct elements have distinct rows, every entry
+    lies in 0..`top`, and `element` builds the element of a row: the
+    element BFS keys those rows exactly over these fixed ranges. The matz
+    and lamplighter codecs serve growth only, whose keys widen as entries
+    grow. Rows have a fixed width, except lamplighter rows, which have no
+    `width` and may lack trailing zero words.
     """
 
     dtype: np.dtype
     width: int
+    top: int
 
     def rows(self, elements: Sequence["GroupElement"]) -> np.ndarray:
         raise NotImplementedError
@@ -220,6 +223,7 @@ class PermRows(RowCodec):
 
     def __init__(self, degree: int):
         self.width = degree
+        self.top = degree - 1
         self.dtype = np.dtype("u1" if degree <= 256 else "<u2")
 
     def rows(self, perms: Sequence[Perm]) -> np.ndarray:
@@ -374,6 +378,7 @@ class MatFpRows(RowCodec):
         self.width = n * n
         self.n = n
         self.p = p
+        self.top = p - 1
         # the narrowest unsigned dtype that holds p - 1
         self.dtype = np.dtype("u1" if p <= 1 << 8 else "<u2" if p <= 1 << 16 else "<u4")
 

@@ -5,17 +5,18 @@ inverse-closed, every neighbour of the sphere S_r lies in S_{r-1}, S_r or
 S_{r+1}, so S_{r+1} is the set of distinct products of S_r minus the two
 spheres before it. Generating sets with a ball codec (perm, matfp, matz,
 lamplighter; `GenSet.ball_codec`) are counted that way on numpy rows. Each
-sphere is held only as the sorted keys of its rows (`_Keys`): a row's
-mixed-radix rank over per-column ranges, in as many uint64 words as the
-ranges need; products outside the ranges, or wider than them (lamplighter
-rows append words as lamps reach further out), widen them. Products are
+sphere is held only as the sorted keys of its rows (`rowbfs._Keys`, which
+the element BFS shares): a row's mixed-radix rank over per-column ranges,
+in as many uint64 words as the ranges need; products outside the ranges,
+or wider than them (lamplighter rows append words as lamps reach further
+out), widen them. Products are
 deduplicated by sorting a block at a time, merged, and tested against the
 previous two spheres with `searchsorted`; nothing older than S_{r-1} is
 held. Blocks are merged once they could pass the element cap, so the cap
 also bounds the keys held and stops a level early. Every other set (no
 codec, steps not inverse-closed, integer matrices whose entries could pass
 int64) is counted from the level sizes of `table.element_bfs`, the BFS that
-enumerates finite groups (on hashed row keys for perm and matfp, on
+enumerates finite groups (on the same exact row keys for perm and matfp, on
 encodings for the rest); an integer-matrix run that could overflow starts
 again from radius 0 on that path.
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .elements import GenSet, GroupElement, RowCodec, TreeAuto
 from .errors import CapExceeded, DegenerateWindow
-from .rowbfs import _inverse_closed
+from .rowbfs import _BLOCK, _Keys, _inverse_closed
 from .specio import spec_digest
 from .table import (
     DEFAULT_CAP,
@@ -45,8 +46,6 @@ from .table import (
     reduce_generators,
     whole_group,
 )
-
-_BLOCK = 1 << 16  # products formed and deduplicated at once on the sphere path
 
 
 @dataclass
@@ -190,92 +189,6 @@ def _sphere_levels(
         total += len(new)
         before, sphere = sphere, new
         yield len(new)
-
-
-class _Keys:
-    """Sort keys of rows whose columns lie in the ranges [lo, hi].
-
-    A column that a row or the ranges lack is zero. A row's key is its
-    mixed-radix rank over the ranges in uint64 words: a word takes the next
-    column while the spans multiply to at most 2**64.
-    One word is a uint64 key; more are one void scalar of big-endian words.
-    Either way keys order rows lexicographically by their entries, so keys
-    made again under wider ranges (`rekey`) keep a sorted array sorted.
-    """
-
-    def __init__(self, dtype: np.dtype, lo: np.ndarray, hi: np.ndarray):
-        self.dtype, self.lo, self.hi = np.dtype(dtype), lo, hi
-        self.words = [[]]  # each word's (column, span), most significant first
-        for c, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
-            if h > l:
-                if math.prod(s for _c, s in self.words[-1]) * (h - l + 1) > 1 << 64:
-                    self.words.append([])
-                self.words[-1].append((c, h - l + 1))
-
-    def widened(self, rows: np.ndarray) -> _Keys | None:
-        """Keys whose ranges also cover `rows`, or None if these do."""
-        lo, hi = _column_bounds(rows)  # `rows` are at least as wide as the ranges
-        old_lo, old_hi = np.zeros((2, len(lo)), np.int64)
-        old_lo[: len(self.lo)], old_hi[: len(self.hi)] = self.lo, self.hi
-        lo, hi = np.minimum(old_lo, lo), np.maximum(old_hi, hi)
-        if (lo == old_lo).all() and (hi == old_hi).all():
-            return None
-        # Widen as far again, so that a level widens a few times rather than
-        # once a block, unless that takes more words than the exact ranges.
-        # (Where 2 * lo - old_lo wraps round int64, the exact bound stays.)
-        exact = _Keys(self.dtype, lo, hi)
-        loose = _Keys(self.dtype, np.minimum(lo, 2 * lo - old_lo), np.maximum(hi, 2 * hi - old_hi))
-        return loose if len(loose.words) <= len(exact.words) else exact
-
-    def of(self, rows: np.ndarray) -> np.ndarray:
-        """The key of each row, which must lie in the ranges."""
-        if rows.shape[1] < len(self.lo):
-            rows = np.pad(rows, ((0, 0), (0, len(self.lo) - rows.shape[1])))
-        words = np.zeros((len(self.words), len(rows)), np.uint64)
-        for key, radix in zip(words, self.words):
-            for c, span in radix:  # key is 0 at the first, whose span may be 2**64
-                key *= np.uint64(span % (1 << 64))
-                key += rows[:, c].astype(np.int64).view(np.uint64) - np.uint64(int(self.lo[c]) % (1 << 64))
-        if len(words) == 1:
-            return words[0]
-        return np.ascontiguousarray(words.T, ">u8").view(f"V{8 * len(words)}").ravel()
-
-    def rows(self, keys: np.ndarray) -> np.ndarray:
-        """The rows of the given keys."""
-        words = [keys] if len(self.words) == 1 else keys.view(">u8").reshape(-1, len(self.words)).T.astype(np.uint64)
-        rows = np.repeat(self.lo[None, :], len(keys), axis=0)
-        for key, radix in zip(words, self.words):
-            for c, span in radix[:0:-1]:
-                key, digit = np.divmod(key, np.uint64(span))
-                rows[:, c] += digit.view(np.int64)
-            for c, _span in radix[:1]:  # the most significant digit is what is left
-                rows[:, c] += key.view(np.int64)
-        return rows.astype(self.dtype, copy=False)
-
-    def rekey(self, keys: np.ndarray, old: _Keys) -> np.ndarray:
-        """`keys` made under `old`, made again under these wider ranges,
-        `_BLOCK` keys at a time, so that no more rows are decoded at once."""
-        out = np.empty(len(keys), np.uint64 if len(self.words) == 1 else f"V{8 * len(self.words)}")
-        for lo in range(0, len(keys), _BLOCK):
-            out[lo : lo + _BLOCK] = self.of(old.rows(keys[lo : lo + _BLOCK]))
-        return out
-
-
-def _column_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's least and greatest entry over the rows.
-
-    numpy reduces a tall, narrow array along its rows many times slower than
-    a wide one, so whole groups of 256 rows are first read as one wide row
-    and reduced to 256 rows, and those are then reduced with the rest.
-    """
-    width = rows.shape[1]
-    cut = len(rows) - len(rows) % 256
-    lo, hi = [rows[cut:]], [rows[cut:]]
-    if cut:
-        wide = rows[:cut].reshape(-1, 256 * width)
-        lo.append(wide.min(axis=0).reshape(256, width))
-        hi.append(wide.max(axis=0).reshape(256, width))
-    return np.concatenate(lo).min(axis=0), np.concatenate(hi).max(axis=0)
 
 
 def _distinct(keys: np.ndarray, kind: str | None = None) -> np.ndarray:

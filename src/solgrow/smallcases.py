@@ -41,12 +41,13 @@ from .bounds import (
 from .catalog import catalog
 from .constructions import matrix_to_perm_gens, semilinear_table, sym_gens, wreath_table
 from .elements import GenSet, MatFp, Perm
-from .errors import ContextViolated, NotSoluble
+from .errors import CapExceeded, ContextViolated, NotSoluble
 from .mu import mu_fast
 from .soluble import soluble_subgroup_classes
-from .table import FiniteGroupTable, Subgroup, derived_length, enumerate_group
+from .table import DEFAULT_CAP, FiniteGroupTable, Subgroup, derived_length, enumerate_group
 
 DEFAULT_EXHAUSTIVE_SYM = (2, 3, 4, 5, 6)
+QUICK_CAP = 2_040  # the largest witness model that a quick run checks
 
 
 def _subgroup_gens(T: FiniteGroupTable, S: Subgroup) -> list:
@@ -67,7 +68,7 @@ def _soluble_reps(T: FiniteGroupTable, keep: Callable[[list], bool]) -> list[Sub
 # -- witness handling ---------------------------------------------------------
 
 
-def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
+def witness_group(name: str, cap: int = DEFAULT_CAP) -> tuple[GenSet, FiniteGroupTable]:
     """Matrix generators plus a table model of a named witness.
 
     A block-monomial wreath L wr Sym(k) is modelled by the isomorphic
@@ -75,10 +76,12 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
     from its factors' tables (`wreath_table`); GammaL(1, q) by a table of
     exponent labels (`semilinear_table`). Each equals, field by field, the
     element BFS's table of the same group. Any other witness is enumerated.
+    Raises CapExceeded for a model of more than `cap` elements, before
+    either derived model allocates anything.
     """
     key = name.lower().replace(" ", "")
     semilinear = key.startswith("gammal1(") and "wrs" not in key
-    model = semilinear_table(int(key[len("gammal1(") : -1])) if semilinear else None
+    model = semilinear_table(int(key[len("gammal1(") : -1]), cap) if semilinear else None
     gens = catalog(name) if model is None else model.gen_set  # the model's own set
     if gens.variant != "matfp":
         raise ContextViolated(f"witness {name} is not a matrix group")
@@ -87,9 +90,9 @@ def witness_group(name: str) -> tuple[GenSet, FiniteGroupTable]:
         base = catalog(base_name)
         perm_base = enumerate_group(matrix_to_perm_gens(list(base.elements)))  # type: ignore[arg-type]
         top = enumerate_group(sym_gens(int(k_str)))
-        model = wreath_table(perm_base, top)
+        model = wreath_table(perm_base, top, cap)
     elif model is None:
-        model = enumerate_group(gens)
+        model = enumerate_group(gens, cap)
     return gens, model
 
 
@@ -250,9 +253,9 @@ def _check_exhaustive_linear(
 def verify_small_cases(quick: bool = False) -> dict:
     """Run every case of the small-degree lemma; report per-case status.
 
-    quick=True skips the witnesses whose models have 4,599 to 55,566
-    elements (their entries are marked "skipped-quick") and keeps those of
-    at most 2,040.
+    quick=True skips the witnesses whose models have more than `QUICK_CAP`
+    elements (4,599 to 55,566; their entries are marked "skipped-quick")
+    and keeps those of at most 2,040.
     """
     cases = []
     all_ok = True
@@ -265,10 +268,10 @@ def verify_small_cases(quick: bool = False) -> dict:
     )
     built: dict = {}
 
-    def group(build: Callable[[str], tuple], name: str) -> tuple:
+    def group(build: Callable[..., tuple], name: str, *args) -> tuple:
         key = (build, name)
         if key not in built:
-            built[key] = build(name)
+            built[key] = build(name, *args)
         left[key] -= 1
         return built[key] if left[key] else built.pop(key)
 
@@ -282,14 +285,15 @@ def verify_small_cases(quick: bool = False) -> dict:
                 )
             )
         for name, n, p in case["witnesses"]:
-            if quick and _witness_is_big(name):
+            try:
+                witness = group(witness_group, name, QUICK_CAP if quick else DEFAULT_CAP)
+            except CapExceeded:
+                if not quick:
+                    raise
                 entries.append({"name": name, "mode": "skipped-quick", "pass": True})
                 continue
             entries.append(
-                _check_witness(
-                    name, *group(witness_group, name), n, p,
-                    case["mu_claim"], case["delta_claim"],
-                )
+                _check_witness(name, *witness, n, p, case["mu_claim"], case["delta_claim"])
             )
         case_ok = all(e["pass"] for e in entries)
         all_ok = all_ok and case_ok
@@ -303,17 +307,6 @@ def verify_small_cases(quick: bool = False) -> dict:
             }
         )
     return {"cases": cases, "pass": all_ok}
-
-
-def _witness_is_big(name: str) -> bool:
-    return name in {
-        "gl2(2)wrs4",
-        "gammal1(8)wrs3",
-        "gammal1(32)wrs2",
-        "gammal1(1024)",
-        "gammal1(512)",
-        "gammal1(16)wrs2",
-    }
 
 
 # -- the transitive/irreducible cost theorem ----------------------------------

@@ -112,6 +112,7 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
     joins.
     Member masks (each class mask gathered through `class_of`) and short
     generators (`reduce_generators`) are built once per distinct class set.
+    Classes and right actions are walked on H's points alone.
     """
     classes = conjugacy_classes(T, H)
     class_of = [len(classes)] * T.n  # outside H: the 0 byte after a class mask
@@ -130,13 +131,16 @@ def normal_subgroups_within(T: FiniteGroupTable, H: Subgroup) -> NormalLattice:
             queue.append((mask, inside, joins[j]))
         return j
 
-    atoms: list[tuple[int, memoryview]] = []  # (class, right action of its least member)
+    atoms: list[tuple[int, memoryview]] = []  # (class, right action of its least member on H)
     walked = bytearray(len(classes))  # classes whose atom is already known
+    points = np.flatnonzero(H.flags).astype(np.int32)
     for k in range(1, len(classes)):
         if walked[k]:
             continue
         x = classes[k][0]
-        row = memoryview(T.right_action(x))
+        action = np.zeros(T.n, np.int32)  # read on H's points alone
+        action[points] = T.mul_points(points, x)
+        row = memoryview(action)
         # x^e for e prime to the order of x generates <x>, so its class has
         # the same atom: walk one class per power class.
         powers = [x]

@@ -5,8 +5,8 @@ and the growth tables of `solgrow.growth` that cannot be counted sphere by
 sphere on rows. It checks the element cap as it goes: a new element that
 would take the count past the cap raises CapExceeded, carrying the size of
 the last complete ball. Permutation and F_p-matrix levels are numpy row
-arrays deduplicated on hashed row keys (`solgrow.rowbfs`). Other variants
-stream element objects through an encoding -> index dict.
+arrays deduplicated on exact row keys (`solgrow.rowbfs`), in one pass.
+Other variants stream element objects through an encoding -> index dict.
 
 A FiniteGroupTable indexes every element of a finite group; index 0 is the
 identity and word_length[i] is the exact BFS distance from the identity
@@ -55,14 +55,14 @@ step conjugation maps are built on first use).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .elements import GenSet, GroupElement, RowElements
 from .errors import CapExceeded, InvariantViolated, NotNormal
-from .rowbfs import _HashCollision, _row_bytes, _row_hash, _row_levels
+from .rowbfs import _row_levels
 
 DEFAULT_CAP = 2_000_000
 
@@ -566,10 +566,17 @@ def conjugacy_classes(
 ) -> list[tuple[int, ...]]:
     """Partition of H (default: the whole group) into H-conjugacy classes.
 
-    Classes are sorted by their least member; each class is sorted.
+    Classes are sorted by their least member; each class is sorted. Each
+    generator's conjugation map is walked on H's points alone, and read
+    only there.
     """
     H = H if H is not None else whole_group(T)
-    maps = [memoryview(T.conjugation_action(g)) for g in H.generators]
+    points, inv = np.flatnonzero(H.flags).astype(np.int32), T._inverse
+    maps = []
+    for g in H.generators:  # g^-1 * x * g = (x^-1 * g)^-1 * g
+        conj = np.zeros(T.n, np.int32)
+        conj[points] = T.mul_points(inv[T.mul_points(inv[points], g)], g)
+        maps.append(memoryview(conj))
     seen = bytearray(T.n)
     return [tuple(sorted(c)) for x in H.members if (c := _orbit(maps, (x,), seen))]
 
@@ -609,16 +616,7 @@ def element_bfs(
     if codec is None:
         yield from _object_levels(X.identity(), steps, cap, products)
         return
-    done = 0  # levels yielded so far
-    try:
-        for new, found, first in _row_levels(codec, X.identity(), steps, cap, _row_hash):
-            done += 1
-            yield new, found if products else None, first
-        return
-    except _HashCollision:
-        pass  # two distinct rows met under one hashed key: run again on exact keys
-    exact = _row_levels(codec, X.identity(), steps, cap, _row_bytes)
-    for new, found, first in islice(exact, done, None):
+    for new, found, first in _row_levels(codec, X.identity(), steps, cap):
         yield new, found if products else None, first
 
 
@@ -704,16 +702,6 @@ def enumerate_group(X: GenSet, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
 # -- derived tables ----------------------------------------------------------
 
 
-def _derived_steps(
-    generators: list[int], action: Callable[[int], np.ndarray]
-) -> tuple[list[int], list[np.ndarray]]:
-    """References and actions of a derived table's BFS steps, its generators
-    and then their inverses; `action(x)` is the right action of element x."""
-    forward = [action(g) for g in generators]
-    refs = list(range(1, len(forward) + 1))
-    return refs + [-r for r in refs], forward + [_inverted(a) for a in forward]
-
-
 class QuotientGroup:
     """Quotient G/N carried as a coset-representative table.
 
@@ -750,12 +738,13 @@ class QuotientGroup:
         self.coset_of = coset.tolist()
         self.reps = reps = np.sort(least).tolist()
 
-        # Images of the parent generators, order and multiplicity preserved,
-        # so that word references in the quotient lift to the parent.
+        # Images of the parent generators and the parent's own steps, order
+        # and multiplicity preserved, so that word references in the quotient
+        # lift to the parent and quotient words are measured over the same
+        # steps. Step s maps the coset of rep to the coset of rep * s.
         gens = [self.coset_of[g] for g in parent.generators]
-        rep_index = np.array(reps, dtype=np.int32)
-        steps = _derived_steps(gens, lambda c: coset[parent.mul_points(rep_index, reps[c])])
-        self.table = FiniteGroupTable(gens, *steps)
+        actions = coset[parent._actions[:, np.array(reps, dtype=np.int32)]]
+        self.table = FiniteGroupTable(gens, parent.step_refs, actions)
 
 
 def quotient(T: FiniteGroupTable, N: Subgroup) -> QuotientGroup:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, product as cartesian
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from solgrow.soluble import normal_subgroups, soluble_subgroups
 from solgrow.table import (
     FiniteGroupTable,
     Subgroup,
-    _derived_steps,
     derived_series,
     lower_central_series,
     quotient,
@@ -467,6 +466,16 @@ def lamplighter_ball(r: int) -> list[int]:
 
 
 # -- derived tables and shared lemma checks ------------------------------------
+
+
+def _derived_steps(
+    generators: list[int], action: Callable[[int], np.ndarray]
+) -> tuple[list[int], list[np.ndarray]]:
+    """References and actions of a derived table's BFS steps, its generators
+    and then their inverses; `action(x)` is the right action of element x."""
+    forward = [action(g) for g in generators]
+    refs = list(range(1, len(forward) + 1))
+    return refs + [-r for r in refs], forward + [np.argsort(a).astype(np.int32) for a in forward]
 
 
 def direct_product(A: FiniteGroupTable, B: FiniteGroupTable) -> FiniteGroupTable:

@@ -250,9 +250,10 @@ def test_repeated_groups_built_once_per_run(monkeypatch):
     for fn in ("_irreducible_reps", "witness_group"):
         original = getattr(smallcases, fn)
 
-        def counted(name, original=original):
+        def counted(name, *args, original=original):
+            group = original(name, *args)  # a quick run's cap may refuse it
             built.append(name)
-            return original(name)
+            return group
 
         monkeypatch.setattr(smallcases, fn, counted)
     rep = verify_small_cases(quick=True)
@@ -265,13 +266,26 @@ def test_repeated_groups_built_once_per_run(monkeypatch):
     assert sorted(built) == sorted(set(named))
 
 
+def test_quick_skips_exactly_the_witnesses_past_its_cap():
+    orders = {
+        e["name"]: e["order"]
+        for c in verify_small_cases()["cases"] for e in c["entries"] if e["mode"] == "witness"
+    }
+    skipped = {
+        e["name"]
+        for c in verify_small_cases(quick=True)["cases"] for e in c["entries"] if e["mode"] == "skipped-quick"
+    }
+    assert skipped == {name for name, order in orders.items() if order > smallcases.QUICK_CAP}
+    assert len(skipped) == 6 and max(orders[name] for name in orders if name not in skipped) == 2_040
+
+
 def test_witness_checks_write_no_rows(monkeypatch):
     # the checks read a witness model's order, derived length and mu only,
     # so no derived model writes its element rows
     models = []
 
-    def kept(name, original=smallcases.witness_group):
-        models.append(original(name))
+    def kept(name, *args, original=smallcases.witness_group):
+        models.append(original(name, *args))
         return models[-1]
 
     monkeypatch.setattr(smallcases, "witness_group", kept)

@@ -170,6 +170,18 @@ def test_certify_with_normal_subgroup(spec_dir, tmp_path, capsys):
     assert rec["normal_order"] == 2 and rec["rank"] == 2
 
 
+def test_certify_normal_on_a_one_way_spec(tmp_path, capsys):
+    # generators not closed under inverses, walked over X alone: the
+    # quotient must measure its words over the same steps as the group
+    dump_genset(GenSet(list(catalog("sl2(3)").elements), symmetric=False), str(tmp_path / "g.json"))
+    dump_genset(GenSet([MatFp(2, 3, [[2, 0], [0, 2]])]), str(tmp_path / "n.json"))
+    rc = _run(["certify", str(tmp_path / "g.json"), "--normal", str(tmp_path / "n.json")])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    rec = json.loads(captured.out)
+    assert rec["normal_order"] == 2 and rec["rank"] == 2 and rec["checks"]["distinct_products"]
+
+
 @pytest.mark.parametrize(
     "generator",
     [

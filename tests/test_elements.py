@@ -9,7 +9,7 @@ import pytest
 
 from solgrow.elements import GenSet, Lamplighter, MatFp, MatZ, Perm, TreeAuto
 from solgrow.errors import InvariantViolated, MixedVariants, ParseError
-from solgrow.growth import _Keys
+from solgrow.rowbfs import _Keys
 
 
 def _samples():

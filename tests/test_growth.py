@@ -43,6 +43,21 @@ def test_lamplighter_formula():
     assert lamplighter_ball(24)[-1] == 1_618_409
 
 
+@pytest.mark.parametrize("p", [3, 5, 11, 13])
+def test_lamplighter_quotients_match_the_formula(p):
+    # C2 wr C_p is the lamplighter with the head taken mod p. A word of
+    # length r keeps the head and lamps within r of 0, so no two elements of
+    # the r-ball meet mod p while 2r < p: the balls agree through
+    # r = (p - 1) / 2. At r = (p + 1) / 2 the heads t^(p+1)/2 and
+    # t^-(p-1)/2 meet, and so do their inverses: the ball is exactly 2 short.
+    R = (p + 1) // 2
+    want = lamplighter_ball(R)
+    counts = growth_table(catalog(f"c2wrc{p}"), R).counts
+    assert counts[:R] == want[:R] and counts[R] == want[R] - 2
+    # the enumerated table, keyed on two words a row from p = 11 on, agrees
+    assert enumerate_group(catalog(f"c2wrc{p}")).growth_counts()[: R + 1] == counts
+
+
 @pytest.mark.parametrize("name,radius", [("lamplighter", 5), ("s4tower(2)", 4)])
 def test_word_oracle_cross_check(name, radius):
     gens = catalog(name)

@@ -1,4 +1,5 @@
-"""Property tests of the growth path's row keys (`growth._Keys`)."""
+"""Property tests of the exact row keys (`rowbfs._Keys`) that the growth
+BFS and the element BFS share."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from solgrow.growth import _Keys, _column_bounds
+from solgrow.elements import MatFpRows, PermRows
+from solgrow.rowbfs import _Keys, _column_bounds
 
 INT64 = (-(1 << 63), (1 << 63) - 1)
 DTYPES = {"int64": INT64, "uint16": (0, (1 << 16) - 1), "uint32": (0, (1 << 32) - 1)}
@@ -125,3 +127,55 @@ def test_column_bounds_match_row_reductions(count, dtype):
     lo, hi = _column_bounds(rows)
     assert lo.dtype == hi.dtype == rows.dtype
     assert np.array_equal(lo, rows.min(axis=0)) and np.array_equal(hi, rows.max(axis=0))
+
+
+# The element BFS keys perm and matfp rows over the codec's fixed ranges
+# 0..top: one word up to 16**16 = 2**64 (perm degree 16) and 3**36 (6 x 6
+# over F_3), more past it.
+CODECS = {
+    "perm 1": PermRows(1),
+    "perm 2": PermRows(2),
+    "perm 16": PermRows(16),
+    "perm 17": PermRows(17),
+    "perm 64": PermRows(64),
+    "perm 300": PermRows(300),
+    "matfp 6x6 F_3": MatFpRows(6, 3),
+    "matfp 4x4 F_17": MatFpRows(4, 17),
+    "matfp 2x2 F_65537": MatFpRows(2, 65537),
+}
+
+
+def _codec_keys(codec):
+    """Keys over the codec's ranges, as the element BFS makes them."""
+    return _keys(codec.dtype, [0] * codec.width, [codec.top] * codec.width)
+
+
+def _words(codec):
+    """uint64 words a row of the codec needs, counted apart from `_Keys`."""
+    span = codec.top + 1
+    if span == 1:
+        return 1
+    per = 1
+    while span ** (per + 1) <= 1 << 64:
+        per += 1
+    return -(-codec.width // per)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CODECS)), st.data())
+def test_codec_rows_round_trip_through_keys(name, data):
+    codec = CODECS[name]
+    keys = _codec_keys(codec)
+    assert len(keys.words) == _words(codec)
+    cells = st.integers(0, codec.top)
+    drawn = data.draw(st.lists(st.lists(cells, min_size=codec.width, max_size=codec.width), max_size=20))
+    rows = np.array([[0] * codec.width, [codec.top] * codec.width] + drawn, codec.dtype)
+    got = keys.of(rows)
+    assert got.dtype == (np.uint64 if len(keys.words) == 1 else np.dtype(f"V{8 * len(keys.words)}"))
+    assert got[:1].tobytes() == bytes(got.itemsize)  # the least row ranks 0
+    back = keys.rows(got)
+    assert back.dtype == rows.dtype and (back == rows).all()
+    assert rows[np.argsort(got, kind="stable")].tolist() == sorted(rows.tolist())
+    same = got[:, None] == got[None, :]
+    assert (same == (rows[:, None, :] == rows[None, :, :]).all(axis=2)).all()
+

@@ -37,6 +37,7 @@ from solgrow.soluble import (
 from solgrow.specio import dump_genset
 from solgrow.table import (
     FiniteGroupTable,
+    conjugacy_classes,
     derived_series,
     quotient,
     subgroup_generated,
@@ -133,6 +134,27 @@ def test_normal_lattices_within_derived_terms_pinned():
     T = table_of("s4wrs2")
     digests = [_digest(normal_subgroups_within(T, D).subgroups) for D in derived_series(T)]
     assert digests == _PINNED_S4WRS2_DERIVED_DIGESTS
+
+
+@pytest.mark.parametrize("term", [1, 2, 3])
+def test_lattice_within_a_proper_subgroup_walks_its_points_alone(term, monkeypatch):
+    T = table_of("s4wrs2")
+    H = derived_series(T)[term]
+    want = _digest(normal_subgroups_within(T, H).subgroups), conjugacy_classes(T, H)
+    walked, mul_points = [], FiniteGroupTable.mul_points
+
+    def spy(self, xs, g):
+        walked.append(len(xs))
+        return mul_points(self, xs, g)
+
+    def refuse(self, x):
+        raise AssertionError("n-wide action formed")
+
+    monkeypatch.setattr(FiniteGroupTable, "mul_points", spy)
+    monkeypatch.setattr(FiniteGroupTable, "right_action", refuse)
+    monkeypatch.setattr(FiniteGroupTable, "conjugation_action", refuse)
+    assert (_digest(normal_subgroups_within(T, H).subgroups), conjugacy_classes(T, H)) == want
+    assert walked and max(walked) <= H.order < T.n
 
 
 def _count_conjugates(monkeypatch) -> list[int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,14 +22,16 @@ from oracles import (
     naive_subgroup,
 )
 
-from solgrow.elements import Perm
+from solgrow.catalog import catalog
+from solgrow.elements import GenSet, Perm
 from solgrow.errors import NotNormal
-from solgrow.soluble import soluble_subgroups
+from solgrow.soluble import normal_subgroups, soluble_subgroups
 from solgrow.table import (
     commutator_subgroup,
     conjugacy_classes,
     derived_length,
     derived_series,
+    enumerate_group,
     lower_central_series,
     nilpotency_class,
     normal_closure,
@@ -153,8 +156,6 @@ def test_quotient_examples():
 
 def test_quotient_axioms():
     T = table_of("s4")
-    from solgrow.soluble import normal_subgroups
-
     for N in normal_subgroups(T).subgroups:
         Q = quotient(T, N)
         assert Q.table.n * N.order == T.n
@@ -164,6 +165,21 @@ def test_quotient_axioms():
                 assert Q.coset_of[T.mul(g, h)] == Q.table.mul(
                     Q.coset_of[g], Q.coset_of[h]
                 )
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "one-way"])
+@pytest.mark.parametrize("name", ["s4", "q8", "sl2(3)"])
+def test_quotient_word_length_is_least_over_its_coset(name, symmetric):
+    # the quotient walks the parent's steps (X, then X^-1 only when the
+    # parent does), so a coset's word length is its members' least
+    T = enumerate_group(GenSet(list(catalog(name).elements), symmetric=symmetric))
+    wl = np.asarray(T.word_length)
+    for N in normal_subgroups(T).subgroups:
+        Q = quotient(T, N)
+        assert Q.table.step_refs == T.step_refs
+        least = np.full(Q.table.n, T.n)
+        np.minimum.at(least, Q.coset_of, wl)
+        assert list(Q.table.word_length) == least.tolist()
 
 
 def test_quotient_not_normal():

@@ -104,7 +104,7 @@ _ODD_GENSETS = {
 
 @pytest.mark.parametrize(
     "name",
-    ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2", "gl3(2)", "gammal1(16)", "s4wrs2"]
+    ["s3", "s4", "q8", "sl2(3)", "agl1(5)", "c2wrc2", "gl3(2)", "gammal1(16)", "s4wrs2", "agl1(17)"]
     + list(_ODD_GENSETS),
 )
 def test_row_table_matches_object_loop(name):
@@ -119,88 +119,6 @@ def test_row_table_matches_object_loop(name):
     assert list(T.word_length) == ref["word_length"]
     assert [T.elements[i].encode() for i in range(T.n)] == ref["encodings"]
     assert all(T.elements[i] == ref["elements"][i] for i in (0, T.n // 2, -1))
-
-
-_WEAK_HASHES = {
-    # every row alike: the first level's products already collide
-    "constant": lambda words: np.zeros(len(words), np.uint64),
-    # 37 keys: the first collision comes a few levels in (radius 2 for
-    # gl2(3), 3 for c2wrc2 and one-way), after some levels have been yielded
-    "37 keys": lambda words: (words * np.uint64(0x9E3779B97F4A7C15)).sum(axis=1) % np.uint64(37),
-}
-
-
-@pytest.mark.parametrize("weak", list(_WEAK_HASHES))
-@pytest.mark.parametrize("name", ["gl2(3)", "c2wrc2", "one-way"])
-def test_hash_collision_falls_back_to_exact_keys(name, weak, monkeypatch):
-    exact_runs = []
-    row_bytes = table._row_bytes
-    monkeypatch.setattr(table, "_row_hash", _WEAK_HASHES[weak])
-    monkeypatch.setattr(table, "_row_bytes", lambda words: exact_runs.append(1) or row_bytes(words))
-    yielded = []  # for each level yielded, the exact-key calls made before it
-    bfs = table.element_bfs
-    monkeypatch.setattr(
-        table, "element_bfs", lambda *a: (yielded.append(len(exact_runs)) or lv for lv in bfs(*a))
-    )
-    X = _ODD_GENSETS[name]() if name in _ODD_GENSETS else catalog(name)
-    T = enumerate_group(X)
-    assert exact_runs
-    # levels the hashed run yielded: the identity's alone, or more, which
-    # the exact run then skips rather than yields again
-    hashed = yielded.count(0)
-    assert hashed == 1 if weak == "constant" else hashed >= 2
-    _assert_matches_object_loop(X, T)
-
-
-def _aliasing_hash(X, alias, target):
-    """`_row_hash`, except that the row of element `alias` takes the key of
-    element `target`: the one pair of distinct rows that share a key."""
-    words = rowbfs._row_words(X.row_codec().rows([alias, target]))
-    shared = rowbfs._row_hash(words[1:])[0]
-
-    def weak(rows):
-        keys = rowbfs._row_hash(rows)
-        keys[(rows == words[0]).all(axis=1)] = shared
-        return keys
-
-    return weak
-
-
-# The alias and the target as (radius, position in that level), and
-# whether the hashed run must fall back. The alias is formed while the BFS
-# expands the level before its own.
-_ALIASES = {
-    # looked up among the frontier's keys, it is given the frontier row's index
-    "formed product and frontier row": ((3, 0), (2, 0), True),
-    # both new in one block: the second is given the index of the first
-    "two new rows of one block": ((3, -1), (3, 0), True),
-    # the target's level is no longer held once the alias is formed, so the
-    # shared key meets nothing and the hashed run goes through
-    "formed product and an unheld row": ((3, 0), (1, 0), False),
-}
-
-
-@pytest.mark.parametrize("case", list(_ALIASES))
-def test_each_formed_product_is_compared_with_its_row(case, monkeypatch):
-    X = catalog("gl2(3)")
-    ref = table_of("gl2(3)")
-    levels = ref.elements_by_length()
-    (ra, ia), (rt, it), falls_back = _ALIASES[case]
-    alias, target = ref.elements[levels[ra][ia]], ref.elements[levels[rt][it]]
-    exact_runs = []
-    row_bytes = table._row_bytes
-    monkeypatch.setattr(table, "_row_hash", _aliasing_hash(X, alias, target))
-    monkeypatch.setattr(table, "_row_bytes", lambda words: exact_runs.append(1) or row_bytes(words))
-    yielded = []  # for each level yielded, the exact-key calls made before it
-    bfs = table.element_bfs
-    monkeypatch.setattr(
-        table, "element_bfs", lambda *a: (yielded.append(len(exact_runs)) or lv for lv in bfs(*a))
-    )
-    T = enumerate_group(X)
-    assert bool(exact_runs) == falls_back
-    if falls_back:  # caught while building the alias's level, after the levels before it
-        assert yielded.count(0) == ra
-    _assert_matches_object_loop(X, T)
 
 
 # Steps closed under inverses (by encoding), and the work of an enumeration
@@ -219,8 +137,8 @@ _KEYED_CASES = {
 def _keyed_products(X, monkeypatch):
     """Product rows keyed while enumerating <X>, leaving out the identity's own."""
     keyed = []
-    row_hash = table._row_hash
-    monkeypatch.setattr(table, "_row_hash", lambda words: keyed.append(len(words)) or row_hash(words))
+    of = rowbfs._Keys.of
+    monkeypatch.setattr(rowbfs._Keys, "of", lambda self, rows: keyed.append(len(rows)) or of(self, rows))
     T = enumerate_group(X)
     monkeypatch.undo()
     return T, sum(keyed) - 1
@@ -246,6 +164,28 @@ def test_products_keyed_pinned(monkeypatch):
     assert (keyed, T.n * len(T.step_refs)) == (3_456, 6_912)
     T, keyed = _keyed_products(witness_group("gammal1(8)wrs3")[1].gen_set, monkeypatch)
     assert (keyed, T.n * len(T.step_refs)) == (307_818, 444_528)
+
+
+# uint64 key words of each row: perm degree 16 ranks 16**16 = 2**64 rows
+# in one, degree 17 is the first to need two; 6 x 6 over F_3 ranks 3**36.
+_KEY_WORDS = {"s4wrs2": 1, "agl1(16)": 1, "agl1(17)": 2, "c2wrc11": 2, "agl1(64)": 7, "gl2(3)wrs3": 1}
+
+
+@pytest.mark.parametrize("name", list(_KEY_WORDS))
+def test_row_keys_pinned_words(name, monkeypatch):
+    X = catalog(name)
+    made, of = [], rowbfs._Keys.of
+
+    def spy(self, rows):
+        keys = of(self, rows)
+        made.append((len(self.words), keys.dtype))
+        return keys
+
+    monkeypatch.setattr(rowbfs._Keys, "of", spy)
+    for _level in zip(range(3), table.element_bfs(X, table.DEFAULT_CAP)):
+        pass
+    words = _KEY_WORDS[name]
+    assert set(made) == {(words, np.dtype(np.uint64) if words == 1 else np.dtype(f"V{8 * words}"))}
 
 
 def _dihedral_mod(p):
