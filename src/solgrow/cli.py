@@ -30,7 +30,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import CapExceeded, InvariantViolated, ParseError, SolgrowError
+from .errors import CapExceeded, DegenerateWindow, InvariantViolated, ParseError, SolgrowError
 from .specio import load_genset, serialize_genset
 from .table import DEFAULT_CAP, enumerate_group, is_normal, subgroup_generated
 
@@ -153,9 +153,13 @@ def cmd_growth(args) -> int:
     tbl = growth_table(gens, args.radius, max_elements=args.max_elements)
     _emit_text(tbl.to_csv(), args.csv)
     if args.fit:
-        fit = growth_exponent_fit(tbl)
         rec = tbl.as_dict()
-        rec["fit"] = fit.as_dict()
+        try:
+            rec["fit"] = growth_exponent_fit(tbl).as_dict()
+        except DegenerateWindow as exc:
+            if not tbl.truncated:
+                raise
+            print(f"no fit: {exc}", file=sys.stderr)  # the cap cut the table short: still written, exit 2
         _emit(rec, args.out)
     elif args.out is not None:
         _emit(tbl.as_dict(), args.out)

@@ -9,11 +9,13 @@ sphere is held only as the sorted keys of its rows (`rowbfs._Keys`, which
 the element BFS shares): a row's mixed-radix rank over per-column ranges,
 in as many uint64 words as the ranges need; products outside the ranges,
 or wider than them (lamplighter rows append words as lamps reach further
-out), widen them. Products are
-deduplicated by sorting a block at a time, merged, and tested against the
-previous two spheres with `searchsorted`; nothing older than S_{r-1} is
-held. Blocks are merged once they could pass the element cap, so the cap
-also bounds the keys held and stops a level early. Every other set (no
+out), widen them; on the infinite catalog groups that happens once a level,
+before its first key. A level's product keys go into one buffer, which is
+sorted and compacted in place: its distinct keys that are in neither of the
+previous two spheres (found with `searchsorted`) move to its front, and
+that front is the new sphere. Nothing older than S_{r-1} is held. The
+buffer is also compacted once its keys could pass the element cap, so the
+cap stops a level early. Every other set (no
 codec, steps not inverse-closed, integer matrices whose entries could pass
 int64) is counted from the level sizes of `table.element_bfs`, the BFS that
 enumerates finite groups (on the same exact row keys for perm and matfp, on
@@ -153,67 +155,82 @@ def _sphere_levels(
 
     Needs inverse-closed steps. Each sphere is held as the sorted keys of
     its rows. The key ranges cover the held spheres and every product
-    formed so far: a block of products outside them, or wider, widens them,
-    and the held, merged and waiting keys are keyed again, in as many words
-    as the wider ranges need, which keeps them sorted. A level is expanded
-    in blocks of about `_BLOCK` products, each deduplicated on its own. The
-    blocks wait to be merged into the new sphere until their keys could
-    take the ball past `cap` and outnumber the keys a merge reads again
-    (the new and held spheres), so no more keys wait than the cap and one
-    block, and each merge costs no more than the blocks it takes in.
-    CapExceeded is raised as soon as a merged sphere would take the ball
-    past `cap`.
+    keyed so far. S_r is expanded in blocks of about `_BLOCK` products. Its
+    first and last blocks are formed first: their rows have the extreme
+    leading entries, so their products widen the ranges, once, before the
+    level's first key, and the held spheres are keyed again. A later block
+    outside the ranges, or wider (as other generating sets may form),
+    widens them again, and the held and written keys are keyed again one
+    array at a time, in place while the key dtype stays.
+    The level's product keys go into one buffer of |S_r| * len(steps)
+    keys, which is compacted in place (`_compact`) at the end of the level,
+    and before that whenever its unsorted keys could take the ball past
+    `cap` and outnumber the keys a compaction reads again, so each
+    compaction costs no more than the keys it takes in. CapExceeded is
+    raised as soon as a compacted sphere would take the ball past `cap`.
+    The new sphere is the front of its buffer.
     """
-    step_rows, rows = codec.rows(steps), codec.rows([e])
-    keys = _Keys(rows.dtype, rows[0].astype(np.int64), rows[0].astype(np.int64))
-    before, sphere = keys.of(rows[:0]), keys.of(rows)
-    total = 1
+    step_rows, row = codec.rows(steps), codec.rows([e])[0].astype(np.int64)
+    keys = _Keys(step_rows.dtype, row, row)
+    held = [np.zeros(0, np.uint64), np.zeros(1, np.uint64)]  # S_{r-1}, S_r; S_0's row is lo, of key 0
+    total, per = 1, max(1, _BLOCK // len(steps))
     while True:
-        new, parts, unmerged = sphere[:0], [], 0
-        reread = len(before) + len(sphere)  # keys a merge reads besides the new sphere
-        per = max(1, _BLOCK // len(step_rows))
-        for lo in range(0, len(sphere), per):
-            products = codec.products(keys.rows(sphere[lo : lo + per]), step_rows)
-            wider = keys.widened(products)
+        starts = range(0, len(held[1]), per)
+        order = [*starts[:1], *starts[1:][-1:], *starts[1:-1]]  # the first and last blocks first
+        formed = [codec.products(keys.rows(held[1][lo : lo + per]), step_rows) for lo in order[:2]]
+        buf, fill, done = np.empty(len(held[1]) * len(steps), keys.kind), 0, 0
+        for i, lo in enumerate(order):
+            products = formed.pop(0) if formed else codec.products(keys.rows(held[1][lo : lo + per]), step_rows)
+            wider = keys.widened(products, *formed)
             if wider is not None:
-                before, sphere, new, *parts = (wider.rekey(k, keys) for k in (before, sphere, new, *parts))
-                keys = wider
-            parts.append(_distinct(keys.of(products)))
-            unmerged += len(parts[-1])
-            last = lo + per >= len(sphere)
-            if last or unmerged > max(cap - total - len(new), len(new) + reread):
-                found, new, parts, unmerged = [new, *parts], None, [], 0
-                new = _merge(found, [before, sphere])
-                if total + len(new) > cap:
+                for h in range(len(held)):  # each old array is dropped before the next is made
+                    held[h] = _rekeyed(held[h], len(held[h]), wider, keys)
+                buf, keys = _rekeyed(buf, fill, wider, keys), wider
+            buf[fill : fill + len(products)] = keys.of(products)
+            fill += len(products)
+            if i == len(order) - 1 or fill - done > max(cap - total - done, done + len(held[0]) + len(held[1])):
+                fill = done = _compact(buf[:fill], held)
+                if total + done > cap:
                     raise CapExceeded(f"ball exceeds cap of {cap} elements", total)
-        total += len(new)
-        before, sphere = sphere, new
-        yield len(new)
+        total += done
+        held = [held[1], buf[:done]]
+        yield done
 
 
-def _distinct(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """The distinct keys, sorted; sorts `keys` in place."""
-    # Not np.unique: it hashes integer keys, many times slower than a sort.
-    keys.sort(kind=kind)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+def _rekeyed(keys: np.ndarray, fill: int, wider: _Keys, old: _Keys) -> np.ndarray:
+    """`keys`, whose first `fill` were made under `old`, with those made again
+    under `wider`: in place while the key dtype stays, else in a new array of
+    the same length."""
+    out = keys if keys.dtype == wider.kind else np.empty(len(keys), wider.kind)
+    wider.rekey(keys[:fill], old, out=out[:fill])
+    return out
 
 
-def _merge(found: list[np.ndarray], held: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct keys of `found` that are in none of `held`.
+def _compact(keys: np.ndarray, held: list[np.ndarray]) -> int:
+    """Sort `keys` in place and move to its front, in order, each distinct key
+    that is in none of the sorted arrays `held`; return their number.
 
-    Every array is sorted and distinct, so a stable sort of `found` merges
-    its runs; each (smaller) held sphere is then searched in the result.
-    `found` is emptied once joined, so that its arrays are freed before the
-    sort (the caller holds no other reference to them).
+    Compacts `_BLOCK` keys at a time. A kept key moves only forward, onto a
+    key already read, so the key before each block is still the one sorted
+    there.
     """
-    keys = np.concatenate(found)
-    found.clear()
-    keys = _distinct(keys, kind="stable")
-    keep = np.ones(len(keys), dtype=bool)
-    for sphere in held:
-        at = np.minimum(np.searchsorted(keys, sphere), len(keys) - 1)
-        keep[at[keys[at] == sphere]] = False
-    return keys[keep]
+    # Not np.unique: it hashes integer keys, many times slower than a sort.
+    keys.sort()
+    kept = 0
+    for lo in range(0, len(keys), _BLOCK):
+        part = keys[lo : lo + _BLOCK]
+        keep = np.empty(len(part), bool)
+        keep[:1] = lo == 0 or keys[lo - 1 : lo] != part[:1]
+        keep[1:] = part[1:] != part[:-1]  # no `out=`: numpy has no such loop for void keys
+        for sphere in held:
+            a, b = sphere.searchsorted(part[:1])[0], sphere.searchsorted(part[-1:], "right")[0]
+            found = sphere[a:b]  # the held keys within the part's range
+            at = part.searchsorted(found)
+            keep[at[part[at] == found]] = False
+        n = int(np.count_nonzero(keep))
+        keys[kept : kept + n] = part[keep]
+        kept += n
+    return kept
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .elements import GroupElement, RowCodec
 from .errors import CapExceeded
 
 _ROW_BLOCK = 1024  # frontier rows expanded at once
-_BLOCK = 1 << 16  # growth products formed, and keys made again (`_Keys.rekey`), at once
+_BLOCK = 1 << 16  # growth products formed, keys made again (`_Keys.rekey`) and keys compacted, at once
 
 
 class _Keys:
@@ -53,6 +53,7 @@ class _Keys:
                 if math.prod(s for _c, s in self.words[-1]) * (h - l + 1) > 1 << 64:
                     self.words.append([])
                 self.words[-1].append((c, h - l + 1))
+        self.kind = np.dtype(np.uint64 if len(self.words) == 1 else f"V{8 * len(self.words)}")  # of a key
         # Each word as a dot product: the columns from its first to the next
         # word's first, their place values (0 for a column of one value) and
         # the rank of lo, all mod 2**64, where the rank itself is exact.
@@ -65,12 +66,17 @@ class _Keys:
             offset = sum(p * l for p, l in zip(places, lo[a:b].tolist())) % (1 << 64)
             self._dots.append((a, np.array(places, np.uint64), np.uint64(offset)))
 
-    def widened(self, rows: np.ndarray) -> _Keys | None:
-        """Keys whose ranges also cover `rows`, or None if these do."""
-        lo, hi = _column_bounds(rows)  # `rows` are at least as wide as the ranges
-        old_lo, old_hi = np.zeros((2, len(lo)), np.int64)
+    def widened(self, *blocks: np.ndarray) -> _Keys | None:
+        """Keys whose ranges also cover the rows of every block, or None if
+        these do. A column that a block or the ranges lack is zero."""
+        width = max([len(self.lo)] + [rows.shape[1] for rows in blocks])
+        old_lo, old_hi = np.zeros((2, width), np.int64)
         old_lo[: len(self.lo)], old_hi[: len(self.hi)] = self.lo, self.hi
-        lo, hi = np.minimum(old_lo, lo), np.maximum(old_hi, hi)
+        lo, hi = old_lo, old_hi
+        for rows in blocks:
+            least, most = np.zeros((2, width), np.int64)
+            least[: rows.shape[1]], most[: rows.shape[1]] = _column_bounds(rows)
+            lo, hi = np.minimum(lo, least), np.maximum(hi, most)
         if (lo == old_lo).all() and (hi == old_hi).all():
             return None
         # Widen as far again, so that a level widens a few times rather than
@@ -107,10 +113,14 @@ class _Keys:
                 rows[:, c] += key.view(np.int64)
         return rows.astype(self.dtype, copy=False)
 
-    def rekey(self, keys: np.ndarray, old: _Keys) -> np.ndarray:
+    def rekey(self, keys: np.ndarray, old: _Keys, out: np.ndarray | None = None) -> np.ndarray:
         """`keys` made under `old`, made again under these wider ranges,
-        `_BLOCK` keys at a time, so that no more rows are decoded at once."""
-        out = np.empty(len(keys), np.uint64 if len(self.words) == 1 else f"V{8 * len(self.words)}")
+        `_BLOCK` keys at a time, so that no more rows are decoded at once.
+        They are written to `out`, a new array by default; `out` may be
+        `keys` itself when the key dtype stays, since each block is decoded
+        before it is written."""
+        if out is None:
+            out = np.empty(len(keys), self.kind)
         for lo in range(0, len(keys), _BLOCK):
             out[lo : lo + _BLOCK] = self.of(old.rows(keys[lo : lo + _BLOCK]))
         return out

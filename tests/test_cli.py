@@ -123,6 +123,27 @@ def test_growth_cap_exit_code(spec_dir, tmp_path):
     assert rec["truncated"] is True
 
 
+def test_truncated_table_with_no_fit_window_is_still_written(spec_dir, tmp_path, capsys):
+    # the cap leaves radii 0 and 1, too few to fit: the partial table is
+    # written without a fit, flagged truncated, and the exit is the cap's
+    out = tmp_path / "out.json"
+    args = ["growth", str(spec_dir / "sanov.json"), "--radius", "12", "--fit"]
+    rc = _run([*args, "--max-elements", "10", "-o", str(out)])
+    assert rc == 2
+    rec = json.loads(out.read_text())
+    jsonschema.validate(rec, _schema("growth"))
+    assert rec["counts"] == [1, 5] and rec["truncated"] is True and "fit" not in rec
+    assert capsys.readouterr().err == "no fit: too few usable points in fit window\n"
+
+
+def test_untruncated_table_with_no_fit_window_is_an_input_error(spec_dir, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = _run(["growth", str(spec_dir / "z2.json"), "--radius", "1", "--fit", "-o", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: too few usable points in fit window\n"
+
+
 def test_analyze_cap_exit_code(spec_dir, capsys):
     rc = _run(["analyze", str(spec_dir / "s4.json"), "--max-elements", "5"])
     assert rc == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from solgrow.catalog import catalog
 from solgrow.elements import GenSet, Lamplighter, MatZ, MatZRows
 from solgrow.errors import DegenerateWindow
 from solgrow.growth import growth_exponent_fit, growth_table, s4_tower, s4_tower_derived
+from solgrow.rowbfs import _Keys
 from solgrow.table import enumerate_group
 
 
@@ -209,16 +212,16 @@ def test_sphere_path_matches_word_oracle(gens, radius, dict_path_runs):
 
 
 @pytest.fixture()
-def merged_key_kinds(monkeypatch):
-    """The dtype of the keys of every merge into a new sphere."""
+def compacted_key_kinds(monkeypatch):
+    """The dtypes of the keys of every compaction into a new sphere."""
     kinds = []
-    merge = solgrow.growth._merge
+    compact = solgrow.growth._compact
 
-    def spy(found, held):
-        kinds.append({k.dtype for k in found + held})
-        return merge(found, held)
+    def spy(keys, held):
+        kinds.append({keys.dtype, *(h.dtype for h in held)})
+        return compact(keys, held)
 
-    monkeypatch.setattr(solgrow.growth, "_merge", spy)
+    monkeypatch.setattr(solgrow.growth, "_compact", spy)
     return kinds
 
 
@@ -235,39 +238,114 @@ def merged_key_kinds(monkeypatch):
         ("heisenberg", 24),
     ],
 )
-def test_catalog_balls_rank_into_uint64(name, radius, merged_key_kinds):
-    # every level merges at least once; none may need a second key word
+def test_catalog_balls_rank_into_uint64(name, radius, compacted_key_kinds):
+    # every level compacts at least once; none may need a second key word
     assert growth_table(catalog(name), radius).radius == radius
-    assert len(merged_key_kinds) >= radius
-    assert all(kinds == {np.dtype(np.uint64)} for kinds in merged_key_kinds)
+    assert len(compacted_key_kinds) >= radius
+    assert all(kinds == {np.dtype(np.uint64)} for kinds in compacted_key_kinds)
 
 
-def test_keys_widen_to_two_words_partway(monkeypatch, merged_key_kinds, dict_path_runs):
-    # the entries' spans pass 2**64 at radius 9; with small blocks the switch
-    # comes in the middle of a level, with waiting blocks to convert too
-    monkeypatch.setattr(solgrow.growth, "_BLOCK", 64)
-    gens = GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])])
-    _check_against_oracle(gens, 9)
-    assert not dict_path_runs
-    assert set().union(*merged_key_kinds) == {np.dtype(np.uint64), np.dtype("V16")}
-    switched, rekeyed = [], []
-    rekey = solgrow.growth._Keys.rekey
+@pytest.fixture()
+def word_switches(monkeypatch):
+    """The number of keys of each rekey from one word to two; every rekey
+    is checked against the keys of its decoded rows."""
+    switched = []
+    rekey = _Keys.rekey
 
-    def spy(self, keys, old):
+    def spy(self, keys, old, out=None):
         if len(old.words) == 1 and len(self.words) == 2:
             switched.append(len(keys))
-        rekeyed.append(len(keys))
-        again = rekey(self, keys, old)
+        rows = old.rows(keys)  # before `out`, which may be `keys`, is written
+        again = rekey(self, keys, old, out)
         # made again block by block, as if decoded whole
-        assert again.dtype == self.of(old.rows(keys[:0])).dtype
-        assert again.tobytes() == self.of(old.rows(keys)).tobytes()
+        assert again.dtype == self.of(rows[:0]).dtype
+        assert again.tobytes() == self.of(rows).tobytes()
         return again
 
-    monkeypatch.setattr(solgrow.growth._Keys, "rekey", spy)
+    monkeypatch.setattr(_Keys, "rekey", spy)
+    return switched
+
+
+def test_keys_widen_to_two_words(monkeypatch, compacted_key_kinds, word_switches, dict_path_runs):
+    # the entries' spans pass 2**64 at radius 9: the first and last blocks of
+    # S_8 widen the ranges to two words before the level's first key
+    monkeypatch.setattr(solgrow.growth, "_BLOCK", 64)
+    gens = GenSet([MatZ(2, [[3, 1], [2, 1]]), MatZ(2, [[1, 1], [0, 1]])])
     assert growth_table(gens, 9).counts == _oracle_ball(gens, 9)
-    # both held spheres (S_7 and S_8), the empty new sphere, waiting blocks
-    assert switched[:3] == [2506, 7030, 0] and len(switched) > 3
-    assert max(rekeyed) > 64 * 100  # over a hundred blocks at once
+    assert not dict_path_runs
+    assert set().union(*compacted_key_kinds) == {np.dtype(np.uint64), np.dtype("V16")}
+    # both held spheres (S_7 and S_8), and the level's buffer with no key yet
+    assert word_switches == [2506, 7030, 0]
+
+
+def test_keys_widen_to_two_words_partway(monkeypatch, compacted_key_kinds, word_switches):
+    # Sanov's matrices with 3 generate a free group of rank 2. With small
+    # blocks, a middle block of S_8 passes 2**64 once the level has been
+    # compacted once and more keys have been written behind it
+    monkeypatch.setattr(solgrow.growth, "_BLOCK", 64)
+    gens = GenSet([MatZ(2, [[1, 3], [0, 1]]), MatZ(2, [[1, 0], [3, 1]])])
+    assert growth_table(gens, 9).counts == [2 * 3**r - 1 for r in range(10)]
+    assert set().union(*compacted_key_kinds) == {np.dtype(np.uint64), np.dtype("V16")}
+    # both held spheres (S_7 and S_8), then the keys written so far
+    assert word_switches == [2916, 8748, 6256]
+
+
+@pytest.mark.parametrize(
+    "name,radius,rekeyed",
+    # the growth jobs of perfbench
+    [("sanov", 12, 472_390), ("lamplighter", 20, 226_340), ("heisenberg", 24, 218_790), ("z2", 200, 78_805)],
+)
+def test_ranges_widen_before_a_level_is_keyed(monkeypatch, name, radius, rekeyed):
+    # events: the keys of each rekey, "key" for each block of products keyed,
+    # and "level" after each level
+    events, inside = [], []
+    rekey, of, levels = _Keys.rekey, _Keys.of, solgrow.growth._sphere_levels
+
+    def spy_rekey(self, keys, old, out=None):
+        events.append(len(keys))
+        inside.append(True)  # its own keys are not product keys
+        try:
+            return rekey(self, keys, old, out)
+        finally:
+            inside.pop()
+
+    def spy_of(self, rows):
+        if not inside:
+            events.append("key")
+        return of(self, rows)
+
+    def spy_levels(*args):
+        for size in levels(*args):
+            events.append("level")
+            yield size
+
+    monkeypatch.setattr(_Keys, "rekey", spy_rekey)
+    monkeypatch.setattr(_Keys, "of", spy_of)
+    monkeypatch.setattr(solgrow.growth, "_sphere_levels", spy_levels)
+    assert growth_table(catalog(name), radius).radius == radius
+    assert sum(e for e in events if isinstance(e, int)) == rekeyed
+    level: list = []
+    for event in events:
+        if event == "level":
+            assert "key" in level  # every level keys its products
+            level = []
+        else:
+            assert event == "key" or "key" not in level  # no rekey after a key
+            level.append(event)
+
+
+def test_ball_memory_is_a_few_final_spheres():
+    # S_12 of the free group holds 708,588 keys of 8 bytes. The level's key
+    # buffer (4 keys a row of S_11: 2 spheres), the buffers that S_10 and
+    # S_11 are the fronts of (0.9 spheres) and a block's rows and products
+    # peak at about 3.05 spheres.
+    tracemalloc.start()
+    try:
+        assert growth_table(catalog("sanov"), 12).counts[-1] == 1_062_881
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 708_588 * 8
 
 
 def test_free_group_past_one_key_word():
